@@ -109,8 +109,8 @@ main(int argc, char **argv)
     if (args.target == "neon")
         opts.lower.layouts = false; // Neon is linear-only
 
-    // Disk-tier counters live on the per-flavor cache singletons;
-    // fold both so either target reports through one block.
+    // Disk-tier counters live on the per-backend cache tables; fold
+    // both so either target reports through one block.
     auto disk_stats = [] {
         synth::CacheStats s = synth::synthesis_cache().stats();
         const synth::CacheStats n =

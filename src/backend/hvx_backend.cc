@@ -7,6 +7,7 @@
 #include "hvx/interp.h"
 #include "hvx/sexpr.h"
 #include "support/error.h"
+#include "synth/persist.h"
 #include "synth/sketch.h"
 #include "synth/swizzle.h"
 #include "synth/symbolic_vector.h"
@@ -1517,6 +1518,18 @@ class HvxBackend final : public TargetISA
         return hvx::parse_instr(text);
     }
 
+    int
+    grammar_version() const override
+    {
+        return synth::kHvxGrammarVersion;
+    }
+
+    int
+    cost_model_version() const override
+    {
+        return synth::kHvxCostModelVersion;
+    }
+
   private:
     static InstrPtr
     hvx_cast(const InstrHandle &h)
@@ -1524,7 +1537,7 @@ class HvxBackend final : public TargetISA
         return std::static_pointer_cast<const Instr>(h);
     }
 
-    const hvx::Target &target_;
+    hvx::Target target_;
     std::unique_ptr<synth::SwizzleSolver> solver_;
     const synth::SwizzleStats *solver_stats_ = nullptr;
     Deadline deadline_;

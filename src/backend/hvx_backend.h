@@ -19,8 +19,8 @@
 namespace rake::backend {
 
 /**
- * Fresh HVX backend for one lowering run. `target` must outlive the
- * returned backend.
+ * Fresh HVX backend for one lowering run. The backend keeps its own
+ * copy of `target`.
  */
 std::unique_ptr<TargetISA> make_hvx_backend(const hvx::Target &target);
 

@@ -1181,7 +1181,7 @@ class NeonBackend final : public TargetISA
     }
 
   private:
-    const neon::Target &target_;
+    neon::Target target_;
     std::unique_ptr<NeonSwizzleSolver> solver_;
     const synth::SwizzleStats *solver_stats_ = nullptr;
     Deadline deadline_;

@@ -25,8 +25,8 @@
 namespace rake::backend {
 
 /**
- * Fresh Neon backend for one lowering run. `target` must outlive the
- * returned backend.
+ * Fresh Neon backend for one lowering run. The backend keeps its own
+ * copy of `target`.
  */
 std::unique_ptr<TargetISA> make_neon_backend(const neon::Target &target);
 

@@ -20,24 +20,22 @@ options_fingerprint(const RakeOptions &opts)
 }
 
 SynthCache &
-synthesis_cache()
-{
-    static SynthCache cache;
-    return cache;
-}
-
-BackendSynthCache &
 backend_synthesis_cache(const std::string &backend)
 {
     static std::mutex registry_mutex;
-    static std::unordered_map<std::string,
-                              std::unique_ptr<BackendSynthCache>>
+    static std::unordered_map<std::string, std::unique_ptr<SynthCache>>
         registry;
     std::unique_lock<std::mutex> lock(registry_mutex);
-    std::unique_ptr<BackendSynthCache> &slot = registry[backend];
+    std::unique_ptr<SynthCache> &slot = registry[backend];
     if (!slot)
-        slot = std::make_unique<BackendSynthCache>();
+        slot = std::make_unique<SynthCache>();
     return *slot;
+}
+
+SynthCache &
+synthesis_cache()
+{
+    return backend_synthesis_cache("hvx");
 }
 
 } // namespace rake::synth

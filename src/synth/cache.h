@@ -20,11 +20,10 @@
  * per-stage statistics — is identical no matter which thread won,
  * which keeps benchmark statistics bit-identical across job counts.
  *
- * The table is a template over the stored result so the HVX
- * RakeResult cache and the per-backend BackendRakeResult caches share
- * one implementation. Backend caches are keyed by backend name (one
- * table per target ISA); the HVX fast path keeps its dedicated
- * singleton untouched.
+ * There is one table per backend name (TargetISA::name()): the same
+ * HIR expression lowers to different instruction sets. The HVX-typed
+ * select_instructions() and a select_instructions_for() over an HVX
+ * backend share the "hvx" table.
  */
 #ifndef RAKE_SYNTH_CACHE_H
 #define RAKE_SYNTH_CACHE_H
@@ -89,7 +88,8 @@ cache_mix(uint64_t h, uint64_t v)
 
 } // namespace detail
 
-template <typename Result> class BasicSynthCache
+/** One backend's table; see the file comment. */
+class SynthCache
 {
   public:
     /**
@@ -105,7 +105,7 @@ template <typename Result> class BasicSynthCache
         uint64_t fingerprint = 0;
         bool done = false;
         bool aborted = false; ///< retracted: waiters must re-acquire
-        std::optional<Result> result;
+        std::optional<BackendRakeResult> result;
     };
     using EntryPtr = std::shared_ptr<Entry>;
 
@@ -202,7 +202,7 @@ template <typename Result> class BasicSynthCache
 
     /** Publish the owner's outcome and wake all waiters. */
     void
-    publish(const EntryPtr &entry, std::optional<Result> result)
+    publish(const EntryPtr &entry, std::optional<BackendRakeResult> result)
     {
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -305,22 +305,15 @@ template <typename Result> class BasicSynthCache
     CacheStats stats_;
 };
 
-/** The HVX cache (dedicated type, kept for source compatibility). */
-using SynthCache = BasicSynthCache<RakeResult>;
-
-/** Per-target cache used by select_instructions_for(). */
-using BackendSynthCache = BasicSynthCache<BackendRakeResult>;
-
-/** The process-wide cache select_instructions() consults. */
-SynthCache &synthesis_cache();
-
 /**
  * The process-wide cache for one backend, keyed by TargetISA::name().
- * Separate tables per target: the same HIR expression lowers to
- * different instruction sets, and a table per name keeps clear()
- * (tests, benchmarks) scoped to one target.
+ * A table per name keeps clear() (tests, benchmarks) scoped to one
+ * target.
  */
-BackendSynthCache &backend_synthesis_cache(const std::string &backend);
+SynthCache &backend_synthesis_cache(const std::string &backend);
+
+/** The HVX table: backend_synthesis_cache("hvx"). */
+SynthCache &synthesis_cache();
 
 } // namespace rake::synth
 

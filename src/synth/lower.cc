@@ -4,7 +4,6 @@
 
 #include <cstdlib>
 
-#include "backend/hvx_backend.h"
 #include "support/error.h"
 #include "uir/interp.h"
 #include "uir/printer.h"
@@ -326,21 +325,6 @@ lower_with_backend(Verifier &verifier, const uir::UExprPtr &lifted,
     BackendLowerResult result;
     result.instr = *instr;
     result.stats = lowerer.stats();
-    return result;
-}
-
-std::optional<LowerResult>
-lower_to_hvx(Verifier &verifier, const uir::UExprPtr &lifted,
-             const hvx::Target &target, const LowerOptions &opts)
-{
-    auto isa = backend::make_hvx_backend(target);
-    auto lowered = lower_with_backend(verifier, lifted, *isa, opts);
-    if (!lowered)
-        return std::nullopt;
-    LowerResult result;
-    result.instr =
-        std::static_pointer_cast<const hvx::Instr>(lowered->instr);
-    result.stats = lowered->stats;
     return result;
 }
 

@@ -19,8 +19,7 @@
  *
  * The search itself is target-independent: the instruction grammar,
  * interpreter, swizzle repertoire, and cost model come from a
- * backend::TargetISA (see backend/target_isa.h). lower_to_hvx keeps
- * the original HVX-typed API as a thin wrapper over the shared core.
+ * backend::TargetISA (see backend/target_isa.h).
  */
 #ifndef RAKE_SYNTH_LOWER_H
 #define RAKE_SYNTH_LOWER_H
@@ -28,7 +27,6 @@
 #include <optional>
 
 #include "backend/target_isa.h"
-#include "hvx/cost.h"
 #include "synth/sketch.h"
 #include "synth/swizzle.h"
 #include "synth/verify.h"
@@ -59,12 +57,6 @@ struct LowerStats {
     int backtracks = 0;  ///< implementations improved upon
 };
 
-/** Result of lowering one lifted expression. */
-struct LowerResult {
-    hvx::InstrPtr instr;
-    LowerStats stats;
-};
-
 /** Result of lowering through an arbitrary backend. */
 struct BackendLowerResult {
     backend::InstrHandle instr;
@@ -82,15 +74,6 @@ std::optional<BackendLowerResult>
 lower_with_backend(Verifier &verifier, const uir::UExprPtr &lifted,
                    backend::TargetISA &isa,
                    const LowerOptions &opts = {});
-
-/**
- * Lower a lifted expression to HVX. Equivalent to lower_with_backend
- * over a fresh HVX backend; kept as the HVX-typed entry point.
- */
-std::optional<LowerResult> lower_to_hvx(Verifier &verifier,
-                                        const uir::UExprPtr &lifted,
-                                        const hvx::Target &target,
-                                        const LowerOptions &opts = {});
 
 } // namespace rake::synth
 

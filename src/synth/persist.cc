@@ -16,7 +16,6 @@
 #include <unistd.h>
 
 #include "hir/printer.h"
-#include "hvx/sexpr.h"
 #include "support/error.h"
 
 namespace rake::synth {
@@ -27,7 +26,6 @@ namespace {
 
 constexpr const char *kMagic = "rake-cache";
 constexpr const char *kEntrySuffix = ".rakecache";
-constexpr const char *kHvxBackendName = "hvx";
 
 /** FNV-1a over the key material: stable across processes, unlike
  *  hir::Expr::hash() or std::hash<std::string>. */
@@ -91,10 +89,10 @@ proof_name(ProofResult p)
 
 /**
  * Line-oriented entry parser. Any structural problem throws
- * UserError; load() maps that to an `invalid` verdict (miss, never a
- * crash). Truncation is caught by the mandatory "end" trailer: an
- * interrupted write that somehow survived the atomic-rename protocol
- * parses as invalid, not as a shorter entry.
+ * UserError; load_backend() maps that to an `invalid` verdict (miss,
+ * never a crash). Truncation is caught by the mandatory "end"
+ * trailer: an interrupted write that somehow survived the
+ * atomic-rename protocol parses as invalid, not as a shorter entry.
  */
 class EntryReader
 {
@@ -224,7 +222,7 @@ parse_proof(const std::string &s)
     return ProofResult::Unknown;
 }
 
-/** The fields shared by both entry flavors. */
+/** The version header and key every entry starts with. */
 struct EntryHeader {
     std::string backend;
     int grammar = 0;
@@ -292,10 +290,9 @@ read_stats(EntryReader &r, LiftStats &lift, LowerStats &lower)
 
 /** True for outcomes that may land on disk: a verified Ok result or a
  *  deterministic no-solution. Timed-out / degraded runs never
- *  qualify (ISSUE: an aborted search says nothing about the key). */
-template <typename Result>
+ *  qualify (an aborted search says nothing about the key). */
 bool
-persistable(const std::optional<Result> &result)
+persistable(const std::optional<BackendRakeResult> &result)
 {
     if (!result)
         return true; // deterministic no-solution
@@ -442,83 +439,12 @@ PersistentStore::entry_path(const std::string &backend,
     return dir_ + "/" + hex64(h) + kEntrySuffix;
 }
 
-DiskLookup<RakeResult>
-PersistentStore::load(const hir::ExprPtr &normalized, uint64_t options_fp)
-{
-    DiskLookup<RakeResult> out;
-    const EntryHeader want{kHvxBackendName, kHvxGrammarVersion,
-                           kHvxCostModelVersion, hex64(options_fp),
-                           hir::to_sexpr(normalized)};
-    const auto text =
-        read_file(entry_path(want.backend, normalized, options_fp));
-    if (!text)
-        return out;
-    try {
-        EntryReader r(*text);
-        check_header(r, want);
-        const std::string status = r.take("status");
-        if (status == "ok") {
-            RakeResult res;
-            res.instr = hvx::parse_instr(r.take("instr"));
-            read_stats(r, res.lift, res.lower);
-            res.proof = parse_proof(r.take("proof"));
-            r.take_bare("end");
-            r.done();
-            out.result = std::move(res);
-        } else {
-            RAKE_USER_CHECK(status == "no_solution",
-                            "bad cache entry status: " << status);
-            r.take_bare("end");
-            r.done();
-        }
-    } catch (const UserError &) {
-        out.invalid = true;
-        invalid_.fetch_add(1, std::memory_order_relaxed);
-        return out;
-    }
-    out.hit = true;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return out;
-}
-
-bool
-PersistentStore::store(const hir::ExprPtr &normalized, uint64_t options_fp,
-                       const std::optional<RakeResult> &result)
-{
-    if (!persistable(result))
-        return false;
-    const EntryHeader header{kHvxBackendName, kHvxGrammarVersion,
-                             kHvxCostModelVersion, hex64(options_fp),
-                             hir::to_sexpr(normalized)};
-    if (!line_safe(header.expr))
-        return false;
-    std::ostringstream os;
-    write_header(os, header);
-    if (result) {
-        const std::string instr = hvx::to_sexpr(result->instr);
-        if (!line_safe(instr))
-            return false;
-        os << "status ok\n"
-           << "instr " << instr << "\n";
-        write_stats(os, result->lift, result->lower);
-        os << "proof " << proof_name(result->proof) << "\n";
-    } else {
-        os << "status no_solution\n";
-    }
-    os << "end\n";
-    if (!atomic_write(entry_path(header.backend, normalized, options_fp),
-                      os.str()))
-        return false;
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-DiskLookup<BackendRakeResult>
+DiskLookup
 PersistentStore::load_backend(const hir::ExprPtr &normalized,
                               uint64_t options_fp,
                               const backend::TargetISA &isa)
 {
-    DiskLookup<BackendRakeResult> out;
+    DiskLookup out;
     const EntryHeader want{isa.name(), isa.grammar_version(),
                            isa.cost_model_version(), hex64(options_fp),
                            hir::to_sexpr(normalized)};
@@ -537,6 +463,7 @@ PersistentStore::load_backend(const hir::ExprPtr &normalized,
                             "backend " << want.backend
                                        << " cannot parse cache entry");
             read_stats(r, res.lift, res.lower);
+            res.proof = parse_proof(r.take("proof"));
             r.take_bare("end");
             r.done();
             out.result = std::move(res);
@@ -578,6 +505,7 @@ PersistentStore::store_backend(const hir::ExprPtr &normalized,
         os << "status ok\n"
            << "instr " << instr << "\n";
         write_stats(os, result->lift, result->lower);
+        os << "proof " << proof_name(result->proof) << "\n";
     } else {
         os << "status no_solution\n";
     }

@@ -12,6 +12,13 @@
  * so a warm directory answers repeated queries in file-read time
  * instead of re-paying CEGIS.
  *
+ * One entry layout serves every backend: the version header and the
+ * key, then either `status no_solution` or `status ok` followed by
+ * the backend's instruction s-expression, the Table 1 stage
+ * statistics and the z3 proof outcome, then an `end` trailer. Every
+ * query goes through the one selection ladder (synth/rake.h), so an
+ * entry the compile path wrote answers the serving path and back.
+ *
  * Versioning: every entry records explicit version keys — the
  * backend name, the backend's grammar version, its cost-model
  * version, and the serialization-format version. Bumping any one
@@ -54,9 +61,9 @@ namespace rake::synth {
 inline constexpr int kPersistFormatVersion = 1;
 
 /**
- * Version keys of the HVX fast path (select_instructions does not go
- * through a TargetISA instance). Bump on grammar / cost-model
- * changes, exactly like TargetISA::grammar_version().
+ * Version keys of the HVX backend (TargetISA::grammar_version() /
+ * cost_model_version() return them). Bump on grammar / cost-model
+ * changes; rule tables and the miner key on them too.
  */
 inline constexpr int kHvxGrammarVersion = 1;
 inline constexpr int kHvxCostModelVersion = 1;
@@ -70,11 +77,11 @@ struct DiskCacheStats {
 };
 
 /** Outcome of one disk lookup. */
-template <typename Result> struct DiskLookup {
+struct DiskLookup {
     bool hit = false; ///< a valid entry existed for the key
     bool invalid = false; ///< an entry existed but was rejected
-    std::optional<Result> result; ///< payload (nullopt = cached
-                                  ///< deterministic no-solution)
+    /** Payload; nullopt is a cached deterministic no-solution. */
+    std::optional<BackendRakeResult> result;
 };
 
 /**
@@ -92,29 +99,22 @@ class PersistentStore
 
     const std::string &dir() const { return dir_; }
 
-    /** HVX fast-path flavor (backend name "hvx"). */
-    DiskLookup<RakeResult> load(const hir::ExprPtr &normalized,
-                                uint64_t options_fp);
+    /**
+     * Look up a completed outcome. The instruction DAG round-trips
+     * through TargetISA::instr_to_sexpr / instr_from_sexpr and the
+     * entry carries the backend's own version keys. A backend
+     * without serialization support (empty instr_to_sexpr) disables
+     * the disk tier: load misses, store declines.
+     */
+    DiskLookup load_backend(const hir::ExprPtr &normalized,
+                            uint64_t options_fp,
+                            const backend::TargetISA &isa);
 
     /**
      * Persist a completed outcome; returns false (and writes
      * nothing) for results that must never land on disk — degraded
      * or timed-out queries — or on I/O failure.
      */
-    bool store(const hir::ExprPtr &normalized, uint64_t options_fp,
-               const std::optional<RakeResult> &result);
-
-    /**
-     * Backend-parameterized flavor: the instruction DAG round-trips
-     * through TargetISA::instr_to_sexpr / instr_from_sexpr and the
-     * entry carries the backend's own version keys. A backend
-     * without serialization support (empty instr_to_sexpr) disables
-     * the disk tier: load misses, store declines.
-     */
-    DiskLookup<BackendRakeResult>
-    load_backend(const hir::ExprPtr &normalized, uint64_t options_fp,
-                 const backend::TargetISA &isa);
-
     bool store_backend(const hir::ExprPtr &normalized,
                        uint64_t options_fp,
                        const backend::TargetISA &isa,
@@ -157,11 +157,11 @@ struct CacheEntryView {
 
 /**
  * Walk a cache directory and return every parseable entry, sorted by
- * filename for a deterministic mining order. Unlike load(), this
- * does not validate against an expected key — the miner wants every
- * backend's solved pairs and filters on version keys itself. Corrupt
- * or truncated files are silently skipped (they are a miss for the
- * cache too); a missing directory yields an empty list.
+ * filename for a deterministic mining order. Unlike load_backend(),
+ * this does not validate against an expected key — the miner wants
+ * every backend's solved pairs and filters on version keys itself.
+ * Corrupt or truncated files are silently skipped (they are a miss
+ * for the cache too); a missing directory yields an empty list.
  */
 std::vector<CacheEntryView> scan_cache_dir(const std::string &dir);
 

@@ -18,63 +18,49 @@ accumulate(QueryStats &into, const QueryStats &from)
     into.seconds += from.seconds;
 }
 
-/** Stage-stat accumulation shared by both result flavors. */
-template <typename ResultT>
+} // namespace
+
 void
-add_run(SynthProfile &p, const ResultT &r)
+SynthProfile::add(const RakeOutcome &r)
 {
-    ++p.runs;
+    ++runs;
     if (r.status == SynthStatus::TimedOut)
-        ++p.timeouts;
+        ++timeouts;
     if (r.degraded)
-        ++p.degraded;
+        ++degraded;
     // Instance rejects are rule-stage work spent on this query even
     // when the answer then came from elsewhere, so they accumulate
     // before the per-tier early returns below.
-    p.rule_instance_rejects += r.rule_rejects;
+    rule_instance_rejects += r.rule_rejects;
     if (r.cache_hit) {
         // Cached runs carry the original synthesis's statistics for
         // Table 1, but no time was spent re-deriving them; folding
         // them in would double-count effort.
-        ++p.cache_hits;
+        ++cache_hits;
         return;
     }
     if (r.disk_hit) {
         // Same story for the on-disk tier: the stats are a previous
         // process's effort, already counted when it synthesized.
-        ++p.disk_hits;
+        ++disk_hits;
         return;
     }
     if (r.rule_hit) {
         // A rule hit ran no synthesis stage at all: the rule was
         // verified once offline, so there is no effort to fold in.
-        ++p.rule_hits;
+        ++rule_hits;
         return;
     }
-    accumulate(p.lift_update, r.lift.update);
-    accumulate(p.lift_replace, r.lift.replace);
-    accumulate(p.lift_extend, r.lift.extend);
-    accumulate(p.sketch, r.lower.sketch);
-    p.swizzle.queries += r.lower.swizzle.queries;
-    p.swizzle.solved += r.lower.swizzle.solved;
-    p.swizzle.unsat += r.lower.swizzle.unsat;
-    p.swizzle.memo_hits += r.lower.swizzle.memo_hits;
-    p.swizzle.seconds += r.lower.swizzle.seconds;
-    p.backtracks += r.lower.backtracks;
-}
-
-} // namespace
-
-void
-SynthProfile::add(const RakeResult &r)
-{
-    add_run(*this, r);
-}
-
-void
-SynthProfile::add(const BackendRakeResult &r)
-{
-    add_run(*this, r);
+    accumulate(lift_update, r.lift.update);
+    accumulate(lift_replace, r.lift.replace);
+    accumulate(lift_extend, r.lift.extend);
+    accumulate(sketch, r.lower.sketch);
+    swizzle.queries += r.lower.swizzle.queries;
+    swizzle.solved += r.lower.swizzle.solved;
+    swizzle.unsat += r.lower.swizzle.unsat;
+    swizzle.memo_hits += r.lower.swizzle.memo_hits;
+    swizzle.seconds += r.lower.swizzle.seconds;
+    backtracks += r.lower.backtracks;
 }
 
 void

@@ -51,11 +51,8 @@ struct SynthProfile {
                                ///< layout negotiation
     int64_t hashcons_hits = 0; ///< shared HIR subtrees deduplicated
 
-    /** Fold one synthesis result into the profile. */
-    void add(const RakeResult &r);
-
-    /** Same, for a backend-parameterized run (no proof stage). */
-    void add(const BackendRakeResult &r);
+    /** Fold one synthesis result (either flavor) into the profile. */
+    void add(const RakeOutcome &r);
 
     /** Fold another profile in (drivers aggregate across benchmarks). */
     void merge(const SynthProfile &o);

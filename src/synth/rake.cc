@@ -1,7 +1,6 @@
 #include "synth/rake.h"
 
 #include "backend/hvx_backend.h"
-#include "baseline/halide_optimizer.h"
 #include "hir/simplify.h"
 #include "support/error.h"
 #include "synth/cache.h"
@@ -42,135 +41,57 @@ with_deadline(const RakeOptions &opts)
     return o;
 }
 
-/** The three-stage synthesis proper, uncached. */
-std::optional<RakeResult>
-synthesize(const hir::ExprPtr &expr, const hir::ExprPtr &normalized,
-           const RakeOptions &opts)
-{
-    Spec spec = Spec::from_expr(normalized);
-    ExamplePool pool(spec, opts.seed);
-    Verifier verifier(spec, pool, opts.verifier);
-
-    RakeResult result;
-
-    // Stage 1: lift to the Uber-Instruction IR (Algorithm 1).
-    LiftResult lifted = lift_to_uir(verifier);
-    result.lifted = lifted.expr;
-    result.lift = lifted.stats;
-    if (!lifted.expr)
-        return std::nullopt;
-
-    // Stages 2+3: sketch synthesis and swizzle synthesis
-    // (Algorithm 2).
-    auto lowered = lower_to_hvx(verifier, lifted.expr, opts.target,
-                                opts.lower);
-    if (!lowered)
-        return std::nullopt;
-    result.instr = lowered->instr;
-    result.lower = lowered->stats;
-
-    // Optional final SMT proof on selected lanes (§4.1 incremental
-    // verification, with the original un-simplified expression as the
-    // reference).
-    if (opts.z3_prove) {
-        ProofOutcome outcome = z3_check(expr, result.instr, spec);
-        result.proof = outcome.result;
-        if (outcome.result == ProofResult::Refuted)
-            return std::nullopt;
-    }
-    return result;
-}
-
-/** The backend-parameterized two-stage synthesis, uncached. */
+/**
+ * The three-stage synthesis proper, uncached. Lifting (Algorithm 1)
+ * is shared across every target — the §6 retargeting claim; sketch
+ * and swizzle synthesis (Algorithm 2) go through the backend's
+ * grammar, swizzle repertoire and cost model. The optional final SMT
+ * proof (§4.1 incremental verification) takes the original
+ * un-simplified expression as the reference.
+ */
 std::optional<BackendRakeResult>
-synthesize_for(const hir::ExprPtr &normalized, backend::TargetISA &isa,
-               const RakeOptions &opts)
+synthesize(const hir::ExprPtr &expr, const hir::ExprPtr &normalized,
+           backend::TargetISA &isa, const RakeOptions &opts)
 {
     Spec spec = Spec::from_expr(normalized);
     ExamplePool pool(spec, opts.seed);
     Verifier verifier(spec, pool, opts.verifier);
 
     BackendRakeResult result;
-
-    // Stage 1: lift to the Uber-Instruction IR (Algorithm 1) — shared
-    // across every target, the §6 retargeting claim.
     LiftResult lifted = lift_to_uir(verifier);
     result.lifted = lifted.expr;
     result.lift = lifted.stats;
     if (!lifted.expr)
         return std::nullopt;
 
-    // Stages 2+3 through the backend's grammar, swizzle repertoire,
-    // and cost model (Algorithm 2).
-    auto lowered = lower_with_backend(verifier, lifted.expr, isa,
-                                      opts.lower);
+    auto lowered =
+        lower_with_backend(verifier, lifted.expr, isa, opts.lower);
     if (!lowered)
         return std::nullopt;
     result.instr = lowered->instr;
     result.lower = lowered->stats;
-    return result;
-}
 
-/**
- * Graceful degradation on timeout: the greedy baseline's program,
- * tagged TimedOut + degraded. The baseline is pattern matching, not
- * search, so it runs deadline-free — the pipeline always gets a
- * runnable implementation back within a bounded epilogue.
- */
-RakeResult
-degrade_to_baseline(const hir::ExprPtr &expr, const RakeOptions &opts)
-{
-    RakeResult result;
-    result.instr = baseline::select_instructions(expr, opts.target);
-    result.status = SynthStatus::TimedOut;
-    result.degraded = true;
-    return result;
-}
-
-/**
- * The rule-first stage of the HVX fast path: consulted after both
- * cache tiers miss, before sketch enumeration + CEGIS. A hit carries
- * zero stage statistics (no query ran) and, when the final-proof
- * knob is set, the same z3 check the synthesis path would have run.
- * Misses (including instantiations the per-instance re-check
- * rejected, counted into *rejects) fall through to synthesis.
- */
-std::optional<RakeResult>
-try_rules(const hir::ExprPtr &expr, const hir::ExprPtr &normalized,
-          const RakeOptions &opts, int *rejects)
-{
-    const RuleTable *table = rule_table(opts.rules_file);
-    if (!table)
-        return std::nullopt;
-    const auto *rules = table->rules_for(
-        "hvx", kHvxGrammarVersion, kHvxCostModelVersion);
-    if (!rules)
-        return std::nullopt;
-    auto isa = backend::make_hvx_backend(opts.target);
-    auto instr =
-        apply_rules(*rules, normalized, *isa, opts.seed, rejects);
-    if (!instr)
-        return std::nullopt;
-    RakeResult result;
-    result.instr = std::static_pointer_cast<const hvx::Instr>(*instr);
-    result.rule_hit = true;
     if (opts.z3_prove) {
-        Spec spec = Spec::from_expr(normalized);
-        ProofOutcome outcome = z3_check(expr, result.instr, spec);
-        result.proof = outcome.result;
-        if (outcome.result == ProofResult::Refuted) {
-            if (rejects)
-                ++*rejects;
+        result.proof = z3_check(expr, isa, result.instr, spec).result;
+        if (result.proof == ProofResult::Refuted)
             return std::nullopt;
-        }
     }
     return result;
 }
 
-/** The backend-parameterized rule-first stage. */
+/**
+ * The rule-first stage: consulted after both cache tiers miss, before
+ * sketch enumeration + CEGIS, with the backend's own version keys. A
+ * hit carries zero stage statistics (no query ran) and, when the
+ * final-proof knob is set, the same z3 check synthesis would have
+ * run. Misses (including instantiations the per-instance re-check or
+ * the proof rejected, counted into *rejects) fall through to
+ * synthesis.
+ */
 std::optional<BackendRakeResult>
-try_rules_for(const hir::ExprPtr &normalized, backend::TargetISA &isa,
-              const RakeOptions &opts, int *rejects)
+try_rules(const hir::ExprPtr &expr, const hir::ExprPtr &normalized,
+          const backend::TargetISA &isa, const RakeOptions &opts,
+          int *rejects)
 {
     const RuleTable *table = rule_table(opts.rules_file);
     if (!table)
@@ -185,9 +106,25 @@ try_rules_for(const hir::ExprPtr &normalized, backend::TargetISA &isa,
     BackendRakeResult result;
     result.instr = *instr;
     result.rule_hit = true;
+    if (opts.z3_prove) {
+        result.proof = z3_check(expr, isa, result.instr,
+                                Spec::from_expr(normalized))
+                           .result;
+        if (result.proof == ProofResult::Refuted) {
+            ++*rejects;
+            return std::nullopt;
+        }
+    }
     return result;
 }
 
+/**
+ * Graceful degradation on timeout: the backend's greedy program,
+ * tagged TimedOut + degraded. The greedy selector is pattern
+ * matching, not search, so it runs deadline-free — the pipeline
+ * always gets a runnable implementation back within a bounded
+ * epilogue (backends without one degrade to nothing).
+ */
 std::optional<BackendRakeResult>
 degrade_to_greedy(const hir::ExprPtr &expr,
                   const backend::TargetISA &isa)
@@ -204,133 +141,6 @@ degrade_to_greedy(const hir::ExprPtr &expr,
 
 } // namespace
 
-std::optional<RakeResult>
-select_instructions(const hir::ExprPtr &expr, const RakeOptions &raw_opts)
-{
-    RAKE_USER_CHECK(expr != nullptr, "null expression");
-    const RakeOptions opts = with_deadline(raw_opts);
-
-    // Normalize the input the way Halide's lowering would have.
-    hir::ExprPtr normalized = hir::simplify(expr);
-
-    // Both tiers key on the normalized expression plus the options
-    // fingerprint. The disk tier is consulted even with use_cache =
-    // false (the knob opts out of in-process *sharing*, not of a
-    // warm directory the user pointed us at).
-    SynthCache &cache = synthesis_cache();
-    PersistentStore *disk = persistent_store(opts.cache_dir);
-    const uint64_t fp = options_fingerprint(opts);
-
-    if (!opts.use_cache) {
-        if (disk) {
-            auto loaded = disk->load(normalized, fp);
-            if (loaded.invalid)
-                cache.note_disk_invalid();
-            if (loaded.hit) {
-                cache.note_disk_hit();
-                if (loaded.result)
-                    loaded.result->disk_hit = true;
-                return std::move(loaded.result);
-            }
-        }
-        int rule_rejects = 0;
-        if (auto hit = try_rules(expr, normalized, opts, &rule_rejects)) {
-            hit->rule_rejects = rule_rejects;
-            if (disk && disk->store(normalized, fp, hit))
-                cache.note_disk_write();
-            return hit;
-        }
-        std::optional<RakeResult> result;
-        try {
-            result = synthesize(expr, normalized, opts);
-        } catch (const TimeoutError &) {
-            return degrade_to_baseline(expr, opts);
-        }
-        cache.note_synth_run();
-        if (result)
-            result->rule_rejects = rule_rejects;
-        if (disk && disk->store(normalized, fp, result))
-            cache.note_disk_write();
-        return result;
-    }
-
-    // The cache keys on the *normalized* expression: syntactically
-    // different inputs that simplify to the same DAG share one entry.
-    // The deadline is deliberately not part of the fingerprint — it
-    // can only abort a run, never change a completed run's answer, so
-    // completed results are valid under any budget.
-    bool owner = false;
-    SynthCache::EntryPtr entry;
-    try {
-        entry = cache.acquire(normalized, fp, &owner, opts.deadline);
-    } catch (const TimeoutError &) {
-        // Budget spent waiting on another thread's in-flight
-        // synthesis of the same goal.
-        return degrade_to_baseline(expr, opts);
-    }
-    if (!owner) {
-        std::optional<RakeResult> cached = entry->result;
-        if (cached)
-            cached->cache_hit = true;
-        return cached;
-    }
-
-    // The owner probes the disk tier before paying for CEGIS; a hit
-    // is published to the in-memory tier so the rest of the process
-    // shares it without touching the filesystem again.
-    if (disk) {
-        auto loaded = disk->load(normalized, fp);
-        if (loaded.invalid)
-            cache.note_disk_invalid();
-        if (loaded.hit) {
-            cache.note_disk_hit();
-            cache.publish(entry, loaded.result);
-            if (loaded.result)
-                loaded.result->disk_hit = true;
-            return std::move(loaded.result);
-        }
-    }
-
-    // Both tiers missed: the rule-first stage answers without paying
-    // for CEGIS when a mined rule matches, and publishes like any
-    // other completed result.
-    int rule_rejects = 0;
-    if (auto hit = try_rules(expr, normalized, opts, &rule_rejects)) {
-        hit->rule_rejects = rule_rejects;
-        cache.publish(entry, hit);
-        if (disk && disk->store(normalized, fp, hit))
-            cache.note_disk_write();
-        return hit;
-    }
-
-    // This thread owns the in-flight entry: synthesize and publish,
-    // even when synthesis throws (publish a failure so waiters do not
-    // block forever; the exception still propagates). A timeout is
-    // the exception to the exception: the entry is *retracted*, never
-    // published, so an aborted search cannot be mistaken for a
-    // deterministic "no solution".
-    std::optional<RakeResult> result;
-    try {
-        result = synthesize(expr, normalized, opts);
-    } catch (const TimeoutError &) {
-        cache.retract(entry);
-        return degrade_to_baseline(expr, opts);
-    } catch (...) {
-        cache.publish(entry, std::nullopt);
-        throw;
-    }
-    cache.note_synth_run();
-    if (result)
-        result->rule_rejects = rule_rejects;
-    cache.publish(entry, result);
-    // Only completed outcomes reach this line (timeouts retract and
-    // return above), so the store's own persistable() gate — no
-    // degraded results, no timeouts — is belt and braces here.
-    if (disk && disk->store(normalized, fp, result))
-        cache.note_disk_write();
-    return result;
-}
-
 std::optional<BackendRakeResult>
 select_instructions_for(const hir::ExprPtr &expr, backend::TargetISA &isa,
                         const RakeOptions &raw_opts)
@@ -338,107 +148,99 @@ select_instructions_for(const hir::ExprPtr &expr, backend::TargetISA &isa,
     RAKE_USER_CHECK(expr != nullptr, "null expression");
     const RakeOptions opts = with_deadline(raw_opts);
 
-    hir::ExprPtr normalized = hir::simplify(expr);
-
-    // The disk tier keys on the backend *name* directly (persist.cc
-    // hashes it with a process-stable FNV), so it takes the plain
-    // options fingerprint, not the std::hash-mixed in-memory one.
-    const std::string backend = isa.name();
-    BackendSynthCache &cache = backend_synthesis_cache(backend);
+    // Normalize the input the way Halide's lowering would have. Every
+    // tier keys on the normalized expression — syntactically
+    // different inputs that simplify to the same DAG share one answer
+    // — plus the options fingerprint. The deadline and the storage
+    // knobs are deliberately not part of it: they decide how an
+    // answer is found or kept, never what a completed answer is.
+    const hir::ExprPtr normalized = hir::simplify(expr);
+    SynthCache &cache = backend_synthesis_cache(isa.name());
     PersistentStore *disk = persistent_store(opts.cache_dir);
-    const uint64_t disk_fp = options_fingerprint(opts);
+    const uint64_t fp = options_fingerprint(opts);
 
-    if (!opts.use_cache) {
+    // Memory tier. use_cache = false skips only this acquire and the
+    // publish below: the query opts out of in-process sharing, not of
+    // a warm directory the user pointed it at, and its disk and CEGIS
+    // counters still land on this backend's stats.
+    SynthCache::EntryPtr entry;
+    if (opts.use_cache) {
+        bool owner = false;
+        try {
+            entry = cache.acquire(normalized, fp, &owner, opts.deadline);
+        } catch (const TimeoutError &) {
+            // Budget spent waiting on another thread's in-flight
+            // synthesis of the same goal.
+            return degrade_to_greedy(expr, isa);
+        }
+        if (!owner) {
+            std::optional<BackendRakeResult> cached = entry->result;
+            if (cached)
+                cached->cache_hit = true;
+            return cached;
+        }
+    }
+
+    // This thread owns the key: walk the remaining tiers, then
+    // publish even when one throws (a failure, so waiters do not
+    // block forever; the exception still propagates). A timeout is
+    // the exception to the exception: the entry is *retracted*, never
+    // published or stored, so an aborted search cannot be mistaken
+    // for a deterministic "no solution".
+    std::optional<BackendRakeResult> result;
+    bool from_disk = false;
+    try {
         if (disk) {
-            auto loaded = disk->load_backend(normalized, disk_fp, isa);
+            auto loaded = disk->load_backend(normalized, fp, isa);
             if (loaded.invalid)
                 cache.note_disk_invalid();
             if (loaded.hit) {
                 cache.note_disk_hit();
-                if (loaded.result)
-                    loaded.result->disk_hit = true;
-                return std::move(loaded.result);
+                from_disk = true;
+                result = std::move(loaded.result);
             }
         }
-        int rule_rejects = 0;
-        if (auto hit = try_rules_for(normalized, isa, opts,
-                                     &rule_rejects)) {
-            hit->rule_rejects = rule_rejects;
-            if (disk &&
-                disk->store_backend(normalized, disk_fp, isa, hit))
-                cache.note_disk_write();
-            return hit;
+        if (!from_disk) {
+            int rule_rejects = 0;
+            result = try_rules(expr, normalized, isa, opts, &rule_rejects);
+            if (!result) {
+                result = synthesize(expr, normalized, isa, opts);
+                cache.note_synth_run();
+            }
+            if (result)
+                result->rule_rejects = rule_rejects;
         }
-        std::optional<BackendRakeResult> result;
-        try {
-            result = synthesize_for(normalized, isa, opts);
-        } catch (const TimeoutError &) {
-            return degrade_to_greedy(expr, isa);
-        }
-        cache.note_synth_run();
-        if (result)
-            result->rule_rejects = rule_rejects;
-        if (disk && disk->store_backend(normalized, disk_fp, isa, result))
-            cache.note_disk_write();
-        return result;
-    }
-
-    // One table per backend name; the backend name is also folded
-    // into the fingerprint so a rename never aliases stale entries.
-    const uint64_t fp = detail::cache_mix(
-        options_fingerprint(opts), std::hash<std::string>()(backend));
-    bool owner = false;
-    BackendSynthCache::EntryPtr entry;
-    try {
-        entry = cache.acquire(normalized, fp, &owner, opts.deadline);
     } catch (const TimeoutError &) {
-        return degrade_to_greedy(expr, isa);
-    }
-    if (!owner) {
-        std::optional<BackendRakeResult> cached = entry->result;
-        if (cached)
-            cached->cache_hit = true;
-        return cached;
-    }
-
-    if (disk) {
-        auto loaded = disk->load_backend(normalized, disk_fp, isa);
-        if (loaded.invalid)
-            cache.note_disk_invalid();
-        if (loaded.hit) {
-            cache.note_disk_hit();
-            cache.publish(entry, loaded.result);
-            if (loaded.result)
-                loaded.result->disk_hit = true;
-            return std::move(loaded.result);
-        }
-    }
-
-    int rule_rejects = 0;
-    if (auto hit = try_rules_for(normalized, isa, opts, &rule_rejects)) {
-        hit->rule_rejects = rule_rejects;
-        cache.publish(entry, hit);
-        if (disk && disk->store_backend(normalized, disk_fp, isa, hit))
-            cache.note_disk_write();
-        return hit;
-    }
-
-    std::optional<BackendRakeResult> result;
-    try {
-        result = synthesize_for(normalized, isa, opts);
-    } catch (const TimeoutError &) {
-        cache.retract(entry);
+        if (entry)
+            cache.retract(entry);
         return degrade_to_greedy(expr, isa);
     } catch (...) {
-        cache.publish(entry, std::nullopt);
+        if (entry)
+            cache.publish(entry, std::nullopt);
         throw;
     }
-    cache.note_synth_run();
-    if (result)
-        result->rule_rejects = rule_rejects;
-    cache.publish(entry, result);
-    if (disk && disk->store_backend(normalized, disk_fp, isa, result))
+    if (entry)
+        cache.publish(entry, result);
+    if (from_disk) {
+        if (result)
+            result->disk_hit = true;
+    } else if (disk && disk->store_backend(normalized, fp, isa, result)) {
         cache.note_disk_write();
+    }
+    return result;
+}
+
+std::optional<RakeResult>
+select_instructions(const hir::ExprPtr &expr, const RakeOptions &opts)
+{
+    auto isa = backend::make_hvx_backend(opts.target);
+    auto selected = select_instructions_for(expr, *isa, opts);
+    if (!selected)
+        return std::nullopt;
+    RakeResult result;
+    result.instr =
+        std::static_pointer_cast<const hvx::Instr>(selected->instr);
+    static_cast<RakeOutcome &>(result) = std::move(*selected);
     return result;
 }
 

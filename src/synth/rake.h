@@ -1,17 +1,23 @@
 /**
  * @file
  * The top-level Rake instruction selector: lift to Uber-Instruction
- * IR, lower to HVX, optionally prove the result with z3.
+ * IR, lower through a target backend, optionally prove the result
+ * with z3.
  *
  * This is the public entry point a compiler embeds (Fig. 1): hand it
- * one vectorized HIR expression, get back a verified HVX instruction
- * DAG plus the per-stage synthesis statistics reported in Table 1.
+ * one vectorized HIR expression, get back a verified instruction DAG
+ * plus the per-stage synthesis statistics reported in Table 1. The
+ * fast path in front of synthesis (memory, disk and rule tiers) and
+ * the timeout fallback are written once, over backend::TargetISA
+ * (paper §6: retargeting swaps only the instruction repertoire);
+ * the HVX-typed select_instructions() is a thin wrapper.
  */
 #ifndef RAKE_SYNTH_RAKE_H
 #define RAKE_SYNTH_RAKE_H
 
 #include <optional>
 
+#include "hvx/cost.h"
 #include "support/deadline.h"
 #include "synth/lift.h"
 #include "synth/lower.h"
@@ -41,6 +47,7 @@ struct RakeOptions {
     LowerOptions lower;
     VerifierOptions verifier;
     bool z3_prove = false;  ///< final SMT proof of the selected code
+                            ///< (HVX; Unknown on other backends)
     uint64_t seed = 1;      ///< example-pool seed
     bool use_cache = true;  ///< consult the cross-expression cache
 
@@ -48,7 +55,7 @@ struct RakeOptions {
      * Wall-clock budget for this query. Combined (sooner wins) into
      * the verifier and lowering deadlines, so one knob bounds every
      * stage. On expiry select_instructions* returns a degraded
-     * result (status = TimedOut, instr = the greedy baseline's
+     * result (status = TimedOut, instr = the backend's greedy
      * program) instead of hanging or throwing. Excluded from the
      * cache fingerprint: a deadline aborts runs, it never changes a
      * completed run's answer, so completed results are shared across
@@ -83,9 +90,12 @@ struct RakeOptions {
     std::string rules_file;
 };
 
-/** Everything a Rake run produces. */
-struct RakeResult {
-    hvx::InstrPtr instr;        ///< selected HVX implementation
+/**
+ * Everything a Rake run produces besides the selected code: the
+ * intermediate, the Table 1 statistics and which tier answered.
+ * Shared by the HVX-typed and the type-erased result below.
+ */
+struct RakeOutcome {
     uir::UExprPtr lifted;       ///< intermediate Uber-Instruction IR
     LiftStats lift;             ///< Table 1: lifting columns
     LowerStats lower;           ///< Table 1: sketch + swizzle columns
@@ -117,74 +127,67 @@ struct RakeResult {
 
     /**
      * Matching rule instantiations rejected by the per-instance
-     * example re-check before this result was produced (whether it
-     * then came from another rule or fell through to synthesis).
+     * example re-check (or the z3 proof) before this result was
+     * produced (whether it then came from another rule or fell
+     * through to synthesis).
      */
     int rule_rejects = 0;
 
     SynthStatus status = SynthStatus::Ok;
 
     /**
-     * True when the deadline expired and `instr` is the greedy
-     * baseline's program rather than a synthesized one. The stage
-     * statistics are those of the aborted search; degraded results
-     * are never stored in the cross-expression cache.
+     * True when the deadline expired and `instr` is the backend's
+     * greedy program rather than a synthesized one. The stage
+     * statistics are all zero; degraded results are never stored in
+     * either cache tier.
      */
     bool degraded = false;
 };
 
-/**
- * Run instruction selection on one vector expression. Returns
- * nullopt when Rake cannot produce a verified implementation (the
- * caller should fall back to its default selector). When
- * opts.deadline expires mid-search the call instead returns a
- * *degraded* result: status = TimedOut and the greedy baseline's
- * program as `instr`, so the pipeline always has something runnable.
- */
-std::optional<RakeResult> select_instructions(const hir::ExprPtr &expr,
-                                              const RakeOptions &opts
-                                              = {});
-
-/**
- * A backend-parameterized run: the same lift + lower stages, with
- * the selected implementation type-erased behind the backend's
- * instruction handle.
- */
-struct BackendRakeResult {
-    backend::InstrHandle instr;  ///< selected implementation
-    uir::UExprPtr lifted;        ///< intermediate Uber-Instruction IR
-    LiftStats lift;              ///< Table 1: lifting columns
-    LowerStats lower;            ///< Table 1: sketch + swizzle columns
-
-    /** See RakeResult::cache_hit. */
-    bool cache_hit = false;
-
-    /** See RakeResult::disk_hit. */
-    bool disk_hit = false;
-
-    /** See RakeResult::rule_hit / RakeResult::rule_rejects. */
-    bool rule_hit = false;
-    int rule_rejects = 0;
-
-    /** See RakeResult::status / RakeResult::degraded. */
-    SynthStatus status = SynthStatus::Ok;
-    bool degraded = false;
+/** A Rake run plus its selected implementation. */
+template <typename InstrPtr> struct BasicRakeResult : RakeOutcome {
+    InstrPtr instr; ///< selected implementation
 };
 
+/** The HVX-typed result of select_instructions(). */
+using RakeResult = BasicRakeResult<hvx::InstrPtr>;
+
 /**
- * Instruction selection through an explicit target backend: lift with
- * the shared stage, lower through the backend's sketch grammar,
- * swizzle repertoire, and cost model. `isa` carries per-run state and
- * must outlive the call.
+ * The result of select_instructions_for(): the implementation is
+ * type-erased behind the backend's instruction handle.
+ */
+using BackendRakeResult = BasicRakeResult<backend::InstrHandle>;
+
+/**
+ * Instruction selection through an explicit target backend — the one
+ * selection ladder. On the way down: the in-memory cache, the
+ * on-disk cache, the rule-first stage, then synthesis proper (lift
+ * with the shared stage, lower through the backend's sketch grammar,
+ * swizzle repertoire and cost model, then the optional z3 proof).
+ * Returns nullopt when no verified implementation exists (the caller
+ * should fall back to its default selector). When opts.deadline
+ * expires mid-search the call instead returns a *degraded* result:
+ * status = TimedOut and TargetISA::greedy_select's program as
+ * `instr`, so the pipeline always has something runnable.
  *
- * Two RakeOptions fields do not apply here: `target` (the backend
- * brings its own machine model) and `z3_prove` (the SMT encoding is
- * HVX-typed; generic results are verified by CEGIS only). Both are
- * ignored. Results are cached per TargetISA::name().
+ * `isa` carries per-run state and must outlive the call. Each
+ * backend name has its own memory table; `opts.target` is only part
+ * of the options fingerprint (the backend brings its own machine
+ * model). `z3_prove` proves HVX results; other backends have no lane
+ * encoding and record ProofResult::Unknown.
  */
 std::optional<BackendRakeResult>
 select_instructions_for(const hir::ExprPtr &expr, backend::TargetISA &isa,
                         const RakeOptions &opts = {});
+
+/**
+ * The HVX-typed entry point the pipeline compiler embeds: the ladder
+ * above over a fresh HVX backend for `opts.target`, with the
+ * selected code recovered as an hvx::InstrPtr.
+ */
+std::optional<RakeResult> select_instructions(const hir::ExprPtr &expr,
+                                              const RakeOptions &opts
+                                              = {});
 
 } // namespace rake::synth
 

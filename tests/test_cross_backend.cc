@@ -11,6 +11,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "backend/hvx_backend.h"
+#include "backend/neon_backend.h"
 #include "hir/interp.h"
 #include "hir/printer.h"
 #include "hvx/interp.h"
@@ -44,6 +46,42 @@ TEST(CrossBackend, BenchmarkSuiteAgreesOnBothBackends)
             }
         }
     }
+}
+
+/**
+ * A backend keeps its own copy of the machine Target: the serving
+ * registry builds each backend from a temporary, so one that held a
+ * reference would read a dead object on every query. Changing the
+ * caller's Target after construction must not move the cost model.
+ */
+TEST(CrossBackend, BackendsKeepTheirOwnTarget)
+{
+    constexpr ScalarType u8 = ScalarType::UInt8;
+    const hir::LoadRef at{0, 0, 0};
+
+    // A u16x128 add of zero-extended u8x128 reads: register pairs at
+    // HVX's 128-byte vectors, single registers at 256 bytes.
+    hvx::Target htarget;
+    auto hvx_isa = backend::make_hvx_backend(htarget);
+    const hvx::InstrPtr hwide = hvx::Instr::make(
+        hvx::Opcode::VZxt,
+        {hvx::Instr::make_read(at, VecType(u8, 128))});
+    const hvx::InstrPtr hadd =
+        hvx::Instr::make(hvx::Opcode::VAdd, {hwide, hwide});
+    const int hvx_issues = hvx_isa->cost_of(hadd).total_instructions;
+    htarget.vector_bytes = 256;
+    EXPECT_EQ(hvx_isa->cost_of(hadd).total_instructions, hvx_issues);
+
+    // The same shape on Neon's 16-byte Q registers.
+    neon::Target ntarget;
+    auto neon_isa = backend::make_neon_backend(ntarget);
+    const neon::NInstrPtr nwide = neon::NInstr::make(
+        neon::NOp::Movl, {neon::NInstr::make_load(at, VecType(u8, 16))});
+    const neon::NInstrPtr nadd =
+        neon::NInstr::make(neon::NOp::Add, {nwide, nwide});
+    const int neon_issues = neon_isa->cost_of(nadd).total_instructions;
+    ntarget.vector_bytes = 32;
+    EXPECT_EQ(neon_isa->cost_of(nadd).total_instructions, neon_issues);
 }
 
 TEST(CrossBackend, GreedyAblationAgreesWhereItApplies)
@@ -81,10 +119,12 @@ TEST_P(CrossBackendRandom, GeneratedExpressionsAgree)
         auto ne = neon::select_instructions(e);
         for (const Env &env : test::environments_for(e, 5, 67)) {
             const Value ref = hir::evaluate(e, env);
-            if (hv)
+            if (hv) {
                 EXPECT_EQ(hvx::evaluate(hv->instr, env), ref);
-            if (ne)
+            }
+            if (ne) {
                 EXPECT_EQ(neon::evaluate(*ne, env), ref);
+            }
         }
     }
 }

@@ -5,8 +5,9 @@
  * bit-identical down to the hexfloat stats seconds, version-key
  * self-invalidation, corrupt/truncated entries degrading to misses,
  * concurrent writers under the atomic-rename protocol, the
- * never-persist rules for timed-out queries, and the
- * options-fingerprint audit that keeps the disk key honest.
+ * never-persist rules for timed-out queries, one entry layout shared
+ * by the compile and serving paths, and the options-fingerprint
+ * audit that keeps the disk key honest.
  */
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "backend/hvx_backend.h"
 #include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hir/printer.h"
@@ -165,11 +167,12 @@ TEST(Persist, ExactDoubleRoundTripThroughHexfloat)
     const ExprPtr e = average_expr();
     synth::RakeOptions opts;
     opts.use_cache = false;
-    auto base = synth::select_instructions(e, opts);
+    auto isa = backend::make_hvx_backend(opts.target);
+    auto base = synth::select_instructions_for(e, *isa, opts);
     ASSERT_TRUE(base.has_value());
 
     // Seconds values that decimal formatting would mangle.
-    synth::RakeResult doctored = *base;
+    synth::BackendRakeResult doctored = *base;
     doctored.lift.update.seconds = 0.1;
     doctored.lift.replace.seconds = 1.0 / 3.0;
     doctored.lift.extend.seconds = 1e-300;
@@ -179,8 +182,8 @@ TEST(Persist, ExactDoubleRoundTripThroughHexfloat)
     auto *store = synth::persistent_store(dir);
     const ExprPtr normalized = hir::simplify(e);
     const uint64_t fp = synth::options_fingerprint(opts);
-    ASSERT_TRUE(store->store(normalized, fp, doctored));
-    auto loaded = store->load(normalized, fp);
+    ASSERT_TRUE(store->store_backend(normalized, fp, *isa, doctored));
+    auto loaded = store->load_backend(normalized, fp, *isa);
     ASSERT_TRUE(loaded.hit);
     ASSERT_TRUE(loaded.result.has_value());
     EXPECT_EQ(loaded.result->lift.update.seconds, 0.1);
@@ -195,18 +198,19 @@ TEST(Persist, NoSolutionOutcomeRoundTrips)
     const std::string dir = fresh_dir("nosolution");
     const ExprPtr normalized = hir::simplify(average_expr());
     auto *store = synth::persistent_store(dir);
+    auto isa = backend::make_hvx_backend(hvx::Target{});
 
     // A deterministic "no solution" is as cacheable as a success:
     // stored as an entry whose payload is nullopt, distinct from a
     // plain miss.
-    ASSERT_TRUE(store->store(normalized, 7, std::nullopt));
-    auto loaded = store->load(normalized, 7);
+    ASSERT_TRUE(store->store_backend(normalized, 7, *isa, std::nullopt));
+    auto loaded = store->load_backend(normalized, 7, *isa);
     EXPECT_TRUE(loaded.hit);
     EXPECT_FALSE(loaded.invalid);
     EXPECT_FALSE(loaded.result.has_value());
 
     // A different fingerprint is a miss, not a hit and not invalid.
-    auto miss = store->load(normalized, 8);
+    auto miss = store->load_backend(normalized, 8, *isa);
     EXPECT_FALSE(miss.hit);
     EXPECT_FALSE(miss.invalid);
 }
@@ -307,7 +311,8 @@ TEST(Persist, ConcurrentWritersNeverTearAnEntry)
     const ExprPtr e = average_expr();
     synth::RakeOptions opts;
     opts.use_cache = false;
-    auto base = synth::select_instructions(e, opts);
+    auto isa = backend::make_hvx_backend(opts.target);
+    auto base = synth::select_instructions_for(e, *isa, opts);
     ASSERT_TRUE(base.has_value());
 
     auto *store = synth::persistent_store(dir);
@@ -322,12 +327,13 @@ TEST(Persist, ConcurrentWritersNeverTearAnEntry)
     for (int w = 0; w < 4; ++w)
         threads.emplace_back([&] {
             for (int i = 0; i < 25; ++i)
-                ASSERT_TRUE(store->store(normalized, fp, *base));
+                ASSERT_TRUE(
+                    store->store_backend(normalized, fp, *isa, *base));
         });
     for (int r = 0; r < 4; ++r)
         threads.emplace_back([&] {
             for (int i = 0; i < 50; ++i) {
-                auto loaded = store->load(normalized, fp);
+                auto loaded = store->load_backend(normalized, fp, *isa);
                 if (loaded.invalid)
                     torn.fetch_add(1);
             }
@@ -335,10 +341,10 @@ TEST(Persist, ConcurrentWritersNeverTearAnEntry)
     for (auto &t : threads)
         t.join();
     EXPECT_EQ(torn.load(), 0);
-    auto final_read = store->load(normalized, fp);
+    auto final_read = store->load_backend(normalized, fp, *isa);
     ASSERT_TRUE(final_read.hit);
-    EXPECT_EQ(hvx::to_sexpr(final_read.result->instr),
-              hvx::to_sexpr(base->instr));
+    EXPECT_EQ(isa->instr_to_sexpr(final_read.result->instr),
+              isa->instr_to_sexpr(base->instr));
     // No temp files left behind.
     for (const auto &f : fs::directory_iterator(dir))
         EXPECT_EQ(f.path().extension(), ".rakecache")
@@ -361,13 +367,14 @@ TEST(Persist, SigkilledWritersNeverTearAnEntry)
     const ExprPtr e = average_expr();
     synth::RakeOptions opts;
     opts.use_cache = false;
-    auto base = synth::select_instructions(e, opts);
+    auto isa = backend::make_hvx_backend(opts.target);
+    auto base = synth::select_instructions_for(e, *isa, opts);
     ASSERT_TRUE(base.has_value());
 
     auto *store = synth::persistent_store(dir);
     const ExprPtr normalized = hir::simplify(e);
     const uint64_t fp = synth::options_fingerprint(opts);
-    const std::string expect = hvx::to_sexpr(base->instr);
+    const std::string expect = isa->instr_to_sexpr(base->instr);
 
     std::mt19937 rng(7);
     std::uniform_int_distribution<int> delay_us(50, 3000);
@@ -381,7 +388,7 @@ TEST(Persist, SigkilledWritersNeverTearAnEntry)
             ASSERT_GE(pid, 0) << "fork failed";
             if (pid == 0) {
                 for (;;)
-                    store->store(normalized, fp, *base);
+                    store->store_backend(normalized, fp, *isa, *base);
             }
             writers.push_back(pid);
         }
@@ -390,7 +397,7 @@ TEST(Persist, SigkilledWritersNeverTearAnEntry)
         for (const pid_t pid : writers) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(delay_us(rng)));
-            auto racing = store->load(normalized, fp);
+            auto racing = store->load_backend(normalized, fp, *isa);
             EXPECT_FALSE(racing.invalid)
                 << "torn read with live writers, round " << round;
             ASSERT_EQ(kill(pid, SIGKILL), 0);
@@ -403,12 +410,12 @@ TEST(Persist, SigkilledWritersNeverTearAnEntry)
         }
         // The survivors' view after the massacre: a miss (no publish
         // completed yet) or one complete, correct entry. Never torn.
-        auto loaded = store->load(normalized, fp);
+        auto loaded = store->load_backend(normalized, fp, *isa);
         ASSERT_FALSE(loaded.invalid) << "torn entry after round " << round;
         if (loaded.hit) {
             ++observed_hits;
             ASSERT_TRUE(loaded.result.has_value());
-            EXPECT_EQ(hvx::to_sexpr(loaded.result->instr), expect);
+            EXPECT_EQ(isa->instr_to_sexpr(loaded.result->instr), expect);
         }
     }
     // 30 killed writers across 10 rounds with multi-millisecond kill
@@ -424,7 +431,7 @@ TEST(Persist, SigkilledWritersNeverTearAnEntry)
     EXPECT_EQ(entry_files(dir).size(), 1u);
     EXPECT_EQ(synth::scan_cache_dir(dir).size(), 1u);
     const auto stats_before = store->stats();
-    auto clean = store->load(normalized, fp);
+    auto clean = store->load_backend(normalized, fp, *isa);
     ASSERT_TRUE(clean.hit);
     EXPECT_EQ(store->stats().invalid, stats_before.invalid);
 
@@ -432,16 +439,16 @@ TEST(Persist, SigkilledWritersNeverTearAnEntry)
     // protocol itself never produces one) is a counted miss...
     const std::string good = slurp(files[0]);
     spit(files[0], good.substr(0, good.size() / 2));
-    auto truncated = store->load(normalized, fp);
+    auto truncated = store->load_backend(normalized, fp, *isa);
     EXPECT_FALSE(truncated.hit);
     EXPECT_TRUE(truncated.invalid);
     EXPECT_EQ(store->stats().invalid, stats_before.invalid + 1);
 
     // ...that the next completed publish repairs in place.
-    ASSERT_TRUE(store->store(normalized, fp, *base));
-    auto repaired = store->load(normalized, fp);
+    ASSERT_TRUE(store->store_backend(normalized, fp, *isa, *base));
+    auto repaired = store->load_backend(normalized, fp, *isa);
     ASSERT_TRUE(repaired.hit);
-    EXPECT_EQ(hvx::to_sexpr(repaired.result->instr), expect);
+    EXPECT_EQ(isa->instr_to_sexpr(repaired.result->instr), expect);
 }
 
 TEST(Persist, FsyncKnobGatesDurabilityNotCorrectness)
@@ -453,21 +460,22 @@ TEST(Persist, FsyncKnobGatesDurabilityNotCorrectness)
     const ExprPtr e = average_expr();
     synth::RakeOptions opts;
     opts.use_cache = false;
-    auto base = synth::select_instructions(e, opts);
+    auto isa = backend::make_hvx_backend(opts.target);
+    auto base = synth::select_instructions_for(e, *isa, opts);
     ASSERT_TRUE(base.has_value());
     const ExprPtr normalized = hir::simplify(e);
     const uint64_t fp = synth::options_fingerprint(opts);
-    const std::string expect = hvx::to_sexpr(base->instr);
+    const std::string expect = isa->instr_to_sexpr(base->instr);
 
     for (const char *knob : {"1", "0"}) {
         ASSERT_EQ(setenv("RAKE_CACHE_FSYNC", knob, 1), 0);
         const std::string dir =
             fresh_dir(std::string("fsync") + knob);
         auto *store = synth::persistent_store(dir);
-        ASSERT_TRUE(store->store(normalized, fp, *base));
-        auto loaded = store->load(normalized, fp);
+        ASSERT_TRUE(store->store_backend(normalized, fp, *isa, *base));
+        auto loaded = store->load_backend(normalized, fp, *isa);
         ASSERT_TRUE(loaded.hit) << "RAKE_CACHE_FSYNC=" << knob;
-        EXPECT_EQ(hvx::to_sexpr(loaded.result->instr), expect);
+        EXPECT_EQ(isa->instr_to_sexpr(loaded.result->instr), expect);
 
         // One kill round per knob setting: the fsyncs must not open a
         // window where a dying writer leaves a torn entry behind.
@@ -475,16 +483,16 @@ TEST(Persist, FsyncKnobGatesDurabilityNotCorrectness)
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             for (;;)
-                store->store(normalized, fp, *base);
+                store->store_backend(normalized, fp, *isa, *base);
         }
         std::this_thread::sleep_for(std::chrono::microseconds(1500));
         ASSERT_EQ(kill(pid, SIGKILL), 0);
         int status = 0;
         ASSERT_EQ(waitpid(pid, &status, 0), pid);
-        auto after = store->load(normalized, fp);
+        auto after = store->load_backend(normalized, fp, *isa);
         ASSERT_FALSE(after.invalid);
         ASSERT_TRUE(after.hit);
-        EXPECT_EQ(hvx::to_sexpr(after.result->instr), expect);
+        EXPECT_EQ(isa->instr_to_sexpr(after.result->instr), expect);
     }
     ASSERT_EQ(unsetenv("RAKE_CACHE_FSYNC"), 0);
 }
@@ -501,7 +509,8 @@ TEST(Persist, TimedOutQueryNeverLandsOnDisk)
     opts.use_cache = false;
     opts.cache_dir = dir;
     opts.deadline = Deadline::after_ms(0);
-    auto degraded = synth::select_instructions(e, opts);
+    auto isa = backend::make_hvx_backend(opts.target);
+    auto degraded = synth::select_instructions_for(e, *isa, opts);
     ASSERT_TRUE(degraded.has_value());
     EXPECT_TRUE(degraded->degraded);
     EXPECT_EQ(degraded->status, synth::SynthStatus::TimedOut);
@@ -511,10 +520,10 @@ TEST(Persist, TimedOutQueryNeverLandsOnDisk)
     // The store-level gate agrees, for both flavors of bad result.
     auto *store = synth::persistent_store(dir);
     const ExprPtr normalized = hir::simplify(e);
-    synth::RakeResult timed_out = *degraded;
-    EXPECT_FALSE(store->store(normalized, 1, timed_out));
+    synth::BackendRakeResult timed_out = *degraded;
+    EXPECT_FALSE(store->store_backend(normalized, 1, *isa, timed_out));
     timed_out.status = synth::SynthStatus::Ok; // degraded but "ok"
-    EXPECT_FALSE(store->store(normalized, 1, timed_out));
+    EXPECT_FALSE(store->store_backend(normalized, 1, *isa, timed_out));
     EXPECT_TRUE(entry_files(dir).empty());
 }
 
@@ -547,6 +556,48 @@ TEST(Persist, CachedPathPublishesDiskHitsToMemoryTier)
     synth::synthesis_cache().clear();
 }
 
+/**
+ * One entry layout for every backend: an HVX entry the compile path
+ * (select_instructions) stored is a disk hit for the serving path
+ * (select_instructions_for over an HVX backend), and the other way
+ * round — neither rejects the other's entry as invalid.
+ */
+TEST(Persist, CompileAndServePathsShareDiskEntries)
+{
+    const ExprPtr e = average_expr();
+    synth::RakeOptions opts;
+    opts.use_cache = false; // isolate the disk tier
+    auto isa = backend::make_hvx_backend(opts.target);
+
+    opts.cache_dir = fresh_dir("typed_then_generic");
+    auto typed = synth::select_instructions(e, opts);
+    ASSERT_TRUE(typed.has_value());
+    EXPECT_FALSE(typed->disk_hit);
+    auto generic = synth::select_instructions_for(e, *isa, opts);
+    ASSERT_TRUE(generic.has_value());
+    EXPECT_TRUE(generic->disk_hit);
+    EXPECT_EQ(isa->instr_to_sexpr(generic->instr),
+              hvx::to_sexpr(typed->instr));
+    auto stats = synth::persistent_store(opts.cache_dir)->stats();
+    EXPECT_EQ(stats.writes, 1);
+    EXPECT_EQ(stats.hits, 1);
+    EXPECT_EQ(stats.invalid, 0);
+
+    opts.cache_dir = fresh_dir("generic_then_typed");
+    generic = synth::select_instructions_for(e, *isa, opts);
+    ASSERT_TRUE(generic.has_value());
+    EXPECT_FALSE(generic->disk_hit);
+    typed = synth::select_instructions(e, opts);
+    ASSERT_TRUE(typed.has_value());
+    EXPECT_TRUE(typed->disk_hit);
+    EXPECT_EQ(hvx::to_sexpr(typed->instr),
+              isa->instr_to_sexpr(generic->instr));
+    stats = synth::persistent_store(opts.cache_dir)->stats();
+    EXPECT_EQ(stats.writes, 1);
+    EXPECT_EQ(stats.hits, 1);
+    EXPECT_EQ(stats.invalid, 0);
+}
+
 TEST(Persist, NeonBackendRoundTripsThroughTargetIsaHooks)
 {
     const std::string dir = fresh_dir("neon");
@@ -576,11 +627,12 @@ TEST(Persist, NeonBackendRoundTripsThroughTargetIsaHooks)
     EXPECT_EQ(warm->lower.sketch.queries, cold->lower.sketch.queries);
     EXPECT_EQ(warm->lower.sketch.seconds, cold->lower.sketch.seconds);
 
-    // Entries are keyed per backend: the HVX flavor misses cleanly
-    // on a directory holding only Neon entries.
+    // Entries are keyed per backend: HVX misses cleanly on a
+    // directory holding only Neon entries.
     const ExprPtr normalized = hir::simplify(e);
-    auto hvx_probe = synth::persistent_store(dir)->load(
-        normalized, synth::options_fingerprint(opts));
+    auto hvx_isa = backend::make_hvx_backend(hvx::Target{});
+    auto hvx_probe = synth::persistent_store(dir)->load_backend(
+        normalized, synth::options_fingerprint(opts), *hvx_isa);
     EXPECT_FALSE(hvx_probe.hit);
 }
 
