@@ -106,8 +106,6 @@ main(int argc, char **argv)
     opts.cache_dir = synth::resolve_cache_dir(args.cache_dir);
     opts.rules_file = synth::resolve_rules_file(args.rules, args.no_rules);
     opts.verifier.dedup = !args.no_dedup;
-    if (args.target == "neon")
-        opts.lower.layouts = false; // Neon is linear-only
 
     // Disk-tier counters live on the per-backend cache tables; fold
     // both so either target reports through one block.

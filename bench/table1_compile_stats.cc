@@ -159,8 +159,6 @@ main(int argc, char **argv)
     opts.rake.rules_file =
         synth::resolve_rules_file(args.rules, args.no_rules);
     const bool neon_target = args.target == "neon";
-    if (neon_target)
-        opts.rake.lower.layouts = false; // Neon is linear-only
 
     std::cout << "Table 1: compilation statistics (" << args.target
               << ", per benchmark, " << resolve_jobs(opts.jobs)

@@ -23,11 +23,11 @@ using uir::UExpr;
 using uir::UExprPtr;
 using uir::UOp;
 using uir::UParams;
+using SketchBuilder = synth::SketchBuilder<Instr>;
 
 using synth::Arrangement;
 using synth::Cell;
 using synth::Layout;
-using synth::SketchBuilder;
 using synth::layout_source_lane;
 using synth::window_cells;
 
@@ -1391,31 +1391,149 @@ class HvxGrammar
     LowerDriver &driver_;
 };
 
-/** The hvx::Interpreter behind the Evaluator protocol. */
-class HvxEvaluator final : public Evaluator
+/**
+ * View-based structural checks: `at(i)` yields cell i of a conceptual
+ * arrangement of size n without materializing it. The rotation rule
+ * probes every rotation of a goal, and building each rotation (plus
+ * its interleave / deinterleave images) just to reject it dominated
+ * the swizzle search; the views make rejection allocation-free.
+ */
+template <typename At>
+bool
+window_view(int n, const At &at)
 {
-  public:
+    const Cell &c0 = at(0);
+    if (c0.kind != Cell::Kind::Buf)
+        return false;
+    for (int i = 1; i < n; ++i) {
+        const Cell &c = at(i);
+        if (c.kind != Cell::Kind::Buf || c.buffer != c0.buffer ||
+            c.dy != c0.dy || c.x != c0.x + i)
+            return false;
+    }
+    return true;
+}
+
+template <typename At>
+bool
+source_identity_view(int n, const At &at)
+{
+    const Cell &c0 = at(0);
+    if (c0.kind != Cell::Kind::Src || c0.lane != 0)
+        return false;
+    for (int i = 1; i < n; ++i) {
+        const Cell &c = at(i);
+        if (c.kind != Cell::Kind::Src || c.source != c0.source ||
+            c.lane != i)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * HVX's moves for the shared swizzle search (synth::SwizzleSolver):
+ * vmem reads, vsplat, vlo/vhi, vshuffvdd/vdealvdd and vcombine, each
+ * permute and concatenation costing one instruction, plus the bounded
+ * vror rule. Budgets count instructions, unscaled.
+ */
+struct HvxMoves {
+    using Node = Instr;
+
+    const hvx::Target &target;
+
+    int budget_scale(const VecType &) const { return 1; }
+    int permute_cost(const VecType &) const { return 1; }
+    int concat_cost() const { return 1; }
+
+    int
+    issues(const InstrPtr &n) const
+    {
+        return hvx::issue_count(*n, target);
+    }
+
+    InstrPtr
+    zero(ScalarType elem, int lanes) const
+    {
+        return Instr::make_splat(
+            hir::Expr::make_const(0, VecType(elem, 1)), lanes);
+    }
+
+    InstrPtr
+    read(const hir::LoadRef &ref, VecType type) const
+    {
+        return Instr::make_read(ref, type);
+    }
+
+    InstrPtr
+    half(const InstrPtr &source, bool hi) const
+    {
+        return Instr::make(hi ? Opcode::VHi : Opcode::VLo, {source});
+    }
+
+    InstrPtr
+    interleave(InstrPtr v) const
+    {
+        return Instr::make(Opcode::VShuffVdd, {std::move(v)});
+    }
+
+    InstrPtr
+    deinterleave(InstrPtr v) const
+    {
+        return Instr::make(Opcode::VDealVdd, {std::move(v)});
+    }
+
+    InstrPtr
+    concat(InstrPtr lo, InstrPtr hi) const
+    {
+        return Instr::make(Opcode::VCombine, {std::move(lo), std::move(hi)});
+    }
+
+    /**
+     * Rule: rotation of a structured arrangement (vror). Bounded: the
+     * rotated goal must be a window, a source identity, or one
+     * deal/shuffle away from one — recursing on arbitrary rotations
+     * would make the search space explode.
+     */
+    template <typename Search, typename Consider>
     void
-    set_oracle(HoleOracle oracle) override
+    isa_rules(const Arrangement &arr, ScalarType,
+              const std::vector<InstrPtr> &, int budget, Search &search,
+              Consider &consider) const
     {
-        interp_.set_oracle(std::move(oracle));
+        if (budget < 1)
+            return;
+        const int n = static_cast<int>(arr.size());
+        const int h = n / 2;
+        for (int r = 1; r < n; ++r) {
+            // unrot[i] = rotate(arr, n - r)[i] = arr[(i + n - r) % n].
+            // Structuredness is decided through index views composed
+            // on top of `arr`; the rotation is only materialized for
+            // the (rare) rotations that pass.
+            auto at_unrot = [&arr, n, r](int i) -> const Cell & {
+                return arr[(i + n - r) % n];
+            };
+            // interleave(unrot)[j] reads unrot[j/2] (even j) or
+            // unrot[h + j/2] (odd j); deinterleave(unrot)[j] reads
+            // unrot[2j] (j < h) or unrot[2(j-h)+1].
+            auto at_ileave = [&at_unrot, h](int j) -> const Cell & {
+                return at_unrot(j % 2 == 0 ? j / 2 : h + j / 2);
+            };
+            auto at_deint = [&at_unrot, h](int j) -> const Cell & {
+                return at_unrot(j < h ? 2 * j : 2 * (j - h) + 1);
+            };
+            bool structured = window_view(n, at_unrot) ||
+                              source_identity_view(n, at_unrot);
+            if (!structured && n % 2 == 0)
+                structured = window_view(n, at_ileave) ||
+                             window_view(n, at_deint);
+            if (!structured)
+                continue;
+            if (auto sub = search(synth::rotate(arr, n - r), budget - 1)) {
+                consider(Instr::make(Opcode::VRor, {sub->first}, {r}),
+                         sub->second + 1);
+            }
+        }
     }
-
-    void
-    reset(const Env &env) override
-    {
-        interp_.reset(env);
-    }
-
-    const Value &
-    eval(const InstrHandle &instr) override
-    {
-        return interp_.eval(
-            std::static_pointer_cast<const Instr>(instr));
-    }
-
-  private:
-    hvx::Interpreter interp_;
 };
 
 class HvxBackend final : public TargetISA
@@ -1444,31 +1562,15 @@ class HvxBackend final : public TargetISA
         const InstrHandle &root,
         const std::vector<InstrHandle> &solutions) const override
     {
-        std::vector<InstrPtr> sols;
-        sols.reserve(solutions.size());
-        for (const auto &s : solutions)
-            sols.push_back(hvx_cast(s));
-        return synth::substitute_holes(hvx_cast(root), sols);
+        return synth::substitute_holes<Instr>(root, solutions);
     }
 
     std::optional<InstrHandle>
     solve_hole(const synth::Hole &hole, int budget,
                synth::SwizzleStats &stats) override
     {
-        // The solver binds the stats sink at construction; lazily
-        // build it against the run's LowerStats on first use (one run
-        // per backend instance, so the memo lifetime matches the
-        // original per-Lowerer solver).
-        if (!solver_ || solver_stats_ != &stats) {
-            solver_ =
-                std::make_unique<synth::SwizzleSolver>(target_, stats);
-            solver_stats_ = &stats;
-        }
-        solver_->set_deadline(deadline_);
-        InstrPtr r = solver_->solve(hole, budget);
-        if (!r)
-            return std::nullopt;
-        return InstrHandle(std::move(r));
+        return synth::solve_hole_in_run(solver_, HvxMoves{target_}, hole,
+                                        budget, stats, deadline_);
     }
 
     Cost
@@ -1481,7 +1583,8 @@ class HvxBackend final : public TargetISA
     std::unique_ptr<Evaluator>
     make_evaluator() const override
     {
-        return std::make_unique<HvxEvaluator>();
+        return std::make_unique<
+            synth::InterpEvaluator<hvx::Interpreter, Instr>>();
     }
 
     Value
@@ -1538,8 +1641,7 @@ class HvxBackend final : public TargetISA
     }
 
     hvx::Target target_;
-    std::unique_ptr<synth::SwizzleSolver> solver_;
-    const synth::SwizzleStats *solver_stats_ = nullptr;
+    std::optional<synth::SwizzleSolver<HvxMoves>> solver_;
     Deadline deadline_;
 };
 

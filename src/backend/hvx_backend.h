@@ -2,11 +2,13 @@
  * @file
  * The HVX port of the TargetISA interface.
  *
- * The sketch grammar, swizzle solver, interpreter, and cost model are
- * the originals this repo grew with — the backend only adapts them to
- * the type-erased interface, so lowering through it is bit-identical
- * to the pre-refactor HVX-only stack (same sketches in the same
- * order, same query counts, same selections).
+ * The sketch grammar, interpreter, and cost model are the originals
+ * this repo grew with, and the HVX moves policy (vmem, vlo/vhi,
+ * vshuffvdd/vdealvdd, vcombine, vror) drives the shared
+ * synth::SwizzleSolver. The backend only adapts them to the
+ * type-erased interface, so lowering through it is bit-identical to
+ * the pre-refactor HVX-only stack (same sketches in the same order,
+ * same query counts, same selections).
  */
 #ifndef RAKE_BACKEND_HVX_BACKEND_H
 #define RAKE_BACKEND_HVX_BACKEND_H

@@ -1,17 +1,13 @@
 #include "backend/neon_backend.h"
 
 #include <algorithm>
-#include <chrono>
-#include <map>
-#include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "backend/leaf_util.h"
 #include "neon/interp.h"
 #include "neon/select.h"
 #include "neon/sexpr.h"
 #include "support/error.h"
+#include "synth/sketch.h"
 #include "synth/swizzle.h"
 
 namespace rake::backend {
@@ -37,295 +33,84 @@ ncast(const InstrHandle &h)
     return std::static_pointer_cast<const NInstr>(h);
 }
 
-double
-now_seconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch())
-        .count();
-}
-
-/** Is `a` exactly one half (lo or hi) of a source? */
-bool
-is_source_half(const Arrangement &a,
-               const std::vector<NInstrPtr> &sources, int *source,
-               bool *hi)
-{
-    if (a.empty() || a[0].kind != Cell::Kind::Src)
-        return false;
-    const int s = a[0].source;
-    if (s >= static_cast<int>(sources.size()))
-        return false;
-    const int src_lanes = sources[s]->type().lanes;
-    const int n = static_cast<int>(a.size());
-    if (src_lanes != 2 * n)
-        return false;
-    for (int offset : {0, n}) {
-        bool match = true;
-        for (int i = 0; i < n; ++i) {
-            const Cell &c = a[i];
-            if (c.kind != Cell::Kind::Src || c.source != s ||
-                c.lane != offset + i) {
-                match = false;
-                break;
-            }
-        }
-        if (match) {
-            *source = s;
-            *hi = offset == n;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
- * Goal-directed, budgeted search for Neon data-movement programs —
- * the Neon analog of synth::SwizzleSolver, with the same memo
- * protocol (best program and highest failed budget tracked
- * separately so backtracking's tighter re-queries never clobber a
- * looser solution) and the same stats accounting, but Neon's
- * repertoire: vld1 for windows, free vget_low/high/vcombine renames,
- * vzip/vuzp for (de)interleaves, vext for funnel shifts and
- * rotations, vrev for reversals, and vtbl as the static-index
- * fallback. Budgets are in issue slots (a 64-lane logical vector
- * spans several Q registers, so one permute issues several times).
+ * Neon's moves for the shared swizzle search (synth::SwizzleSolver):
+ * vld1 for windows, vdup, the free vget_low/high and vcombine renames,
+ * vzip/vuzp for (de)interleaves, plus the vext, vrev and vtbl rules.
+ * Costs are in issue slots: a 64-lane logical vector spans several Q
+ * registers, so one permute issues regs_for() times, and the budget —
+ * handed out in whole-logical-vector movement ops — is scaled to match.
  */
-class NeonSwizzleSolver
-{
-  public:
-    NeonSwizzleSolver(const neon::Target &target,
-                      synth::SwizzleStats &stats)
-        : target_(target), stats_(stats)
+struct NeonMoves {
+    using Node = NInstr;
+
+    const neon::Target &target;
+
+    int
+    budget_scale(const VecType &hole) const
     {
-    }
-
-    /** See synth::SwizzleSolver::set_deadline. */
-    void set_deadline(const Deadline &deadline) { deadline_ = deadline; }
-
-    NInstrPtr
-    solve(const synth::Hole &hole, int budget)
-    {
-        const double t0 = now_seconds();
-        std::vector<NInstrPtr> sources;
-        sources.reserve(hole.sources.size());
-        for (const auto &s : hole.sources)
-            sources.push_back(ncast(s));
-        // The core hands out budgets in whole-logical-vector movement
-        // ops (on HVX one instruction each). A Neon logical vector
-        // spans several Q registers, so one movement op is regs_for()
-        // issues: scale the bound into issue units.
-        const int scaled =
-            budget * std::max(1, target_.regs_for(hole.type));
-        auto result = search(hole.cells, hole.type.elem, sources, scaled);
-        stats_.seconds += now_seconds() - t0;
-        if (!result) {
-            ++stats_.unsat;
-            return nullptr;
-        }
-        ++stats_.solved;
-        return result->first;
-    }
-
-  private:
-    /** See synth::SwizzleSolver::Result. */
-    struct Result {
-        NInstrPtr instr;
-        int cost = 0;
-        int failed_budget = -1;
-    };
-
-    using Key =
-        std::tuple<Arrangement, ScalarType, std::vector<const NInstr *>>;
-
-    struct KeyHash {
-        size_t
-        operator()(const Key &k) const
-        {
-            uint64_t h = 1469598103934665603ull;
-            auto mix = [&h](uint64_t x) {
-                h = (h ^ x) * 1099511628211ull;
-            };
-            for (const Cell &c : std::get<0>(k)) {
-                mix(static_cast<uint64_t>(c.kind));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.buffer)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.dy)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.x)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.source)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.lane)));
-            }
-            mix(static_cast<uint64_t>(static_cast<int>(std::get<1>(k))));
-            for (const NInstr *p : std::get<2>(k))
-                mix(reinterpret_cast<uintptr_t>(p));
-            return static_cast<size_t>(h);
-        }
-    };
-
-    static Key
-    key_of(const Arrangement &arr, ScalarType elem,
-           const std::vector<NInstrPtr> &sources)
-    {
-        std::vector<const NInstr *> ids;
-        ids.reserve(sources.size());
-        for (const auto &s : sources)
-            ids.push_back(s.get());
-        return std::make_tuple(arr, elem, std::move(ids));
-    }
-
-    /** Memoized vld1 so identical loads share one node. */
-    NInstrPtr
-    read(int buffer, int dy, int x0, VecType type)
-    {
-        auto key = std::make_tuple(buffer, dy, x0, type.lanes, type.elem);
-        auto it = reads_.find(key);
-        if (it != reads_.end())
-            return it->second;
-        NInstrPtr r =
-            NInstr::make_load(hir::LoadRef{buffer, x0, dy}, type);
-        reads_[key] = r;
-        return r;
+        return std::max(1, target.regs_for(hole));
     }
 
     int
-    issues_of(const NInstrPtr &n) const
+    permute_cost(const VecType &type) const
     {
-        return neon::issue_count(*n, target_);
+        return target.regs_for(type);
     }
 
-    std::optional<std::pair<NInstrPtr, int>>
-    search(const Arrangement &arr, ScalarType elem,
-           const std::vector<NInstrPtr> &sources, int budget)
+    int concat_cost() const { return 0; }
+
+    int
+    issues(const NInstrPtr &n) const
     {
-        // Poll before memo writes: an aborted search unwinds without
-        // recording anything, so a timeout can never be memoized as
-        // "unsat within budget" (see synth::SwizzleSolver::search).
-        deadline_.check("swizzle synthesis");
+        return neon::issue_count(*n, target);
+    }
 
-        if (budget < 0)
-            return std::nullopt;
-        const Key key = key_of(arr, elem, sources);
-        auto it = memo_.find(key);
-        if (it != memo_.end()) {
-            const Result &r = it->second;
-            if (r.instr && r.cost <= budget) {
-                ++stats_.memo_hits;
-                return std::make_pair(r.instr, r.cost);
-            }
-            if (r.failed_budget >= budget) {
-                ++stats_.memo_hits;
-                return std::nullopt;
-            }
-        }
-        if (!active_.insert(key).second)
-            return std::nullopt; // already exploring this goal
-        struct ActiveGuard {
-            std::unordered_set<Key, KeyHash> &set;
-            const Key &key;
-            ~ActiveGuard() { set.erase(key); }
-        } guard{active_, key};
+    NInstrPtr
+    zero(ScalarType elem, int lanes) const
+    {
+        return NInstr::make_dup(hir::Expr::make_const(0, VecType(elem, 1)),
+                                lanes);
+    }
 
+    NInstrPtr
+    read(const hir::LoadRef &ref, VecType type) const
+    {
+        return NInstr::make_load(ref, type);
+    }
+
+    NInstrPtr
+    half(const NInstrPtr &source, bool hi) const
+    {
+        return NInstr::make(hi ? NOp::Hi : NOp::Lo, {source});
+    }
+
+    NInstrPtr
+    interleave(NInstrPtr v) const
+    {
+        return NInstr::make(NOp::Zip, {std::move(v)});
+    }
+
+    NInstrPtr
+    deinterleave(NInstrPtr v) const
+    {
+        return NInstr::make(NOp::Uzp, {std::move(v)});
+    }
+
+    NInstrPtr
+    concat(NInstrPtr lo, NInstrPtr hi) const
+    {
+        return NInstr::make(NOp::Combine, {std::move(lo), std::move(hi)});
+    }
+
+    template <typename Search, typename Consider>
+    void
+    isa_rules(const Arrangement &arr, ScalarType elem,
+              const std::vector<NInstrPtr> &sources, int budget,
+              Search &search, Consider &consider) const
+    {
         const int n = static_cast<int>(arr.size());
         const VecType type(elem, n);
-        std::optional<std::pair<NInstrPtr, int>> best;
-        auto consider = [&](NInstrPtr instr, int cost) {
-            ++stats_.queries;
-            if (!instr || cost > budget)
-                return;
-            if (!best || cost < best->second)
-                best = std::make_pair(std::move(instr), cost);
-        };
-
-        // Rule: all-zero arrangement -> a zero broadcast (free).
-        bool all_zero = true;
-        for (const Cell &c : arr)
-            all_zero &= c.kind == Cell::Kind::Zero;
-        if (all_zero) {
-            consider(NInstr::make_dup(
-                         hir::Expr::make_const(0, VecType(elem, 1)), n),
-                     0);
-        }
-
-        // Rule: contiguous buffer window -> one vld1.
-        {
-            int buffer = 0, dy = 0, x0 = 0;
-            if (synth::is_window(arr, &buffer, &dy, &x0)) {
-                NInstrPtr r = read(buffer, dy, x0, type);
-                consider(r, issues_of(r));
-            }
-        }
-
-        // Rule: identity over one source -> the source itself (free).
-        {
-            int source = 0;
-            if (synth::is_source_identity(arr, &source) &&
-                source < static_cast<int>(sources.size()) &&
-                sources[source]->type() == type)
-                consider(sources[source], 0);
-        }
-
-        // Rule: lo / hi half of a source (free register renames).
-        {
-            int source = 0;
-            bool hi = false;
-            if (is_source_half(arr, sources, &source, &hi) &&
-                sources[source]->type().elem == elem) {
-                consider(NInstr::make(hi ? NOp::Hi : NOp::Lo,
-                                      {sources[source]}),
-                         0);
-            }
-        }
-
-        auto remember_solved = [&]() {
-            Result &r = memo_[key];
-            if (!r.instr || best->second < r.cost) {
-                r.instr = best->first;
-                r.cost = best->second;
-            }
-        };
-
-        if (best && best->second == 0) {
-            remember_solved();
-            return best;
-        }
-
-        // Rule: interleave of a solvable arrangement (vzip).
-        if (n % 2 == 0 && budget >= 1) {
-            Arrangement d = deinterleave(arr);
-            if (!(d == arr)) {
-                const int step = target_.regs_for(type);
-                if (auto sub = search(d, elem, sources, budget - step)) {
-                    consider(NInstr::make(NOp::Zip, {sub->first}),
-                             sub->second + step);
-                }
-            }
-        }
-
-        // Rule: deinterleave of a solvable arrangement (vuzp).
-        if (n % 2 == 0 && budget >= 1) {
-            Arrangement s = interleave(arr);
-            if (!(s == arr)) {
-                const int step = target_.regs_for(type);
-                if (auto sub = search(s, elem, sources, budget - step)) {
-                    consider(NInstr::make(NOp::Uzp, {sub->first}),
-                             sub->second + step);
-                }
-            }
-        }
-
-        // Rule: concatenation of two solvable halves (vcombine, free).
-        if (n % 2 == 0 && budget >= 1) {
-            Arrangement lo(arr.begin(), arr.begin() + n / 2);
-            Arrangement hi(arr.begin() + n / 2, arr.end());
-            auto ls = search(lo, elem, sources, budget);
-            if (ls) {
-                auto hs = search(hi, elem, sources, budget - ls->second);
-                if (hs) {
-                    consider(NInstr::make(NOp::Combine,
-                                          {ls->first, hs->first}),
-                             ls->second + hs->second);
-                }
-            }
-        }
 
         // Rule: funnel extract across a source pair (vext). Covers
         // both rotations (s == t) and windows sliding across two
@@ -351,7 +136,7 @@ class NeonSwizzleSolver
                         NInstrPtr e = NInstr::make(
                             NOp::Ext, {sources[s], sources[t]},
                             {static_cast<int64_t>(r)});
-                        consider(e, issues_of(e));
+                        consider(e, issues(e));
                     }
                 }
             }
@@ -362,11 +147,10 @@ class NeonSwizzleSolver
         if (budget >= 1) {
             Arrangement rev(arr.rbegin(), arr.rend());
             if (!(rev == arr)) {
-                const int step = target_.regs_for(type);
-                if (auto sub = search(rev, elem, sources, budget - step)) {
+                const int step = target.regs_for(type);
+                if (auto sub = search(rev, budget - step))
                     consider(NInstr::make(NOp::Rev, {sub->first}),
                              sub->second + step);
-                }
             }
         }
 
@@ -374,78 +158,34 @@ class NeonSwizzleSolver
         // costly last resort: arbitrary per-lane gathers, priced at
         // two issues per result register (index materialization +
         // lookup).
-        {
-            const int cost = 2 * target_.regs_for(type);
-            if (cost <= budget && !sources.empty()) {
-                int s = -1;
-                bool ok = true;
-                std::vector<int64_t> idx(n, -1);
-                for (int i = 0; i < n && ok; ++i) {
-                    const Cell &c = arr[i];
-                    if (c.kind == Cell::Kind::Zero)
-                        continue; // out-of-range index reads as zero
-                    if (c.kind != Cell::Kind::Src)
-                        ok = false;
-                    else if (s == -1)
-                        s = c.source;
-                    else if (c.source != s)
-                        ok = false;
-                    if (ok && c.kind == Cell::Kind::Src)
-                        idx[i] = c.lane;
-                }
-                if (ok && s >= 0 &&
-                    s < static_cast<int>(sources.size()) &&
-                    sources[s]->type().elem == elem) {
-                    consider(NInstr::make(NOp::Tbl, {sources[s]},
-                                          std::move(idx)),
-                             cost);
-                }
-            }
+        const int cost = 2 * target.regs_for(type);
+        if (cost > budget || sources.empty())
+            return;
+        int s = -1;
+        bool ok = true;
+        std::vector<int64_t> idx(n, -1);
+        for (int i = 0; i < n && ok; ++i) {
+            const Cell &c = arr[i];
+            if (c.kind == Cell::Kind::Zero)
+                continue; // out-of-range index reads as zero
+            if (c.kind != Cell::Kind::Src)
+                ok = false;
+            else if (s == -1)
+                s = c.source;
+            else if (c.source != s)
+                ok = false;
+            if (ok && c.kind == Cell::Kind::Src)
+                idx[i] = c.lane;
         }
-
-        if (best) {
-            remember_solved();
-            return best;
+        if (ok && s >= 0 && s < static_cast<int>(sources.size()) &&
+            sources[s]->type().elem == elem) {
+            consider(NInstr::make(NOp::Tbl, {sources[s]}, std::move(idx)),
+                     cost);
         }
-        Result &r = memo_[key];
-        r.failed_budget = std::max(r.failed_budget, budget);
-        return std::nullopt;
     }
-
-    const neon::Target &target_;
-    synth::SwizzleStats &stats_;
-    Deadline deadline_;
-    std::unordered_map<Key, Result, KeyHash> memo_;
-    std::unordered_set<Key, KeyHash> active_;
-    std::map<std::tuple<int, int, int, int, ScalarType>, NInstrPtr>
-        reads_;
 };
 
-/** Allocates ??-holes while a Neon template builds its tree. */
-class NeonSketchBuilder
-{
-  public:
-    NInstrPtr
-    hole(VecType type, Arrangement cells,
-         std::vector<InstrHandle> sources = {})
-    {
-        RAKE_CHECK(static_cast<int>(cells.size()) == type.lanes,
-                   "hole arrangement size mismatch");
-        const int id = static_cast<int>(holes_.size());
-        holes_.push_back(
-            synth::Hole{type, std::move(cells), std::move(sources)});
-        return NInstr::make_hole(id, type);
-    }
-
-    std::vector<synth::Hole>
-    take()
-    {
-        return std::move(holes_);
-    }
-
-  private:
-    std::vector<synth::Hole> holes_;
-};
+using SketchBuilder = synth::SketchBuilder<NInstr>;
 
 /**
  * The Neon sketch grammar. Alternative templates per uber-op compete
@@ -538,7 +278,7 @@ class NeonGrammar
     }
 
     void
-    emit(std::vector<Sketch> &out, NeonSketchBuilder &b, NInstrPtr root,
+    emit(std::vector<Sketch> &out, SketchBuilder &b, NInstrPtr root,
          const VecType &want, const char *note)
     {
         root = coerce(std::move(root), want.elem);
@@ -571,14 +311,14 @@ class NeonGrammar
         const VecType t = u->type();
         hir::LoadRef ref;
         if (is_load_leaf(u, &ref)) {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             NInstrPtr h = b.hole(
                 t, window_cells(ref.buffer, ref.dy, ref.dx, t.lanes));
             emit(out, b, h, t, "load");
             return;
         }
         if (is_splat_leaf(u)) {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             emit(out, b, NInstr::make_dup(splat_scalar(u), t.lanes), t,
                  "splat");
         }
@@ -591,7 +331,7 @@ class NeonGrammar
         NInstrPtr cx = child(u->arg(0));
         if (!cx)
             return;
-        NeonSketchBuilder b;
+        SketchBuilder b;
         emit(out, b, widen_to(cx, want.elem), want, "widen.vmovl");
     }
 
@@ -635,19 +375,19 @@ class NeonGrammar
 
         // Fused families first (the shapes the greedy port picked).
         if (p.shift > 0 && p.round && p.saturate) {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             emit(out, b,
                  NInstr::make(NOp::Qrshrn, {cx}, {p.shift}, want.elem),
                  want, "narrow.vqrshrn");
         }
         if (p.shift > 0 && !p.round && !p.saturate) {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             emit(out, b, NInstr::make(NOp::Shrn, {cx}, {p.shift}), want,
                  "narrow.vshrn");
         }
         // Decomposed: optional shift, then a (saturating) narrow.
         {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             NInstrPtr v = cx;
             if (p.shift > 0)
                 v = NInstr::make(p.round            ? NOp::Rshr
@@ -671,7 +411,7 @@ class NeonGrammar
         NInstrPtr cx = child(u->arg(0));
         if (!cx)
             return;
-        NeonSketchBuilder b;
+        SketchBuilder b;
         NInstrPtr v = cx;
         if (p.shift > 0)
             v = NInstr::make(p.round            ? NOp::Rshr
@@ -780,7 +520,7 @@ class NeonGrammar
         if (p.saturate) {
             // (a) Products saturating-accumulated with vqadd.
             {
-                NeonSketchBuilder b;
+                SketchBuilder b;
                 NInstrPtr acc;
                 for (int i = 0; i < u->num_args(); ++i) {
                     NInstrPtr x = child(u->arg(i));
@@ -839,13 +579,13 @@ class NeonGrammar
         }
 
         {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             NInstrPtr acc = mull_chain_value(u);
             if (acc)
                 emit(out, b, acc, want, "vsmpy.mull.chain");
         }
         {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             NInstrPtr acc = flat_chain_value(u);
             if (acc)
                 emit(out, b, acc, want, "vsmpy.flat");
@@ -878,7 +618,7 @@ class NeonGrammar
 
         // (i) Flat: widen both operands, multiply at output width.
         {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             NInstrPtr acc;
             bool ok = true;
             for (int i = 0; i + 1 < k && ok; i += 2) {
@@ -903,7 +643,7 @@ class NeonGrammar
         // (ii) Widening multiplies when both pair operands sit at
         // half the output width (vmull / vmlal).
         {
-            NeonSketchBuilder b;
+            SketchBuilder b;
             NInstrPtr acc;
             bool ok = true;
             for (int i = 0; i + 1 < k && ok; i += 2) {
@@ -942,7 +682,7 @@ class NeonGrammar
                 return;
             cs.push_back(std::move(c));
         }
-        NeonSketchBuilder b;
+        SketchBuilder b;
         NInstrPtr root;
         switch (u->op()) {
           case UOp::AbsDiff:
@@ -1009,62 +749,6 @@ class NeonGrammar
     LowerDriver &driver_;
 };
 
-/** The neon::Interpreter behind the Evaluator protocol. */
-class NeonEvaluator final : public Evaluator
-{
-  public:
-    void
-    set_oracle(HoleOracle oracle) override
-    {
-        interp_.set_oracle(std::move(oracle));
-    }
-
-    void
-    reset(const Env &env) override
-    {
-        interp_.reset(env);
-    }
-
-    const Value &
-    eval(const InstrHandle &instr) override
-    {
-        return interp_.eval(ncast(instr));
-    }
-
-  private:
-    neon::Interpreter interp_;
-};
-
-NInstrPtr
-substitute(const NInstrPtr &n, const std::vector<NInstrPtr> &solutions,
-           std::unordered_map<const NInstr *, NInstrPtr> &memo)
-{
-    if (n->op() == NOp::Hole) {
-        const int id = n->hole_id();
-        RAKE_CHECK(id >= 0 && id < static_cast<int>(solutions.size()) &&
-                       solutions[id] != nullptr,
-                   "unsolved hole " << id);
-        return solutions[id];
-    }
-    auto it = memo.find(n.get());
-    if (it != memo.end())
-        return it->second;
-    std::vector<NInstrPtr> args;
-    args.reserve(n->num_args());
-    bool changed = false;
-    for (int i = 0; i < n->num_args(); ++i) {
-        NInstrPtr a = substitute(n->arg(i), solutions, memo);
-        changed |= a != n->arg(i);
-        args.push_back(std::move(a));
-    }
-    NInstrPtr result =
-        changed ? NInstr::make(n->op(), std::move(args), n->imms(),
-                               n->type().elem)
-                : n;
-    memo.emplace(n.get(), result);
-    return result;
-}
-
 class NeonBackend final : public TargetISA
 {
   public:
@@ -1093,30 +777,15 @@ class NeonBackend final : public TargetISA
         const InstrHandle &root,
         const std::vector<InstrHandle> &solutions) const override
     {
-        std::vector<NInstrPtr> sols;
-        sols.reserve(solutions.size());
-        for (const auto &s : solutions)
-            sols.push_back(ncast(s));
-        std::unordered_map<const NInstr *, NInstrPtr> memo;
-        return substitute(ncast(root), sols, memo);
+        return synth::substitute_holes<NInstr>(root, solutions);
     }
 
     std::optional<InstrHandle>
     solve_hole(const synth::Hole &hole, int budget,
                synth::SwizzleStats &stats) override
     {
-        // Same per-run lazy construction as the HVX backend: the memo
-        // lifetime matches the lowering run binding `stats`.
-        if (!solver_ || solver_stats_ != &stats) {
-            solver_ =
-                std::make_unique<NeonSwizzleSolver>(target_, stats);
-            solver_stats_ = &stats;
-        }
-        solver_->set_deadline(deadline_);
-        NInstrPtr r = solver_->solve(hole, budget);
-        if (!r)
-            return std::nullopt;
-        return InstrHandle(std::move(r));
+        return synth::solve_hole_in_run(solver_, NeonMoves{target_}, hole,
+                                        budget, stats, deadline_);
     }
 
     Cost
@@ -1129,7 +798,8 @@ class NeonBackend final : public TargetISA
     std::unique_ptr<Evaluator>
     make_evaluator() const override
     {
-        return std::make_unique<NeonEvaluator>();
+        return std::make_unique<
+            synth::InterpEvaluator<neon::Interpreter, NInstr>>();
     }
 
     Value
@@ -1182,8 +852,7 @@ class NeonBackend final : public TargetISA
 
   private:
     neon::Target target_;
-    std::unique_ptr<NeonSwizzleSolver> solver_;
-    const synth::SwizzleStats *solver_stats_ = nullptr;
+    std::optional<synth::SwizzleSolver<NeonMoves>> solver_;
     Deadline deadline_;
 };
 

@@ -5,8 +5,9 @@
  * The Neon port originally demonstrated retargeting with a greedy
  * one-template mapping per uber-instruction. It now goes through the
  * same synthesis stack as HVX — sketch grammar, CEGIS verification,
- * swizzle synthesis under a cost budget, backtracking, and the
- * cross-expression cache — via backend::make_neon_backend(). The
+ * the one swizzle search under a cost budget, backtracking, and the
+ * cross-expression cache — via backend::make_neon_backend(), on the
+ * same cache key the compile server uses for the same options. The
  * greedy mapping is kept behind SelectOptions::greedy as the ablation
  * baseline.
  */
@@ -52,13 +53,6 @@ struct SelectOptions {
     /** Mined rewrite-rule table (see synth::RakeOptions::rules_file);
      *  "" disables the rule-first stage. Greedy never consults it. */
     std::string rules_file;
-
-    SelectOptions()
-    {
-        // Neon compute ops never reorder lanes, so the §5.1 layout
-        // search would only enumerate dead ends.
-        lower.layouts = false;
-    }
 };
 
 /**

@@ -320,6 +320,22 @@ fsync_enabled()
     return env == nullptr || std::string(env) != "0";
 }
 
+/** Slurp one entry file; nullopt when it does not exist. */
+std::optional<std::string>
+read_file(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        return std::nullopt;
+    std::ostringstream os;
+    os << is.rdbuf();
+    if (!is.good() && !is.eof())
+        return std::nullopt;
+    return os.str();
+}
+
+} // namespace
+
 /**
  * Crash-safe write: unique temp file in the same directory, then an
  * atomic rename over the final name. Readers either see the old
@@ -395,22 +411,6 @@ atomic_write(const std::string &path, const std::string &payload)
     }
     return true;
 }
-
-/** Slurp one entry file; nullopt when it does not exist. */
-std::optional<std::string>
-read_file(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    std::ostringstream os;
-    os << is.rdbuf();
-    if (!is.good() && !is.eof())
-        return std::nullopt;
-    return os.str();
-}
-
-} // namespace
 
 PersistentStore::PersistentStore(std::string dir) : dir_(std::move(dir))
 {

@@ -166,6 +166,14 @@ struct CacheEntryView {
 std::vector<CacheEntryView> scan_cache_dir(const std::string &dir);
 
 /**
+ * Crash-safe, durable publish of `payload` at `path` (temp file,
+ * fsync, atomic rename, directory fsync; persist.cc has the details).
+ * False on any I/O failure. Publishes both the cache entries and the
+ * mined rule table (synth/rules.h).
+ */
+bool atomic_write(const std::string &path, const std::string &payload);
+
+/**
  * Resolve the cache-directory knob: an explicit path wins, then the
  * RAKE_CACHE_DIR environment variable, then "" (disk tier off).
  * Shared by every CLI that exposes --cache-dir.

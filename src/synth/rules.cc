@@ -1,8 +1,6 @@
 #include "synth/rules.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -12,11 +10,10 @@
 #include <set>
 #include <sstream>
 
-#include <unistd.h>
-
 #include "hir/interp.h"
 #include "hir/printer.h"
 #include "support/error.h"
+#include "synth/persist.h"
 #include "synth/spec.h"
 #include "synth/z3_verify.h"
 
@@ -298,31 +295,6 @@ verify_candidate(const hir::SExpr &lhs_sym, const hir::SExpr &rhs_sym,
     if (eval_equal(ref, isa, impl, opts.check_envs, opts.seed))
         return std::string("eval");
     return std::nullopt;
-}
-
-/** Atomic temp-file + rename write, as the persistent cache does. */
-bool
-atomic_write(const std::string &path, const std::string &payload)
-{
-    static std::atomic<uint64_t> counter{0};
-    std::ostringstream tmp;
-    tmp << path << ".tmp." << ::getpid() << "."
-        << counter.fetch_add(1, std::memory_order_relaxed);
-    const std::string tmp_path = tmp.str();
-    {
-        std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return false;
-        os << payload;
-        os.flush();
-        if (!os.good())
-            return false;
-    }
-    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-        std::remove(tmp_path.c_str());
-        return false;
-    }
-    return true;
 }
 
 /** Line-oriented reader for the rule-table file; structural problems

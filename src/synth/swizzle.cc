@@ -1,102 +1,13 @@
 #include "synth/swizzle.h"
 
-#include <algorithm>
-#include <chrono>
-#include <unordered_set>
-
 #include "sim/linearize.h"
 #include "sim/simulator.h"
 #include "support/error.h"
 
 namespace rake::synth {
 
-namespace {
-
-double
-now_seconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch())
-        .count();
-}
-
-/** Is `a` exactly one half (lo or hi) of a source? */
-bool
-is_source_half(const Arrangement &a,
-               const std::vector<hvx::InstrPtr> &sources, int *source,
-               bool *hi)
-{
-    if (a.empty() || a[0].kind != Cell::Kind::Src)
-        return false;
-    const int s = a[0].source;
-    if (s >= static_cast<int>(sources.size()))
-        return false;
-    const int src_lanes = sources[s]->type().lanes;
-    const int n = static_cast<int>(a.size());
-    if (src_lanes != 2 * n)
-        return false;
-    for (int offset : {0, n}) {
-        bool match = true;
-        for (int i = 0; i < n; ++i) {
-            const Cell &c = a[i];
-            if (c.kind != Cell::Kind::Src || c.source != s ||
-                c.lane != offset + i) {
-                match = false;
-                break;
-            }
-        }
-        if (match) {
-            *source = s;
-            *hi = offset == n;
-            return true;
-        }
-    }
-    return false;
-}
-
-/**
- * View-based structural checks: `at(i)` yields cell i of a conceptual
- * arrangement of size n without materializing it. The rotation rule
- * probes every rotation of a goal, and building each rotation (plus
- * its interleave / deinterleave images) just to reject it dominated
- * the swizzle search; the views make rejection allocation-free.
- */
-template <typename At>
-bool
-window_view(int n, const At &at)
-{
-    const Cell &c0 = at(0);
-    if (c0.kind != Cell::Kind::Buf)
-        return false;
-    for (int i = 1; i < n; ++i) {
-        const Cell &c = at(i);
-        if (c.kind != Cell::Kind::Buf || c.buffer != c0.buffer ||
-            c.dy != c0.dy || c.x != c0.x + i)
-            return false;
-    }
-    return true;
-}
-
-template <typename At>
-bool
-source_identity_view(int n, const At &at)
-{
-    const Cell &c0 = at(0);
-    if (c0.kind != Cell::Kind::Src || c0.lane != 0)
-        return false;
-    for (int i = 1; i < n; ++i) {
-        const Cell &c = at(i);
-        if (c.kind != Cell::Kind::Src || c.source != c0.source ||
-            c.lane != i)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
 size_t
-SwizzleSolver::KeyHash::operator()(const Key &k) const
+SwizzleKeyHash::operator()(const SwizzleKey &k) const
 {
     uint64_t h = 1469598103934665603ull;
     auto mix = [&h](uint64_t x) { h = (h ^ x) * 1099511628211ull; };
@@ -109,244 +20,9 @@ SwizzleSolver::KeyHash::operator()(const Key &k) const
         mix(static_cast<uint64_t>(static_cast<uint32_t>(c.lane)));
     }
     mix(static_cast<uint64_t>(static_cast<int>(std::get<1>(k))));
-    for (const hvx::Instr *p : std::get<2>(k))
+    for (const void *p : std::get<2>(k))
         mix(reinterpret_cast<uintptr_t>(p));
     return static_cast<size_t>(h);
-}
-
-SwizzleSolver::Key
-SwizzleSolver::key_of(const Arrangement &arr, ScalarType elem,
-                      const std::vector<hvx::InstrPtr> &sources)
-{
-    std::vector<const hvx::Instr *> ids;
-    ids.reserve(sources.size());
-    for (const auto &s : sources)
-        ids.push_back(s.get());
-    return std::make_tuple(arr, elem, std::move(ids));
-}
-
-hvx::InstrPtr
-SwizzleSolver::read(int buffer, int dy, int x0, VecType type)
-{
-    auto key = std::make_tuple(buffer, dy, x0, type.lanes, type.elem);
-    auto it = reads_.find(key);
-    if (it != reads_.end())
-        return it->second;
-    hvx::InstrPtr r =
-        hvx::Instr::make_read(hir::LoadRef{buffer, x0, dy}, type);
-    reads_[key] = r;
-    return r;
-}
-
-hvx::InstrPtr
-SwizzleSolver::solve(const Hole &hole, int budget)
-{
-    const double t0 = now_seconds();
-    // Hole sources are type-erased backend handles; this solver is
-    // the HVX repertoire, so they must be hvx::Instr nodes.
-    std::vector<hvx::InstrPtr> sources;
-    sources.reserve(hole.sources.size());
-    for (const auto &s : hole.sources)
-        sources.push_back(
-            std::static_pointer_cast<const hvx::Instr>(s));
-    auto result = search(hole.cells, hole.type.elem, sources, budget);
-    stats_.seconds += now_seconds() - t0;
-    if (!result) {
-        ++stats_.unsat;
-        return nullptr;
-    }
-    ++stats_.solved;
-    return result->first;
-}
-
-std::optional<std::pair<hvx::InstrPtr, int>>
-SwizzleSolver::search(const Arrangement &arr, ScalarType elem,
-                      const std::vector<hvx::InstrPtr> &sources,
-                      int budget)
-{
-    // Poll before memo writes: a timeout unwinds out of here without
-    // recording anything, so an aborted search can never masquerade
-    // as a memoized "unsat within budget".
-    deadline_.check("swizzle synthesis");
-
-    if (budget < 0)
-        return std::nullopt;
-    const Key key = key_of(arr, elem, sources);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-        const Result &r = it->second;
-        if (r.instr && r.cost <= budget) {
-            ++stats_.memo_hits;
-            return std::make_pair(r.instr, r.cost);
-        }
-        if (r.failed_budget >= budget) {
-            ++stats_.memo_hits;
-            return std::nullopt;
-        }
-    }
-    if (!active_.insert(key).second)
-        return std::nullopt; // already exploring this goal
-    struct ActiveGuard {
-        std::unordered_set<Key, KeyHash> &set;
-        const Key &key;
-        ~ActiveGuard() { set.erase(key); }
-    } guard{active_, key};
-
-    const int n = static_cast<int>(arr.size());
-    const VecType type(elem, n);
-    std::optional<std::pair<hvx::InstrPtr, int>> best;
-    auto consider = [&](hvx::InstrPtr instr, int cost) {
-        ++stats_.queries;
-        if (!instr || cost > budget)
-            return;
-        if (!best || cost < best->second)
-            best = std::make_pair(std::move(instr), cost);
-    };
-
-    // Rule: all-zero arrangement -> a zero splat (free in the loop).
-    bool all_zero = true;
-    for (const Cell &c : arr)
-        all_zero &= c.kind == Cell::Kind::Zero;
-    if (all_zero) {
-        consider(hvx::Instr::make_splat(
-                     hir::Expr::make_const(0, VecType(elem, 1)), n),
-                 0);
-    }
-
-    // Rule: contiguous buffer window -> one vector read.
-    {
-        int buffer = 0, dy = 0, x0 = 0;
-        if (is_window(arr, &buffer, &dy, &x0)) {
-            hvx::InstrPtr r = read(buffer, dy, x0, type);
-            consider(r, hvx::issue_count(*r, target_));
-        }
-    }
-
-    // Rule: identity over one source -> the source itself (free).
-    {
-        int source = 0;
-        if (is_source_identity(arr, &source) &&
-            source < static_cast<int>(sources.size()) &&
-            sources[source]->type() == type)
-            consider(sources[source], 0);
-    }
-
-    // Rule: lo / hi half of a source (free register renames).
-    {
-        int source = 0;
-        bool hi = false;
-        if (is_source_half(arr, sources, &source, &hi) &&
-            sources[source]->type().elem == elem) {
-            consider(hvx::Instr::make(hi ? hvx::Opcode::VHi
-                                         : hvx::Opcode::VLo,
-                                      {sources[source]}),
-                     0);
-        }
-    }
-
-    // Merge into the memo without discarding what is already known:
-    // keep the cheapest program ever found, and separately the
-    // highest budget that failed.
-    auto remember_solved = [&]() {
-        Result &r = memo_[key];
-        if (!r.instr || best->second < r.cost) {
-            r.instr = best->first;
-            r.cost = best->second;
-        }
-    };
-
-    if (best && best->second == 0) {
-        remember_solved();
-        return best;
-    }
-
-    // Rule: interleave of a solvable arrangement (vshuffvdd).
-    if (n % 2 == 0 && budget >= 1) {
-        Arrangement d = deinterleave(arr);
-        if (!(d == arr)) {
-            if (auto sub = search(d, elem, sources, budget - 1)) {
-                consider(hvx::Instr::make(hvx::Opcode::VShuffVdd,
-                                          {sub->first}),
-                         sub->second + 1);
-            }
-        }
-    }
-
-    // Rule: deinterleave of a solvable arrangement (vdealvdd).
-    if (n % 2 == 0 && budget >= 1) {
-        Arrangement s = interleave(arr);
-        if (!(s == arr)) {
-            if (auto sub = search(s, elem, sources, budget - 1)) {
-                consider(hvx::Instr::make(hvx::Opcode::VDealVdd,
-                                          {sub->first}),
-                         sub->second + 1);
-            }
-        }
-    }
-
-    // Rule: concatenation of two solvable halves (vcombine).
-    if (n % 2 == 0 && budget >= 1) {
-        Arrangement lo(arr.begin(), arr.begin() + n / 2);
-        Arrangement hi(arr.begin() + n / 2, arr.end());
-        auto ls = search(lo, elem, sources, budget - 1);
-        if (ls) {
-            auto hs = search(hi, elem, sources,
-                             budget - 1 - ls->second);
-            if (hs) {
-                consider(hvx::Instr::make(hvx::Opcode::VCombine,
-                                          {ls->first, hs->first}),
-                         ls->second + hs->second + 1);
-            }
-        }
-    }
-
-    // Rule: rotation of a structured arrangement (vror). Bounded:
-    // the rotated goal must be a window, a source identity, or one
-    // deal/shuffle away from one — recursing on arbitrary rotations
-    // would make the search space explode.
-    if (budget >= 1) {
-        const int h = n / 2;
-        for (int r = 1; r < n; ++r) {
-            // unrot[i] = rotate(arr, n - r)[i] = arr[(i + n - r) % n].
-            // Structuredness is decided through index views composed
-            // on top of `arr`; the rotation is only materialized for
-            // the (rare) rotations that pass.
-            auto at_unrot = [&arr, n, r](int i) -> const Cell & {
-                return arr[(i + n - r) % n];
-            };
-            // interleave(unrot)[j] reads unrot[j/2] (even j) or
-            // unrot[h + j/2] (odd j); deinterleave(unrot)[j] reads
-            // unrot[2j] (j < h) or unrot[2(j-h)+1].
-            auto at_ileave = [&at_unrot, h](int j) -> const Cell & {
-                return at_unrot(j % 2 == 0 ? j / 2 : h + j / 2);
-            };
-            auto at_deint = [&at_unrot, h](int j) -> const Cell & {
-                return at_unrot(j < h ? 2 * j : 2 * (j - h) + 1);
-            };
-            bool structured =
-                window_view(n, at_unrot) ||
-                source_identity_view(n, at_unrot);
-            if (!structured && n % 2 == 0)
-                structured = window_view(n, at_ileave) ||
-                             window_view(n, at_deint);
-            if (!structured)
-                continue;
-            Arrangement unrot = rotate(arr, n - r);
-            if (auto sub = search(unrot, elem, sources, budget - 1)) {
-                consider(hvx::Instr::make(hvx::Opcode::VRor,
-                                          {sub->first}, {r}),
-                         sub->second + 1);
-            }
-        }
-    }
-
-    if (best) {
-        remember_solved();
-        return best;
-    }
-    Result &r = memo_[key];
-    r.failed_budget = std::max(r.failed_budget, budget);
-    return std::nullopt;
 }
 
 std::string

@@ -1,23 +1,37 @@
 /**
  * @file
  * Swizzle synthesis (paper §5): concretize each ??load / ??swizzle
- * hole into a sequence of real HVX data-movement instructions.
+ * hole into a sequence of real data-movement instructions.
  *
- * The solver searches, under an instruction budget, for the cheapest
- * program in the swizzle grammar — vmem reads, vcombine, vlo/vhi,
- * vshuffvdd, vdealvdd, vror — whose output lanes realize the hole's
+ * SwizzleSolver is the one swizzle search, shared by every backend. It
+ * looks, under an instruction budget, for the cheapest program in a
+ * target's data-movement grammar whose output lanes realize the hole's
  * arrangement. Every candidate program tried counts as one swizzling
- * query (Table 1); the search is memoized per arrangement and
- * backtracks through the budget exactly as Algorithm 2 requires.
+ * query (Table 1); the search is memoized per goal and backtracks
+ * through the budget exactly as Algorithm 2 requires.
+ *
+ * The engine owns the search: the memo protocol, shared window reads,
+ * deadline polls, the stats, and the rules every target has — zero
+ * splat, window read, source identity, lo/hi half, then interleave,
+ * deinterleave and concatenation of solvable sub-goals. A backend
+ * supplies only a moves policy (documented on SwizzleSolver): its node
+ * type, constructors for those moves, their costs, and the rules only
+ * its ISA has (HVX: vror; Neon: vext, vrev, vtbl). The policy is a
+ * template argument, so every rule is a static call.
  */
 #ifndef RAKE_SYNTH_SWIZZLE_H
 #define RAKE_SYNTH_SWIZZLE_H
 
+#include <algorithm>
+#include <chrono>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "hvx/cost.h"
@@ -36,21 +50,82 @@ struct SwizzleStats {
     double seconds = 0.0;
 };
 
-/** Goal-directed, budgeted search for data-movement programs. */
+/**
+ * Swizzle memo key: the goal arrangement, its element type, and the
+ * identities of the source nodes Src cells refer to (the same
+ * arrangement over different sources is a different goal).
+ */
+using SwizzleKey =
+    std::tuple<Arrangement, ScalarType, std::vector<const void *>>;
+
+/**
+ * Cell-wise FNV hash over the full key. Lookups used to go through
+ * std::map, whose lexicographic Cell comparisons were a measurable
+ * slice of synthesis time on deep swizzle searches.
+ */
+struct SwizzleKeyHash {
+    size_t operator()(const SwizzleKey &k) const;
+};
+
+/**
+ * Goal-directed, budgeted search for data-movement programs over one
+ * backend's moves. `Moves` supplies, with `NodePtr` its
+ * `std::shared_ptr<const Node>`:
+ *
+ *  - `using Node`: the backend's instruction node type;
+ *  - `int budget_scale(const VecType &hole) const`: cost units per
+ *    budget unit (budgets count whole-vector movement ops);
+ *  - `int permute_cost(const VecType &type) const` and
+ *    `int concat_cost() const`: what one (de)interleave or one
+ *    concatenation adds to a program's cost;
+ *  - `int issues(const NodePtr &n) const`: the cost of a window read;
+ *  - constructors `zero(elem, lanes)`, `read(ref, type)`,
+ *    `half(source, hi)`, `interleave(v)` (the move that interleaves
+ *    v's halves), `deinterleave(v)` and `concat(lo, hi)`;
+ *  - `isa_rules(goal, elem, sources, budget, search, consider)`: the
+ *    ISA-only rules, tried after concat. `search(sub_goal, sub_budget)`
+ *    recurses into the memoized search over the same sources and
+ *    `consider(node, cost)` counts and offers one candidate.
+ */
+template <typename Moves>
 class SwizzleSolver
 {
   public:
-    SwizzleSolver(const hvx::Target &target, SwizzleStats &stats)
-        : target_(target), stats_(stats)
+    using Node = typename Moves::Node;
+    using NodePtr = std::shared_ptr<const Node>;
+
+    SwizzleSolver(Moves moves, SwizzleStats &stats)
+        : moves_(std::move(moves)), stats_(stats)
     {
     }
 
     /**
-     * Cheapest instruction DAG realizing the hole's arrangement with
-     * total instruction count <= budget; nullptr if unsat within the
-     * budget.
+     * Cheapest program realizing the hole's arrangement with total
+     * cost <= budget (scaled by Moves::budget_scale); nullptr if unsat
+     * within the budget.
      */
-    hvx::InstrPtr solve(const Hole &hole, int budget);
+    NodePtr
+    solve(const Hole &hole, int budget)
+    {
+        using clock = std::chrono::steady_clock;
+        const auto t0 = clock::now();
+        // Hole sources are type-erased backend handles; this solver
+        // runs one backend's repertoire, so they are its nodes.
+        std::vector<NodePtr> sources;
+        sources.reserve(hole.sources.size());
+        for (const auto &s : hole.sources)
+            sources.push_back(std::static_pointer_cast<const Node>(s));
+        auto result = search(hole.cells, hole.type.elem, sources,
+                             budget * moves_.budget_scale(hole.type));
+        stats_.seconds +=
+            std::chrono::duration<double>(clock::now() - t0).count();
+        if (!result) {
+            ++stats_.unsat;
+            return nullptr;
+        }
+        ++stats_.solved;
+        return result->first;
+    }
 
     /**
      * Wall-clock budget polled at every recursive search step; on
@@ -58,6 +133,12 @@ class SwizzleSolver
      * unsat, so a timeout is never memoized as a negative result.
      */
     void set_deadline(const Deadline &deadline) { deadline_ = deadline; }
+
+    /** Does this solver count into `stats`? */
+    bool counts_into(const SwizzleStats &stats) const
+    {
+        return &stats == &stats_;
+    }
 
   private:
     /**
@@ -69,46 +150,235 @@ class SwizzleSolver
      * later higher-budget queries still want it.
      */
     struct Result {
-        hvx::InstrPtr instr;   ///< best known program (null = none yet)
-        int cost = 0;          ///< its instruction count (when found)
+        NodePtr instr;         ///< best known program (null = none yet)
+        int cost = 0;          ///< its cost (when found)
         int failed_budget = -1;///< highest budget proven infeasible
     };
 
-    /**
-     * Memo key: the goal arrangement, its element type, and the
-     * identities of the source values Src cells refer to (the same
-     * arrangement over different sources is a different goal).
-     */
-    using Key = std::tuple<Arrangement, ScalarType,
-                           std::vector<const hvx::Instr *>>;
+    using Found = std::optional<std::pair<NodePtr, int>>;
 
-    /**
-     * Cell-wise FNV hash over the full key. Lookups used to go
-     * through std::map, whose lexicographic Cell comparisons were a
-     * measurable slice of synthesis time on deep swizzle searches.
-     */
-    struct KeyHash {
-        size_t operator()(const Key &k) const;
-    };
+    static SwizzleKey
+    key_of(const Arrangement &arr, ScalarType elem,
+           const std::vector<NodePtr> &sources)
+    {
+        std::vector<const void *> ids;
+        ids.reserve(sources.size());
+        for (const auto &s : sources)
+            ids.push_back(s.get());
+        return std::make_tuple(arr, elem, std::move(ids));
+    }
 
-    static Key key_of(const Arrangement &arr, ScalarType elem,
-                      const std::vector<hvx::InstrPtr> &sources);
+    /** Is `a` exactly one half (lo or hi) of a source? */
+    static bool
+    is_source_half(const Arrangement &a, const std::vector<NodePtr> &sources,
+                   int *source, bool *hi)
+    {
+        if (a.empty() || a[0].kind != Cell::Kind::Src)
+            return false;
+        const int s = a[0].source;
+        if (s >= static_cast<int>(sources.size()))
+            return false;
+        const int n = static_cast<int>(a.size());
+        if (sources[s]->type().lanes != 2 * n)
+            return false;
+        for (int offset : {0, n}) {
+            bool match = true;
+            for (int i = 0; i < n && match; ++i) {
+                const Cell &c = a[i];
+                match = c.kind == Cell::Kind::Src && c.source == s &&
+                        c.lane == offset + i;
+            }
+            if (match) {
+                *source = s;
+                *hi = offset == n;
+                return true;
+            }
+        }
+        return false;
+    }
 
-    std::optional<std::pair<hvx::InstrPtr, int>>
+    /** Memoized window read so identical loads share one node. */
+    NodePtr
+    read(int buffer, int dy, int x0, VecType type)
+    {
+        auto key = std::make_tuple(buffer, dy, x0, type.lanes, type.elem);
+        auto it = reads_.find(key);
+        if (it != reads_.end())
+            return it->second;
+        NodePtr r = moves_.read(hir::LoadRef{buffer, x0, dy}, type);
+        reads_[key] = r;
+        return r;
+    }
+
+    Found
     search(const Arrangement &arr, ScalarType elem,
-           const std::vector<hvx::InstrPtr> &sources, int budget);
+           const std::vector<NodePtr> &sources, int budget)
+    {
+        // Poll before memo writes: a timeout unwinds out of here
+        // without recording anything, so an aborted search can never
+        // masquerade as a memoized "unsat within budget".
+        deadline_.check("swizzle synthesis");
 
-    /** Memoized VRead so identical loads share one node. */
-    hvx::InstrPtr read(int buffer, int dy, int x0, VecType type);
+        if (budget < 0)
+            return std::nullopt;
+        const SwizzleKey key = key_of(arr, elem, sources);
+        auto it = memo_.find(key);
+        if (it != memo_.end()) {
+            const Result &r = it->second;
+            if (r.instr && r.cost <= budget) {
+                ++stats_.memo_hits;
+                return std::make_pair(r.instr, r.cost);
+            }
+            if (r.failed_budget >= budget) {
+                ++stats_.memo_hits;
+                return std::nullopt;
+            }
+        }
+        if (!active_.insert(key).second)
+            return std::nullopt; // already exploring this goal
+        struct ActiveGuard {
+            std::unordered_set<SwizzleKey, SwizzleKeyHash> &set;
+            const SwizzleKey &key;
+            ~ActiveGuard() { set.erase(key); }
+        } guard{active_, key};
 
-    const hvx::Target &target_;
+        const int n = static_cast<int>(arr.size());
+        const VecType type(elem, n);
+        Found best;
+        auto consider = [&](NodePtr instr, int cost) {
+            ++stats_.queries;
+            if (!instr || cost > budget)
+                return;
+            if (!best || cost < best->second)
+                best = std::make_pair(std::move(instr), cost);
+        };
+
+        // Rule: all-zero arrangement -> a zero splat (free in the loop).
+        bool all_zero = true;
+        for (const Cell &c : arr)
+            all_zero &= c.kind == Cell::Kind::Zero;
+        if (all_zero)
+            consider(moves_.zero(elem, n), 0);
+
+        // Rule: contiguous buffer window -> one vector read.
+        {
+            int buffer = 0, dy = 0, x0 = 0;
+            if (is_window(arr, &buffer, &dy, &x0)) {
+                NodePtr r = read(buffer, dy, x0, type);
+                consider(r, moves_.issues(r));
+            }
+        }
+
+        // Rule: identity over one source -> the source itself (free).
+        {
+            int source = 0;
+            if (is_source_identity(arr, &source) &&
+                source < static_cast<int>(sources.size()) &&
+                sources[source]->type() == type)
+                consider(sources[source], 0);
+        }
+
+        // Rule: lo / hi half of a source (free register renames).
+        {
+            int source = 0;
+            bool hi = false;
+            if (is_source_half(arr, sources, &source, &hi) &&
+                sources[source]->type().elem == elem)
+                consider(moves_.half(sources[source], hi), 0);
+        }
+
+        // Merge into the memo without discarding what is already
+        // known: keep the cheapest program ever found, and separately
+        // the highest budget that failed.
+        auto remember_solved = [&]() {
+            Result &r = memo_[key];
+            if (!r.instr || best->second < r.cost) {
+                r.instr = best->first;
+                r.cost = best->second;
+            }
+        };
+
+        if (best && best->second == 0) {
+            remember_solved();
+            return best;
+        }
+
+        auto sub_search = [&](const Arrangement &goal, int sub_budget) {
+            return search(goal, elem, sources, sub_budget);
+        };
+        const int step = moves_.permute_cost(type);
+
+        // Rule: interleave of a solvable arrangement.
+        if (n % 2 == 0 && budget >= 1) {
+            Arrangement d = deinterleave(arr);
+            if (!(d == arr)) {
+                if (auto sub = sub_search(d, budget - step))
+                    consider(moves_.interleave(sub->first),
+                             sub->second + step);
+            }
+        }
+
+        // Rule: deinterleave of a solvable arrangement.
+        if (n % 2 == 0 && budget >= 1) {
+            Arrangement s = interleave(arr);
+            if (!(s == arr)) {
+                if (auto sub = sub_search(s, budget - step))
+                    consider(moves_.deinterleave(sub->first),
+                             sub->second + step);
+            }
+        }
+
+        // Rule: concatenation of two solvable halves.
+        if (n % 2 == 0 && budget >= 1) {
+            const int c = moves_.concat_cost();
+            Arrangement lo(arr.begin(), arr.begin() + n / 2);
+            Arrangement hi(arr.begin() + n / 2, arr.end());
+            if (auto ls = sub_search(lo, budget - c)) {
+                if (auto hs = sub_search(hi, budget - c - ls->second))
+                    consider(moves_.concat(ls->first, hs->first),
+                             ls->second + hs->second + c);
+            }
+        }
+
+        moves_.isa_rules(arr, elem, sources, budget, sub_search, consider);
+
+        if (best) {
+            remember_solved();
+            return best;
+        }
+        Result &r = memo_[key];
+        r.failed_budget = std::max(r.failed_budget, budget);
+        return std::nullopt;
+    }
+
+    Moves moves_;
     SwizzleStats &stats_;
     Deadline deadline_;
-    std::unordered_map<Key, Result, KeyHash> memo_;
-    std::unordered_set<Key, KeyHash> active_;
-    std::map<std::tuple<int, int, int, int, ScalarType>, hvx::InstrPtr>
-        reads_;
+    std::unordered_map<SwizzleKey, Result, SwizzleKeyHash> memo_;
+    std::unordered_set<SwizzleKey, SwizzleKeyHash> active_;
+    std::map<std::tuple<int, int, int, int, ScalarType>, NodePtr> reads_;
 };
+
+/**
+ * The body of a backend's TargetISA::solve_hole. A solver binds the
+ * run's stats sink at construction, so `solver` is built lazily on a
+ * lowering run's first query and rebuilt when a later run counts into
+ * other stats: its memo lives as long as one run.
+ */
+template <typename Moves>
+std::optional<backend::InstrHandle>
+solve_hole_in_run(std::optional<SwizzleSolver<Moves>> &solver,
+                  const Moves &moves, const Hole &hole, int budget,
+                  SwizzleStats &stats, const Deadline &deadline)
+{
+    if (!solver || !solver->counts_into(stats))
+        solver.emplace(moves, stats);
+    solver->set_deadline(deadline);
+    auto r = solver->solve(hole, budget);
+    if (!r)
+        return std::nullopt;
+    return backend::InstrHandle(std::move(r));
+}
 
 /**
  * Cross-stage layout negotiation (DESIGN.md "Whole-pipeline

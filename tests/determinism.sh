@@ -6,7 +6,8 @@
 # Usage: determinism.sh BENCH_DIR CASE [GOLDEN]
 #
 # Prints the normalized output of CASE (fig11, fig11_dag, fig4, fig12,
-# table1, micro_synth_neon) run from BENCH_DIR; with GOLDEN, diffs it
+# table1, table1_neon, micro_synth_hvx, micro_synth_neon) run from
+# BENCH_DIR; with GOLDEN, diffs it
 # against that file instead and exits nonzero on any difference.
 # Regenerate a golden after an intended synthesis change with
 #   tests/determinism.sh build/bench table1 > tests/golden/table1.txt
@@ -21,26 +22,35 @@ golden=${3:-}
 unset RAKE_CACHE_DIR RAKE_RULES RAKE_JOBS RAKE_TIMEOUT_MS \
       RAKE_RUN_TIMEOUT_MS RAKE_TRACE
 
+# Query columns of every Table 1 row plus the memory-tier summary.
+table1() {
+    "$bench/table1_compile_stats" --jobs 4 "$@" 2>/dev/null |
+        awk '/^synthesis cache:/ { print; next }
+             /^[a-z(]/ && NF == 10 { print $1, $2, $3, $4, $5 }'
+}
+
+# Per-case counters (swizzle memo hits included) and the selected
+# program of a cold micro_synth run on target $1 against a fresh cache
+# dir.
+micro_synth() {
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    "$bench/micro_synth" --target "$1" --iters 1 \
+        --cache-dir "$tmp/cache" --json "$tmp/ms.json" >/dev/null
+    sed 's/.*"cases":\[//' "$tmp/ms.json" |
+        grep -o '"\(name\|queries\|dedup_skips\|ref_cache_hits\|swizzle_memo_hits\|selection\)":\("[^"]*"\|[0-9]*\)'
+}
+
 run() {
     case $case_name in
       fig11) "$bench/fig11_speedups" --jobs 4 2>/dev/null ;;
       fig11_dag) "$bench/fig11_speedups" --jobs 4 --dag 2>/dev/null ;;
       fig4) "$bench/fig4_sobel_codegen" ;;
       fig12) "$bench/fig12_patterns" ;;
-      table1)
-        # Query columns of every row plus the memory-tier summary.
-        "$bench/table1_compile_stats" --jobs 4 2>/dev/null |
-            awk '/^synthesis cache:/ { print; next }
-                 /^[a-z(]/ && NF == 10 { print $1, $2, $3, $4, $5 }' ;;
-      micro_synth_neon)
-        # The generic (non-HVX) ladder: per-case counters and the
-        # selected program of a cold run against a fresh cache dir.
-        tmp=$(mktemp -d)
-        trap 'rm -rf "$tmp"' EXIT
-        "$bench/micro_synth" --target neon --iters 1 \
-            --cache-dir "$tmp/cache" --json "$tmp/ms.json" >/dev/null
-        sed 's/.*"cases":\[//' "$tmp/ms.json" |
-            grep -o '"\(name\|queries\|dedup_skips\|ref_cache_hits\|swizzle_memo_hits\|selection\)":\("[^"]*"\|[0-9]*\)' ;;
+      table1) table1 ;;
+      table1_neon) table1 --target neon ;;
+      micro_synth_hvx) micro_synth hvx ;;
+      micro_synth_neon) micro_synth neon ;;
       *) echo "determinism.sh: unknown case '$case_name'" >&2; exit 2 ;;
     esac
 }

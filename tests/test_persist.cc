@@ -31,6 +31,7 @@
 #include "hir/printer.h"
 #include "hir/simplify.h"
 #include "hvx/sexpr.h"
+#include "neon/select.h"
 #include "support/deadline.h"
 #include "synth/cache.h"
 #include "synth/persist.h"
@@ -634,6 +635,40 @@ TEST(Persist, NeonBackendRoundTripsThroughTargetIsaHooks)
     auto hvx_probe = synth::persistent_store(dir)->load_backend(
         normalized, synth::options_fingerprint(opts), *hvx_isa);
     EXPECT_FALSE(hvx_probe.hit);
+}
+
+/**
+ * The Neon compile path (neon::select_instructions, which table1 and
+ * micro_synth reach through the same options) and the serving path
+ * (select_instructions_for over a Neon backend with the server's
+ * default RakeOptions) must key one disk entry. They used to differ
+ * in LowerOptions::layouts, a knob only the HVX grammar reads, so the
+ * server re-ran CEGIS on every entry the compile path had written.
+ */
+TEST(Persist, NeonCompileAndServePathsShareDiskEntries)
+{
+    const std::string dir = fresh_dir("neon_xpath");
+    const ExprPtr e = average_expr(32);
+    synth::SynthCache &neon_table = synth::backend_synthesis_cache("neon");
+    neon_table.clear();
+
+    neon::SelectOptions compile;
+    compile.cache_dir = dir;
+    ASSERT_TRUE(neon::select_instructions(e, compile).has_value());
+    neon_table.clear(); // a fresh process: only the disk tier is warm
+
+    synth::RakeOptions serve;
+    serve.cache_dir = dir;
+    auto isa = backend::make_neon_backend(neon::Target{});
+    auto served = synth::select_instructions_for(e, *isa, serve);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_TRUE(served->disk_hit);
+    const auto stats = synth::persistent_store(dir)->stats();
+    EXPECT_EQ(stats.writes, 1);
+    EXPECT_EQ(stats.hits, 1);
+    EXPECT_EQ(stats.invalid, 0);
+    EXPECT_EQ(neon_table.stats().disk_hits, 1);
+    EXPECT_EQ(neon_table.stats().disk_invalid, 0);
 }
 
 TEST(Persist, ResolveCacheDirPrecedence)

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/hvx_backend.h"
 #include "base/arith.h"
 #include "hir/builder.h"
 #include "hir/interp.h"
@@ -201,10 +202,10 @@ TEST_P(SwizzleFuzz, SolverRecoversRandomMoveCompositions)
         }
         synth::Hole hole{VecType(ScalarType::UInt8, L), arr, {}};
         synth::SwizzleStats stats;
-        hvx::Target target;
-        synth::SwizzleSolver solver(target, stats);
-        InstrPtr sol = solver.solve(hole, moves + 2);
-        ASSERT_NE(sol, nullptr) << "trial " << trial;
+        auto solved = backend::make_hvx_backend(hvx::Target())
+                          ->solve_hole(hole, moves + 2, stats);
+        ASSERT_TRUE(solved.has_value()) << "trial " << trial;
+        InstrPtr sol = std::static_pointer_cast<const Instr>(*solved);
         Env env = fuzz_env(trial + 100, ScalarType::UInt8);
         EXPECT_EQ(hvx::evaluate(sol, env),
                   synth::arrangement_value(hole, env));

@@ -1,13 +1,18 @@
 /**
  * @file
  * Tests for the swizzle synthesizer (§5): goal-directed search over
- * the data-movement grammar, budget behaviour, memoization across
- * holes with different sources, and query accounting.
+ * each backend's data-movement moves, budget behaviour, memoization
+ * across holes with different sources, and query accounting. Every
+ * query goes through TargetISA::solve_hole, the one entry point the
+ * lowerer uses; the memo-protocol tests run on both backends.
  */
 #include <gtest/gtest.h>
 
+#include "backend/hvx_backend.h"
+#include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hvx/interp.h"
+#include "neon/interp.h"
 #include "synth/cache.h"
 #include "synth/swizzle.h"
 
@@ -28,19 +33,90 @@ ramp_env()
     return env;
 }
 
+/** One swizzle query through a backend, unwrapped to its node type. */
+template <typename Node>
+std::shared_ptr<const Node>
+solve_as(backend::TargetISA &isa, const Hole &hole, int budget,
+         SwizzleStats &stats)
+{
+    auto r = isa.solve_hole(hole, budget, stats);
+    return r ? std::static_pointer_cast<const Node>(*r) : nullptr;
+}
+
+std::unique_ptr<backend::TargetISA>
+hvx_backend()
+{
+    return backend::make_hvx_backend(hvx::Target());
+}
+
+std::unique_ptr<backend::TargetISA>
+neon_backend()
+{
+    return backend::make_neon_backend(neon::Target());
+}
+
 /** Solve and functionally check the solution against the oracle. */
 hvx::InstrPtr
 solve_checked(const Hole &hole, int budget, SwizzleStats &stats)
 {
-    hvx::Target target;
-    SwizzleSolver solver(target, stats);
-    hvx::InstrPtr sol = solver.solve(hole, budget);
+    auto isa = hvx_backend();
+    hvx::InstrPtr sol = solve_as<hvx::Instr>(*isa, hole, budget, stats);
     if (sol) {
         Env env = ramp_env();
         EXPECT_EQ(hvx::evaluate(sol, env), arrangement_value(hole, env));
     }
     return sol;
 }
+
+/**
+ * Neon twin of solve_checked: the sources run through the Neon
+ * interpreter and the arrangement is read off their values.
+ */
+neon::NInstrPtr
+neon_solve_checked(const Hole &hole, int budget, SwizzleStats &stats)
+{
+    auto isa = neon_backend();
+    neon::NInstrPtr sol =
+        solve_as<neon::NInstr>(*isa, hole, budget, stats);
+    if (sol) {
+        Env env = ramp_env();
+        std::vector<Value> src_values;
+        for (const auto &s : hole.sources)
+            src_values.push_back(neon::evaluate(
+                std::static_pointer_cast<const neon::NInstr>(s), env));
+        EXPECT_EQ(neon::evaluate(sol, env),
+                  arrangement_value_from(hole, env, src_values));
+    }
+    return sol;
+}
+
+neon::NInstrPtr
+neon_load(int dx, int lanes)
+{
+    return neon::NInstr::make_load(hir::LoadRef{0, dx, 0},
+                                   VecType(u8, lanes));
+}
+
+/** One backend under the memo-protocol tests. */
+struct MemoCase {
+    const char *name;
+    std::unique_ptr<backend::TargetISA> (*make)();
+    /** Is the program's root the backend's deinterleave move? */
+    bool (*is_deinterleave)(const backend::InstrHandle &);
+};
+
+const MemoCase kMemoCases[] = {
+    {"hvx", hvx_backend,
+     [](const backend::InstrHandle &h) {
+         return std::static_pointer_cast<const hvx::Instr>(h)->op() ==
+                hvx::Opcode::VDealVdd;
+     }},
+    {"neon", neon_backend,
+     [](const backend::InstrHandle &h) {
+         return std::static_pointer_cast<const neon::NInstr>(h)->op() ==
+                neon::NOp::Uzp;
+     }},
+};
 
 TEST(Swizzle, WindowIsOneRead)
 {
@@ -129,14 +205,16 @@ TEST(Swizzle, ZeroFillIsASplat)
 
 TEST(Swizzle, BudgetZeroRejectsNonFreeGoals)
 {
-    SwizzleStats stats;
-    Hole h{VecType(u8, 8), deinterleave(window_cells(0, 0, 0, 8)), {}};
-    hvx::Target target;
-    SwizzleSolver solver(target, stats);
-    EXPECT_EQ(solver.solve(h, 0), nullptr);
-    EXPECT_EQ(stats.unsat, 1);
-    // And succeeds once the budget allows the read + deal.
-    EXPECT_NE(solver.solve(h, 3), nullptr);
+    for (const MemoCase &c : kMemoCases) {
+        SCOPED_TRACE(c.name);
+        SwizzleStats stats;
+        Hole h{VecType(u8, 8), deinterleave(window_cells(0, 0, 0, 8)), {}};
+        auto isa = c.make();
+        EXPECT_FALSE(isa->solve_hole(h, 0, stats).has_value());
+        EXPECT_EQ(stats.unsat, 1);
+        // And succeeds once the budget allows the read + deal.
+        EXPECT_TRUE(isa->solve_hole(h, 3, stats).has_value());
+    }
 }
 
 TEST(Swizzle, UnsatisfiableArrangementWithinBudget)
@@ -149,9 +227,7 @@ TEST(Swizzle, UnsatisfiableArrangementWithinBudget)
     std::swap(a[2], a[7]);
     std::swap(a[1], a[6]);
     Hole h{VecType(u8, 8), a, {}};
-    hvx::Target target;
-    SwizzleSolver solver(target, stats);
-    EXPECT_EQ(solver.solve(h, 3), nullptr);
+    EXPECT_EQ(solve_as<hvx::Instr>(*hvx_backend(), h, 3, stats), nullptr);
     EXPECT_GT(stats.queries, 0);
 }
 
@@ -160,16 +236,15 @@ TEST(Swizzle, MemoKeysIncludeSources)
     // The same arrangement over two different sources must not share
     // solutions (regression test for the cross-hole memo bug).
     SwizzleStats stats;
-    hvx::Target target;
-    SwizzleSolver solver(target, stats);
+    auto isa = hvx_backend();
     hvx::InstrPtr s1 = hvx::Instr::make_read(hir::LoadRef{0, 0, 0},
                                              VecType(u8, 8));
     hvx::InstrPtr s2 = hvx::Instr::make_read(hir::LoadRef{0, 0, 1},
                                              VecType(u8, 8));
     Hole h1{VecType(u8, 8), source_cells(0, 8), {s1}};
     Hole h2{VecType(u8, 8), source_cells(0, 8), {s2}};
-    EXPECT_EQ(solver.solve(h1, 2), s1);
-    EXPECT_EQ(solver.solve(h2, 2), s2);
+    EXPECT_EQ(solve_as<hvx::Instr>(*isa, h1, 2, stats), s1);
+    EXPECT_EQ(solve_as<hvx::Instr>(*isa, h2, 2, stats), s2);
 }
 
 TEST(Swizzle, TightBudgetRequeryKeepsMemoizedSolution)
@@ -180,27 +255,29 @@ TEST(Swizzle, TightBudgetRequeryKeepsMemoizedSolution)
     // with an infeasibility record, so the next higher-budget query
     // had to redo the whole search (observable as extra candidate
     // queries) instead of returning the known solution.
-    SwizzleStats stats;
-    hvx::Target target;
-    SwizzleSolver solver(target, stats);
-    Hole h{VecType(u8, 8), deinterleave(window_cells(0, 0, 0, 8)), {}};
+    for (const MemoCase &c : kMemoCases) {
+        SCOPED_TRACE(c.name);
+        SwizzleStats stats;
+        auto isa = c.make();
+        Hole h{VecType(u8, 8), deinterleave(window_cells(0, 0, 0, 8)), {}};
 
-    hvx::InstrPtr first = solver.solve(h, 8);
-    ASSERT_NE(first, nullptr);
-    EXPECT_EQ(first->op(), hvx::Opcode::VDealVdd);
+        auto first = isa->solve_hole(h, 8, stats);
+        ASSERT_TRUE(first.has_value());
+        EXPECT_TRUE(c.is_deinterleave(*first));
 
-    // Tighter budget than the solution's cost: correctly unsat.
-    EXPECT_EQ(solver.solve(h, 1), nullptr);
-    const int queries_after_tight = stats.queries;
+        // Tighter budget than the solution's cost: correctly unsat.
+        EXPECT_FALSE(isa->solve_hole(h, 1, stats).has_value());
+        const int queries_after_tight = stats.queries;
 
-    // Back at the original budget: the memo must still hold the
-    // solution — no new candidate programs may be examined.
-    hvx::InstrPtr again = solver.solve(h, 8);
-    ASSERT_NE(again, nullptr);
-    EXPECT_TRUE(hvx::equal(again, first));
-    EXPECT_EQ(stats.queries, queries_after_tight);
-    EXPECT_EQ(stats.solved, 2);
-    EXPECT_EQ(stats.unsat, 1);
+        // Back at the original budget: the memo must still hold the
+        // solution — no new candidate programs may be examined.
+        auto again = isa->solve_hole(h, 8, stats);
+        ASSERT_TRUE(again.has_value());
+        EXPECT_EQ(isa->instr_to_sexpr(*again), isa->instr_to_sexpr(*first));
+        EXPECT_EQ(stats.queries, queries_after_tight);
+        EXPECT_EQ(stats.solved, 2);
+        EXPECT_EQ(stats.unsat, 1);
+    }
 }
 
 TEST(Swizzle, MemoIsNotConsultedAcrossBudgets)
@@ -210,38 +287,40 @@ TEST(Swizzle, MemoIsNotConsultedAcrossBudgets)
     // budget covers its cost, and a memoized *failure* only one at or
     // below the budget that failed. A tighter-budget re-query
     // therefore must not be served from the memo — it has to search.
-    SwizzleStats stats;
-    hvx::Target target;
-    SwizzleSolver solver(target, stats);
-    Hole h{VecType(u8, 8), deinterleave(window_cells(0, 0, 0, 8)), {}};
+    for (const MemoCase &c : kMemoCases) {
+        SCOPED_TRACE(c.name);
+        SwizzleStats stats;
+        auto isa = c.make();
+        Hole h{VecType(u8, 8), deinterleave(window_cells(0, 0, 0, 8)), {}};
 
-    hvx::InstrPtr first = solver.solve(h, 8);
-    ASSERT_NE(first, nullptr);
-    const int hits_after_solve = stats.memo_hits;
+        auto first = isa->solve_hole(h, 8, stats);
+        ASSERT_TRUE(first.has_value());
+        const int hits_after_solve = stats.memo_hits;
 
-    // Budget 0 is below the solution's cost and below any recorded
-    // failure: the goal must not be answered from the memo (a hit
-    // would increment memo_hits) — the solver re-searches and
-    // correctly reports unsat.
-    EXPECT_EQ(solver.solve(h, 0), nullptr);
-    EXPECT_EQ(stats.memo_hits, hits_after_solve);
-    EXPECT_EQ(stats.unsat, 1);
+        // Budget 0 is below the solution's cost and below any recorded
+        // failure: the goal must not be answered from the memo (a hit
+        // would increment memo_hits) — the solver re-searches and
+        // correctly reports unsat.
+        EXPECT_FALSE(isa->solve_hole(h, 0, stats).has_value());
+        EXPECT_EQ(stats.memo_hits, hits_after_solve);
+        EXPECT_EQ(stats.unsat, 1);
 
-    // Re-querying at the original budget is answered from the memo:
-    // same instruction, no new candidate programs examined.
-    const int queries_after_tight = stats.queries;
-    hvx::InstrPtr again = solver.solve(h, 8);
-    ASSERT_NE(again, nullptr);
-    EXPECT_TRUE(hvx::equal(again, first));
-    EXPECT_GT(stats.memo_hits, hits_after_solve);
-    EXPECT_EQ(stats.queries, queries_after_tight);
+        // Re-querying at the original budget is answered from the
+        // memo: same instruction, no new candidate programs examined.
+        const int queries_after_tight = stats.queries;
+        auto again = isa->solve_hole(h, 8, stats);
+        ASSERT_TRUE(again.has_value());
+        EXPECT_EQ(isa->instr_to_sexpr(*again), isa->instr_to_sexpr(*first));
+        EXPECT_GT(stats.memo_hits, hits_after_solve);
+        EXPECT_EQ(stats.queries, queries_after_tight);
 
-    // And the budget-0 failure is itself memoized: repeating it is
-    // now a memo hit instead of a search.
-    const int hits_before_refail = stats.memo_hits;
-    EXPECT_EQ(solver.solve(h, 0), nullptr);
-    EXPECT_GT(stats.memo_hits, hits_before_refail);
-    EXPECT_EQ(stats.queries, queries_after_tight);
+        // And the budget-0 failure is itself memoized: repeating it is
+        // now a memo hit instead of a search.
+        const int hits_before_refail = stats.memo_hits;
+        EXPECT_FALSE(isa->solve_hole(h, 0, stats).has_value());
+        EXPECT_GT(stats.memo_hits, hits_before_refail);
+        EXPECT_EQ(stats.queries, queries_after_tight);
+    }
 }
 
 TEST(Swizzle, SynthesisCacheKeySeparatesSwizzleBudgets)
@@ -303,6 +382,84 @@ TEST(Swizzle, QueriesAreCounted)
     solve_checked(h, 5, stats);
     EXPECT_GT(stats.queries, 3);
     EXPECT_GT(stats.seconds, 0.0);
+}
+
+// Neon's moves. The suite's Neon selections only ever use vld1 and
+// vdup, so these goals are the only check that each Neon move the
+// search counts also computes the arrangement it claims.
+
+TEST(Swizzle, NeonFunnelledWindowUsesExt)
+{
+    // Lanes 3..15 of one register followed by lanes 0..2 of the next.
+    SwizzleStats stats;
+    neon::NInstrPtr s0 = neon_load(0, 16), s1 = neon_load(16, 16);
+    Arrangement a;
+    for (int i = 0; i < 16; ++i)
+        a.push_back(i + 3 < 16 ? Cell::src(0, i + 3)
+                               : Cell::src(1, i + 3 - 16));
+    Hole h{VecType(u8, 16), a, {s0, s1}};
+    neon::NInstrPtr sol = neon_solve_checked(h, 2, stats);
+    ASSERT_NE(sol, nullptr);
+    EXPECT_EQ(sol->op(), neon::NOp::Ext);
+    EXPECT_EQ(sol->imms(), std::vector<int64_t>{3});
+    EXPECT_EQ(sol->arg(0), s0);
+    EXPECT_EQ(sol->arg(1), s1);
+}
+
+TEST(Swizzle, NeonReversedWindowUsesRev)
+{
+    SwizzleStats stats;
+    Arrangement w = window_cells(0, 0, 0, 16);
+    Hole h{VecType(u8, 16), Arrangement(w.rbegin(), w.rend()), {}};
+    neon::NInstrPtr sol = neon_solve_checked(h, 4, stats);
+    ASSERT_NE(sol, nullptr);
+    EXPECT_EQ(sol->op(), neon::NOp::Rev);
+    EXPECT_EQ(sol->arg(0)->op(), neon::NOp::Ld1);
+}
+
+TEST(Swizzle, NeonIrregularGatherUsesTbl)
+{
+    SwizzleStats stats;
+    neon::NInstrPtr src = neon_load(0, 16);
+    const std::vector<int64_t> perm = {5, 0,  12, 3, 9, 1,  14, 7,
+                                       2, 11, 4, 15, 8, 6, 13, 10};
+    Arrangement a;
+    for (int64_t lane : perm)
+        a.push_back(Cell::src(0, static_cast<int>(lane)));
+    Hole h{VecType(u8, 16), a, {src}};
+    neon::NInstrPtr sol = neon_solve_checked(h, 2, stats);
+    ASSERT_NE(sol, nullptr);
+    EXPECT_EQ(sol->op(), neon::NOp::Tbl);
+    EXPECT_EQ(sol->imms(), perm);
+    EXPECT_EQ(sol->arg(0), src);
+}
+
+TEST(Swizzle, NeonDeinterleavedWindowUsesUzp)
+{
+    SwizzleStats stats;
+    Hole h{VecType(u8, 16), deinterleave(window_cells(0, 0, 0, 16)), {}};
+    neon::NInstrPtr sol = neon_solve_checked(h, 4, stats);
+    ASSERT_NE(sol, nullptr);
+    EXPECT_EQ(sol->op(), neon::NOp::Uzp);
+    EXPECT_EQ(sol->arg(0)->op(), neon::NOp::Ld1);
+}
+
+TEST(Swizzle, NeonSourceHalvesAreFreeRenames)
+{
+    neon::NInstrPtr src = neon_load(0, 32);
+    for (bool hi : {false, true}) {
+        SCOPED_TRACE(hi ? "high" : "low");
+        SwizzleStats stats;
+        Arrangement a;
+        for (int i = 0; i < 16; ++i)
+            a.push_back(Cell::src(0, (hi ? 16 : 0) + i));
+        Hole h{VecType(u8, 16), a, {src}};
+        // Budget 0: only a free program qualifies.
+        neon::NInstrPtr sol = neon_solve_checked(h, 0, stats);
+        ASSERT_NE(sol, nullptr);
+        EXPECT_EQ(sol->op(), hi ? neon::NOp::Hi : neon::NOp::Lo);
+        EXPECT_EQ(sol->arg(0), src);
+    }
 }
 
 } // namespace
