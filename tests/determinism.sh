@@ -6,8 +6,9 @@
 # Usage: determinism.sh BENCH_DIR CASE [GOLDEN]
 #
 # Prints the normalized output of CASE (fig11, fig11_dag, fig4, fig12,
-# table1, table1_neon, micro_synth_hvx, micro_synth_neon) run from
-# BENCH_DIR; with GOLDEN, diffs it
+# table1, table1_neon, table1_selections, table1_neon_selections,
+# micro_synth_hvx, micro_synth_neon) run from BENCH_DIR; with GOLDEN,
+# diffs it
 # against that file instead and exits nonzero on any difference.
 # Regenerate a golden after an intended synthesis change with
 #   tests/determinism.sh build/bench table1 > tests/golden/table1.txt
@@ -27,6 +28,15 @@ table1() {
     "$bench/table1_compile_stats" --jobs 4 "$@" 2>/dev/null |
         awk '/^synthesis cache:/ { print; next }
              /^[a-z(]/ && NF == 10 { print $1, $2, $3, $4, $5 }'
+}
+
+# Every program a table1 run selects, one s-expression per line.
+selections() {
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    "$bench/table1_compile_stats" --jobs 4 "$@" \
+        --selections "$tmp/sel.sexpr" >/dev/null 2>&1
+    cat "$tmp/sel.sexpr"
 }
 
 # Per-case counters (swizzle memo hits included) and the selected
@@ -49,6 +59,8 @@ run() {
       fig12) "$bench/fig12_patterns" ;;
       table1) table1 ;;
       table1_neon) table1 --target neon ;;
+      table1_selections) selections ;;
+      table1_neon_selections) selections --target neon ;;
       micro_synth_hvx) micro_synth hvx ;;
       micro_synth_neon) micro_synth neon ;;
       *) echo "determinism.sh: unknown case '$case_name'" >&2; exit 2 ;;
