@@ -8,7 +8,9 @@
  * target's data-movement grammar whose output lanes realize the hole's
  * arrangement. Every candidate program tried counts as one swizzling
  * query (Table 1); the search is memoized per goal and backtracks
- * through the budget exactly as Algorithm 2 requires.
+ * through the budget exactly as Algorithm 2 requires. Within one goal
+ * the budget tightens as Algorithm 2's beta does: once a program is
+ * found, later rules look only for a strictly cheaper one.
  *
  * The engine owns the search: the memo protocol, shared window reads,
  * deadline polls, the stats, and the rules every target has — zero
@@ -306,13 +308,20 @@ class SwizzleSolver
         auto sub_search = [&](const Arrangement &goal, int sub_budget) {
             return search(goal, elem, sources, sub_budget);
         };
+        // Algorithm 2's beta inside one goal: `consider` keeps the
+        // first program of least cost, so once one is in hand only a
+        // strictly cheaper one can replace it, and every later rule
+        // searches under that tighter bound.
+        auto bound = [&] {
+            return best ? std::min(budget, best->second - 1) : budget;
+        };
         const int step = moves_.permute_cost(type);
 
         // Rule: interleave of a solvable arrangement.
         if (n % 2 == 0 && budget >= 1) {
             Arrangement d = deinterleave(arr);
             if (!(d == arr)) {
-                if (auto sub = sub_search(d, budget - step))
+                if (auto sub = sub_search(d, bound() - step))
                     consider(moves_.interleave(sub->first),
                              sub->second + step);
             }
@@ -322,7 +331,7 @@ class SwizzleSolver
         if (n % 2 == 0 && budget >= 1) {
             Arrangement s = interleave(arr);
             if (!(s == arr)) {
-                if (auto sub = sub_search(s, budget - step))
+                if (auto sub = sub_search(s, bound() - step))
                     consider(moves_.deinterleave(sub->first),
                              sub->second + step);
             }
@@ -333,14 +342,14 @@ class SwizzleSolver
             const int c = moves_.concat_cost();
             Arrangement lo(arr.begin(), arr.begin() + n / 2);
             Arrangement hi(arr.begin() + n / 2, arr.end());
-            if (auto ls = sub_search(lo, budget - c)) {
-                if (auto hs = sub_search(hi, budget - c - ls->second))
+            if (auto ls = sub_search(lo, bound() - c)) {
+                if (auto hs = sub_search(hi, bound() - c - ls->second))
                     consider(moves_.concat(ls->first, hs->first),
                              ls->second + hs->second + c);
             }
         }
 
-        moves_.isa_rules(arr, elem, sources, budget, sub_search, consider);
+        moves_.isa_rules(arr, elem, sources, bound(), sub_search, consider);
 
         if (best) {
             remember_solved();
