@@ -7,6 +7,21 @@ namespace rake::synth {
 namespace {
 
 void
+collect_var_types(const hir::ExprPtr &e,
+                  std::map<std::string, ScalarType> &elem)
+{
+    if (e->op() == hir::Op::Var) {
+        const auto [it, added] =
+            elem.emplace(e->var_name(), e->type().elem);
+        RAKE_USER_CHECK(added || it->second == e->type().elem,
+                        "variable " << e->var_name()
+                                    << " used at two types");
+    }
+    for (const auto &a : e->args())
+        collect_var_types(a, elem);
+}
+
+void
 collect_load_types(const hir::ExprPtr &e,
                    std::map<int, ScalarType> &elem,
                    std::map<int, int> &lanes)
@@ -70,6 +85,7 @@ Spec::from_expr(const hir::ExprPtr &e)
     s.vars = hir::collect_vars(e);
     std::map<int, int> lanes;
     collect_load_types(e, s.buffer_elem, lanes);
+    collect_var_types(e, s.var_elem);
     return s;
 }
 
@@ -107,7 +123,8 @@ buffer_geometry(const Spec &spec)
 
 Env
 make_example_env(const std::map<int, BufferGeometry> &geometry,
-                 const std::set<std::string> &vars, int pattern, Rng &rng)
+                 const std::map<std::string, ScalarType> &vars,
+                 int pattern, Rng &rng)
 {
     Env env;
     env.x = 0;
@@ -117,19 +134,21 @@ make_example_env(const std::map<int, BufferGeometry> &geometry,
         fill_buffer(buf, pattern, rng);
         env.buffers.emplace(id, std::move(buf));
     }
-    for (const std::string &name : vars) {
-        // Scalar parameters draw small mixed-sign values first, then
-        // random 16-bit values (they mostly feed widening paths).
+    for (const auto &[name, t] : vars) {
+        // Scalar parameters draw a small value and their type's
+        // extremes first (a cast of a broadcast scalar wraps where a
+        // saturating move would clamp), then random 16-bit values
+        // (they mostly feed widening paths).
         int64_t v = 0;
         switch (pattern) {
           case 0:
             v = 1;
             break;
           case 1:
-            v = -3;
+            v = max_value(t);
             break;
           case 2:
-            v = 127;
+            v = min_value(t);
             break;
           default:
             v = rng.range(-32768, 32767);
@@ -150,7 +169,7 @@ ExamplePool::at(int i)
 {
     while (size() <= i)
         envs_.push_back(
-            make_example_env(geometry_, spec_.vars, size(), rng_));
+            make_example_env(geometry_, spec_.var_elem, size(), rng_));
     return envs_[i];
 }
 
@@ -161,7 +180,7 @@ ExamplePool::next_trial()
     // regardless of pool size, which is what at(size()) resolves to
     // once the corner prefix is exhausted.
     if (!scratch_valid_) {
-        scratch_ = make_example_env(geometry_, spec_.vars,
+        scratch_ = make_example_env(geometry_, spec_.var_elem,
                                     kCornerExamples, rng_);
         scratch_valid_ = true;
         return scratch_;

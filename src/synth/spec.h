@@ -27,6 +27,7 @@ struct Spec {
     std::set<hir::LoadRef> loads;      ///< live data
     std::set<std::string> vars;        ///< scalar parameters
     std::map<int, ScalarType> buffer_elem; ///< element type per buffer
+    std::map<std::string, ScalarType> var_elem; ///< type per scalar
 
     /** Build a spec from an expression (collects loads and vars). */
     static Spec from_expr(const hir::ExprPtr &e);
@@ -120,10 +121,13 @@ class ExamplePool
     bool scratch_valid_ = false;
 };
 
-/** Build one environment for a geometry with the given fill pattern. */
+/**
+ * Build one environment for a geometry with the given fill pattern;
+ * `vars` gives each scalar parameter's type.
+ */
 Env make_example_env(const std::map<int, BufferGeometry> &geometry,
-                     const std::set<std::string> &vars, int pattern,
-                     Rng &rng);
+                     const std::map<std::string, ScalarType> &vars,
+                     int pattern, Rng &rng);
 
 } // namespace rake::synth
 

@@ -104,8 +104,7 @@ class LaneEncoder
         Env env = [&] {
             auto geo = buffer_geometry(spec);
             Rng rng(7);
-            std::set<std::string> vars = spec.vars;
-            return make_example_env(geo, vars, 5, rng);
+            return make_example_env(geo, spec.var_elem, 5, rng);
         }();
         for (const auto &[key, expr] : cells_) {
             const auto [buffer, dy, x] = key;

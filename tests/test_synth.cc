@@ -8,7 +8,10 @@
 
 #include "hir/builder.h"
 #include "hir/interp.h"
+#include "hir/sexpr.h"
 #include "hvx/interp.h"
+#include "neon/select.h"
+#include "synth/rake.h"
 #include "synth/spec.h"
 #include "synth/swizzle.h"
 #include "synth/symbolic_vector.h"
@@ -31,6 +34,7 @@ TEST(Spec, CollectsLoadsVarsAndBufferTypes)
     EXPECT_EQ(s.vars.size(), 1u);
     EXPECT_EQ(s.buffer_elem.at(0), u8);
     EXPECT_EQ(s.buffer_elem.at(1), u16);
+    EXPECT_EQ(s.var_elem.at("k"), u16);
     EXPECT_THROW(Spec::from_expr(nullptr), UserError);
 }
 
@@ -74,6 +78,47 @@ TEST(ExamplePool, DeterministicAndCovering)
     // Evaluation works on every example.
     for (int i = 0; i < 8; ++i)
         EXPECT_NO_THROW(evaluate(e.ptr(), p1.at(i)));
+}
+
+TEST(ExamplePool, ScalarCornersAreTheVariableTypeExtremes)
+{
+    HExpr e = broadcast(var("k", u16), 8) + load(0, u16, 8);
+    Spec s = Spec::from_expr(e.ptr());
+    ExamplePool pool(s);
+    EXPECT_EQ(pool.at(1).scalars.at("k"), 65535);
+    EXPECT_EQ(pool.at(2).scalars.at("k"), 0);
+}
+
+/**
+ * A cast of a broadcast i16 scalar wraps where a saturating narrow
+ * clamps, and the two differ only for v in 32762..32767. With scalar
+ * examples blind to the variable's type, both backends selected a
+ * saturating narrow (HVX vsat, Neon vqmovn). Each selection must now
+ * match the HIR interpreter for every i16 value of v.
+ */
+TEST(Selection, BroadcastScalarCastMatchesReferenceForEveryValue)
+{
+    const hir::ExprPtr e = hir::parse_expr(
+        "(cast i16 (absd (cast i32 (broadcast 16 (var i16 v))) "
+        "(const i32x16 -6)))");
+    synth::RakeOptions hopts;
+    hopts.use_cache = false;
+    const auto hv = synth::select_instructions(e, hopts);
+    neon::SelectOptions nopts;
+    nopts.use_cache = false;
+    const auto ne = neon::select_instructions(e, nopts);
+    ASSERT_TRUE(hv.has_value());
+    ASSERT_TRUE(ne.has_value());
+    int hvx_wrong = 0, neon_wrong = 0;
+    Env env;
+    for (int64_t v = -32768; v <= 32767; ++v) {
+        env.scalars["v"] = v;
+        const Value ref = evaluate(e, env);
+        hvx_wrong += hvx::evaluate(hv->instr, env) != ref;
+        neon_wrong += neon::evaluate(*ne, env) != ref;
+    }
+    EXPECT_EQ(hvx_wrong, 0);
+    EXPECT_EQ(neon_wrong, 0);
 }
 
 TEST(Verifier, AcceptsEquivalentRejectsWrong)
