@@ -103,6 +103,34 @@ logical_shift_right(ScalarType t, int64_t v, int n)
     return wrap(t, static_cast<int64_t>(u >> n));
 }
 
+/*
+ * Wrapping add, subtract and multiply in type t. They compute in
+ * uint64_t, whose overflow is defined, and then wrap(): the int64
+ * carrier of a 32- or 64-bit lane can overflow before the wrap (UB),
+ * and the low bits are the same either way.
+ */
+
+inline int64_t
+add_wrap(ScalarType t, int64_t a, int64_t b)
+{
+    return wrap(t, static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                        static_cast<uint64_t>(b)));
+}
+
+inline int64_t
+sub_wrap(ScalarType t, int64_t a, int64_t b)
+{
+    return wrap(t, static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                        static_cast<uint64_t>(b)));
+}
+
+inline int64_t
+mul_wrap(ScalarType t, int64_t a, int64_t b)
+{
+    return wrap(t, static_cast<int64_t>(static_cast<uint64_t>(a) *
+                                        static_cast<uint64_t>(b)));
+}
+
 /** Saturating addition in type t. */
 inline int64_t
 add_sat(ScalarType t, int64_t a, int64_t b)

@@ -104,13 +104,13 @@ Interpreter::eval_impl(const Expr &e)
         int64_t r = 0;
         switch (e.op()) {
           case Op::Add:
-            r = wrap(s, x + y);
+            r = add_wrap(s, x, y);
             break;
           case Op::Sub:
-            r = wrap(s, x - y);
+            r = sub_wrap(s, x, y);
             break;
           case Op::Mul:
-            r = wrap(s, x * y);
+            r = mul_wrap(s, x, y);
             break;
           case Op::Min:
             r = std::min(x, y);

@@ -59,13 +59,13 @@ class Simplifier
                 r = wrap(s, cvals[0]);
                 break;
               case Op::Add:
-                r = wrap(s, cvals[0] + cvals[1]);
+                r = add_wrap(s, cvals[0], cvals[1]);
                 break;
               case Op::Sub:
-                r = wrap(s, cvals[0] - cvals[1]);
+                r = sub_wrap(s, cvals[0], cvals[1]);
                 break;
               case Op::Mul:
-                r = wrap(s, cvals[0] * cvals[1]);
+                r = mul_wrap(s, cvals[0], cvals[1]);
                 break;
               case Op::Min:
                 r = std::min(cvals[0], cvals[1]);

@@ -208,7 +208,7 @@ Interpreter::eval_impl(const Instr &n)
         return v;
       case Opcode::VAdd:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] + a[1][i]);
+            v[i] = add_wrap(s, a[0][i], a[1][i]);
         return v;
       case Opcode::VAddSat:
         for (int i = 0; i < L; ++i)
@@ -216,7 +216,7 @@ Interpreter::eval_impl(const Instr &n)
         return v;
       case Opcode::VSub:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] - a[1][i]);
+            v[i] = sub_wrap(s, a[0][i], a[1][i]);
         return v;
       case Opcode::VSubSat:
         for (int i = 0; i < L; ++i)
@@ -312,19 +312,20 @@ Interpreter::eval_impl(const Instr &n)
       }
       case Opcode::VMpy:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][deint(i)] * a[1][deint(i)]);
+            v[i] = mul_wrap(s, a[0][deint(i)], a[1][deint(i)]);
         return v;
       case Opcode::VMpyAcc:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] + a[1][deint(i)] * a[2][deint(i)]);
+            v[i] = add_wrap(
+                s, a[0][i], mul_wrap(s, a[1][deint(i)], a[2][deint(i)]));
         return v;
       case Opcode::VMpyi:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] * a[1][i]);
+            v[i] = mul_wrap(s, a[0][i], a[1][i]);
         return v;
       case Opcode::VMpyiAcc:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] + a[1][i] * a[2][i]);
+            v[i] = add_wrap(s, a[0][i], mul_wrap(s, a[1][i], a[2][i]));
         return v;
       case Opcode::VMpa:
         for (int i = 0; i < L; ++i)
@@ -410,11 +411,11 @@ Interpreter::eval_impl(const Instr &n)
         return v;
       case Opcode::VMpyIE:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] * a[1][2 * i]);
+            v[i] = mul_wrap(s, a[0][i], a[1][2 * i]);
         return v;
       case Opcode::VMpyIO:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] * a[1][2 * i + 1]);
+            v[i] = mul_wrap(s, a[0][i], a[1][2 * i + 1]);
         return v;
       case Opcode::VRead:
       case Opcode::VSplat:

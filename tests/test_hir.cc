@@ -118,6 +118,16 @@ TEST(HirInterp, ArithmeticWrapsInResultType)
     EXPECT_EQ(evaluate(absd(a, b), env)[0], 100);
 }
 
+TEST(HirInterp, AddWrapsPastInt64)
+{
+    // An i64 lane sum past INT64_MAX wraps; it must not overflow the
+    // int64 carrier on the way.
+    constexpr ScalarType i64 = ScalarType::Int64;
+    HExpr a = splat(i64, 4, INT64_MAX);
+    HExpr b = splat(i64, 4, 1);
+    EXPECT_EQ(evaluate(a + b, simple_env())[0], INT64_MIN);
+}
+
 TEST(HirInterp, ShiftSemanticsBySignedness)
 {
     Env env = simple_env();
@@ -252,6 +262,14 @@ TEST(Simplify, AlgebraicIdentities)
     // Constant folding.
     EXPECT_TRUE(is_const(
         simplify((splat(u8, 8, 3) * splat(u8, 8, 5)).ptr()), 15));
+}
+
+TEST(Simplify, ConstantFoldedMulWrapsPastInt64)
+{
+    // (2^32 - 1)^2 overflows int64; folded in u32 it is 1.
+    constexpr ScalarType u32 = ScalarType::UInt32;
+    HExpr a = splat(u32, 8, 0xffffffff);
+    EXPECT_TRUE(is_const(simplify((a * a).ptr()), 1));
 }
 
 TEST(Simplify, ProvedEquivalentByZ3)

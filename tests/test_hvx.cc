@@ -414,6 +414,18 @@ TEST(HvxInterp, NonWideningMultiplyAndAccumulate)
     }
 }
 
+TEST(HvxInterp, WordMultiplyWrapsPastInt64)
+{
+    // u32 x u32 products reach 2^64 - 2^33 + 1, past int64: the lane
+    // product must wrap in the result type, not overflow the carrier.
+    constexpr ScalarType u32 = ScalarType::UInt32;
+    InstrPtr big = Instr::make_splat(
+        hir::Expr::make_const(0xffffffff, VecType(u32, 1)), L);
+    Value m = evaluate(Instr::make(Opcode::VMpyi, {big, big}), Env{});
+    for (int i = 0; i < L; ++i)
+        EXPECT_EQ(m[i], 1);
+}
+
 TEST(HvxInterp, PredicatesAndMux)
 {
     Env env = test_env();
