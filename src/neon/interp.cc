@@ -77,7 +77,7 @@ Interpreter::eval_node(const NInstr &n)
         break;
       case NOp::Add:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, (*a[0])[i] + (*a[1])[i]);
+            v[i] = add_wrap(s, (*a[0])[i], (*a[1])[i]);
         break;
       case NOp::Qadd:
         for (int i = 0; i < L; ++i)
@@ -85,17 +85,18 @@ Interpreter::eval_node(const NInstr &n)
         break;
       case NOp::Sub:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, (*a[0])[i] - (*a[1])[i]);
+            v[i] = sub_wrap(s, (*a[0])[i], (*a[1])[i]);
         break;
       case NOp::Mul:
       case NOp::Mull:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, (*a[0])[i] * (*a[1])[i]);
+            v[i] = mul_wrap(s, (*a[0])[i], (*a[1])[i]);
         break;
       case NOp::Mla:
       case NOp::Mlal:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, (*a[0])[i] + (*a[1])[i] * (*a[2])[i]);
+            v[i] = add_wrap(s, (*a[0])[i],
+                            mul_wrap(s, (*a[1])[i], (*a[2])[i]));
         break;
       case NOp::Abd:
         for (int i = 0; i < L; ++i)

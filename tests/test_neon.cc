@@ -106,6 +106,19 @@ TEST(Neon, SaturatingClampNarrow)
     EXPECT_EQ(count_op(code, NOp::Min), 0);
 }
 
+TEST(Neon, WordMultiplyAccumulateWrapsPastInt64)
+{
+    // u32 x u32 products pass INT64_MAX: vmla must wrap in the lane
+    // type, not overflow the int64 carrier first.
+    constexpr ScalarType u32 = ScalarType::UInt32;
+    const NInstrPtr big = neon::NInstr::make_dup(
+        hir::Expr::make_const(0xffffffff, VecType(u32, 1)), 4);
+    const Value m =
+        neon::evaluate(neon::NInstr::make(NOp::Mla, {big, big, big}), Env{});
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(m[i], 0);
+}
+
 TEST(Neon, LiftOnceLowerTwice)
 {
     // The §6 retargetability claim, end to end: one lifted form, two
