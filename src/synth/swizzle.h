@@ -85,9 +85,11 @@ struct SwizzleKeyHash {
  *    `half(source, hi)`, `interleave(v)` (the move that interleaves
  *    v's halves), `deinterleave(v)` and `concat(lo, hi)`;
  *  - `isa_rules(goal, elem, sources, budget, search, consider)`: the
- *    ISA-only rules, tried after concat. `search(sub_goal, sub_budget)`
- *    recurses into the memoized search over the same sources and
- *    `consider(node, cost)` counts and offers one candidate.
+ *    ISA-only rules, tried after concat under the goal's budget,
+ *    tightened below its best program once it has one.
+ *    `search(sub_goal, sub_budget)` recurses into the memoized search
+ *    over the same sources and `consider(node, cost)` counts and
+ *    offers one candidate.
  */
 template <typename Moves>
 class SwizzleSolver
