@@ -129,6 +129,9 @@ def main(argv):
         workload, name = claim["workload"], claim["metric"]
         better = metrics[name]["better"]
         pairs = pairs_of(runs, workload).values()
+        if not pairs:
+            problems.append("claim %s %s has no runs" % (workload, name))
+            continue
         wins = sum(beats(value(p["change"], name), value(p["parent"], name),
                          better) for p in pairs)
         parent = [value(p["parent"], name) for p in pairs]
