@@ -91,10 +91,10 @@ TEST(ExamplePool, ScalarCornersAreTheVariableTypeExtremes)
 
 /**
  * A cast of a broadcast i16 scalar wraps where a saturating narrow
- * clamps, and the two differ only for v in 32762..32767. With scalar
- * examples blind to the variable's type, both backends selected a
- * saturating narrow (HVX vsat, Neon vqmovn). Each selection must now
- * match the HIR interpreter for every i16 value of v.
+ * clamps, and the two differ only for v in 32762..32767: scalar
+ * examples that ignore the variable's type cannot tell the wrapping
+ * narrow from a saturating one (HVX vsat, Neon vqmovn). Each
+ * selection must match the HIR interpreter for every i16 value of v.
  */
 TEST(Selection, BroadcastScalarCastMatchesReferenceForEveryValue)
 {
