@@ -850,6 +850,14 @@ class NeonBackend final : public TargetISA
         return neon::parse_instr(text);
     }
 
+    int
+    grammar_version() const override
+    {
+        // 2: scalar examples take their variable type's extremes
+        // (see kHvxGrammarVersion).
+        return 2;
+    }
+
   private:
     neon::Target target_;
     std::optional<synth::SwizzleSolver<NeonMoves>> solver_;

@@ -230,10 +230,12 @@ class TargetISA
 
     /**
      * Version keys for persisted entries. Bump grammar_version() when
-     * the sketch/swizzle repertoire changes and cost_model_version()
-     * when the cost model changes: either bump self-invalidates every
-     * on-disk entry written under the old key, so a stale cache can
-     * never replay a selection today's search would not make.
+     * what synthesis can return for a key changes (the sketch/swizzle
+     * repertoire, or the examples a candidate must match) and
+     * cost_model_version() when the cost model changes: either bump
+     * self-invalidates every on-disk entry written under the old key,
+     * so a stale cache can never replay a selection today's search
+     * would not make.
      */
     virtual int grammar_version() const { return 1; }
     virtual int cost_model_version() const { return 1; }

@@ -63,9 +63,12 @@ inline constexpr int kPersistFormatVersion = 1;
 /**
  * Version keys of the HVX backend (TargetISA::grammar_version() /
  * cost_model_version() return them). Bump on grammar / cost-model
- * changes; rule tables and the miner key on them too.
+ * changes; rule tables and the miner key on them too. Grammar 2:
+ * scalar examples take their variable type's extremes, so entries
+ * written under 1, which can hold a saturating narrow where the cast
+ * wraps, are re-synthesized.
  */
-inline constexpr int kHvxGrammarVersion = 1;
+inline constexpr int kHvxGrammarVersion = 2;
 inline constexpr int kHvxCostModelVersion = 1;
 
 /** Disk-tier counters (monotonic per store). */

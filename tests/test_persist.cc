@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -29,6 +31,7 @@
 #include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hir/printer.h"
+#include "hir/sexpr.h"
 #include "hir/simplify.h"
 #include "hvx/sexpr.h"
 #include "neon/select.h"
@@ -231,10 +234,12 @@ TEST(Persist, VersionKeyBumpInvalidatesAndResynthesizes)
 
     // Simulate yesterday's cache surviving a grammar bump: rewrite
     // the entry's version line in place.
+    const std::string current =
+        "grammar " + std::to_string(synth::kHvxGrammarVersion) + "\n";
     std::string text = slurp(files[0]);
-    const size_t pos = text.find("grammar 1\n");
+    const size_t pos = text.find(current);
     ASSERT_NE(pos, std::string::npos);
-    spit(files[0], text.replace(pos, 10, "grammar 0\n"));
+    spit(files[0], text.replace(pos, current.size(), "grammar 0\n"));
 
     const auto before = synth::persistent_store(dir)->stats();
     auto again = synth::select_instructions(e, opts);
@@ -245,7 +250,7 @@ TEST(Persist, VersionKeyBumpInvalidatesAndResynthesizes)
     const auto after = synth::persistent_store(dir)->stats();
     EXPECT_EQ(after.invalid - before.invalid, 1);
     EXPECT_EQ(after.writes - before.writes, 1);
-    EXPECT_NE(slurp(files[0]).find("grammar 1\n"), std::string::npos);
+    EXPECT_NE(slurp(files[0]).find(current), std::string::npos);
 
     // And a format-version bump behaves the same way.
     text = slurp(files[0]);
@@ -258,6 +263,77 @@ TEST(Persist, VersionKeyBumpInvalidatesAndResynthesizes)
     EXPECT_EQ(synth::persistent_store(dir)->stats().invalid -
                   after.invalid,
               1);
+}
+
+/**
+ * Before scalar examples took their variable type's extremes, a cast
+ * of a broadcast i16 scalar selected a saturating narrow (HVX vsat,
+ * Neon vqmovn) that is wrong for v in 32762..32767, and the disk tier
+ * kept it. Those entries, planted here exactly as grammar version 1
+ * wrote them, must be rejected and re-synthesized, never replayed.
+ */
+TEST(Persist, EntriesFromBeforeTypedScalarExamplesAreResynthesized)
+{
+    const std::string dir = fresh_dir("typed_scalars");
+    const ExprPtr e = hir::parse_expr(
+        "(cast i16 (absd (cast i32 (broadcast 16 (var i16 v))) "
+        "(const i32x16 -6)))");
+    synth::RakeOptions opts;
+    opts.use_cache = false;
+    opts.cache_dir = dir;
+    const ExprPtr normalized = hir::simplify(e);
+    const uint64_t fp = synth::options_fingerprint(opts);
+    char options_hex[17];
+    std::snprintf(options_hex, sizeof options_hex, "%016llx",
+                  static_cast<unsigned long long>(fp));
+    const std::string header =
+        std::string("cost-model 1\noptions ") + options_hex + "\nexpr " +
+        hir::to_sexpr(normalized) + "\nstatus ok\n";
+    const std::string hvx_wrong =
+        "(vsat i16x16 (vlo i32x8 (vabsdiff i32x16 (vsxt i32x16 (vsplat "
+        "i16x16 (var i16 v))) (vsplat i32x16 (const i32 -6)))) (vhi i32x8 "
+        "(vabsdiff i32x16 (vsxt i32x16 (vsplat i16x16 (var i16 v))) "
+        "(vsplat i32x16 (const i32 -6)))))";
+    const std::string neon_wrong =
+        "(vqmovn i16x16 (vabd i32x16 (vmovl i32x16 (vdup i16x16 (var i16 "
+        "v))) (vdup i32x16 (const i32 -6))))";
+    const struct {
+        std::unique_ptr<backend::TargetISA> isa;
+        std::string wrong, stats;
+    } planted[] = {
+        {backend::make_hvx_backend(hvx::Target{}), hvx_wrong,
+         "lift-update 1 1 0 0 0 0x1.efed16p-15\n"
+         "lift-replace 0 0 0 0 0 0x0p+0\n"
+         "lift-extend 2 2 0 0 0 0x1.a8e4318p-14\n"
+         "sketch 42 27 0 19 144 0x1.06a5942p-11\n"
+         "swizzle 20 6 0 162 0x1.522e760a1d655p-12\n"},
+        {backend::make_neon_backend(neon::Target{}), neon_wrong,
+         "lift-update 1 1 0 0 0 0x1.fe5451p-15\n"
+         "lift-replace 0 0 0 0 0 0x0p+0\n"
+         "lift-extend 2 2 0 0 0 0x1.5695158p-14\n"
+         "sketch 15 10 0 5 40 0x1.2e31384p-12\n"
+         "swizzle 0 0 0 0 0x0p+0\n"},
+    };
+    auto *store = synth::persistent_store(dir);
+    for (const auto &p : planted) {
+        SCOPED_TRACE(p.isa->name());
+        const std::string path =
+            store->entry_path(p.isa->name(), normalized, fp);
+        fs::create_directories(dir);
+        spit(path, "rake-cache 1\nbackend " + p.isa->name() +
+                       "\ngrammar 1\n" + header + "instr " + p.wrong +
+                       "\n" + p.stats + "backtracks 0\nproof unknown\nend\n");
+
+        const auto before = store->stats();
+        auto result = synth::select_instructions_for(e, *p.isa, opts);
+        ASSERT_TRUE(result.has_value());
+        EXPECT_FALSE(result->disk_hit);
+        EXPECT_NE(p.isa->instr_to_sexpr(result->instr), p.wrong);
+        const auto after = store->stats();
+        EXPECT_EQ(after.invalid - before.invalid, 1);
+        EXPECT_EQ(after.writes - before.writes, 1);
+        EXPECT_EQ(slurp(path).find(p.wrong), std::string::npos);
+    }
 }
 
 TEST(Persist, TruncatedOrCorruptEntryIsAMissNotACrash)
