@@ -38,6 +38,21 @@ TEST(Spec, CollectsLoadsVarsAndBufferTypes)
     EXPECT_THROW(Spec::from_expr(nullptr), UserError);
 }
 
+/**
+ * Examples give each scalar name one value drawn for its type, and
+ * each buffer one element type, so a name used at two types is a user
+ * error, whether it arrives as an s-expression (rake_serve) or built.
+ */
+TEST(Spec, RejectsAScalarOrBufferUsedAtTwoTypes)
+{
+    EXPECT_THROW(Spec::from_expr(hir::parse_expr(
+                     "(add (cast u16 (broadcast 16 (var u8 k))) "
+                     "(broadcast 16 (var u16 k)))")),
+                 UserError);
+    HExpr mixed = cast(u16, load(0, u8, 16, 0)) + load(0, u16, 16, 1);
+    EXPECT_THROW(Spec::from_expr(mixed.ptr()), UserError);
+}
+
 TEST(Spec, GeometryCoversFootprintWithMargin)
 {
     HExpr e = cast(u16, load(0, u8, 16, -3, -1)) +
