@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Compare the parent and change sides of a committed paired benchmark record.
 
-    python3 tools/bench_compare.py BENCH_FILE [BENCHMARK_JSON]
+    python3 tools/bench_compare.py BENCH_FILE
 
 BENCH_FILE holds paired perfbench runs: "runs" is a list of
 {"side": "parent"|"change", "workload", "seed", "first": the side that
-ran first in that pair, "result": the run's last stdout line}, and
-"claims" lists the {"workload", "metric"} gains the change claims.
-BENCHMARK_JSON (default: the one at the root of this checkout) gives
-each end-to-end metric's direction and bound.
+ran first in that pair, "result": the run's last stdout line}, in the
+order they ran, and "claims" lists the {"workload", "metric"} gains the
+change claims. BENCHMARK.json at the root of this checkout gives each
+end-to-end metric's direction and bound.
 
 For each workload and end-to-end metric it prints both sides' median
 and quartiles, the change in percent and a status:
@@ -20,10 +20,11 @@ and quartiles, the change in percent and a status:
               every parent run;
   ok          otherwise.
 
-A claim is met when the change wins at least 9 of every 10 pairs (ties
-count for neither side, and at least 10 pairs are needed) and the
-medians differ, in the better direction, by more than the parent's
-interquartile range.
+A claim is met when the side that ran first alternates from pair to
+pair (both runs of a pair name the same side), the change wins at least
+9 of every 10 pairs (ties count for neither side, and at least 10 pairs
+are needed) and the medians differ, in the better direction, by more
+than the parent's interquartile range.
 
 Exits 1 on any worse metric, on a higher failed-operation share on any
 workload, or on an unmet claim; 0 otherwise.
@@ -66,18 +67,27 @@ def pairs_of(runs, workload):
     return pairs
 
 
+def alternates(pairs):
+    """True when the side that ran first alternates from pair to pair."""
+    firsts = []
+    for slot in pairs.values():
+        first = {slot[s].get("first") for s in SIDES}
+        if len(first) != 1 or not first <= set(SIDES):
+            return False
+        firsts.append(first.pop())
+    return all(a != b for a, b in zip(firsts, firsts[1:]))
+
+
 def value(run, metric):
     return run["result"]["metrics"][metric]["value"]
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
-        sys.exit("usage: bench_compare.py BENCH_FILE [BENCHMARK_JSON]")
+    if len(argv) != 2:
+        sys.exit("usage: bench_compare.py BENCH_FILE")
     with open(argv[1]) as f:
         bench = json.load(f)
-    spec_path = (argv[2] if len(argv) == 3
-                 else os.path.join(ROOT, "BENCHMARK.json"))
-    with open(spec_path) as f:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     runs = bench["runs"]
@@ -128,10 +138,12 @@ def main(argv):
     for claim in bench.get("claims", []):
         workload, name = claim["workload"], claim["metric"]
         better = metrics[name]["better"]
-        pairs = pairs_of(runs, workload).values()
-        if not pairs:
+        by_seed = pairs_of(runs, workload)
+        if not by_seed:
             problems.append("claim %s %s has no runs" % (workload, name))
             continue
+        alternating = alternates(by_seed)
+        pairs = by_seed.values()
         wins = sum(beats(value(p["change"], name), value(p["parent"], name),
                          better) for p in pairs)
         parent = [value(p["parent"], name) for p in pairs]
@@ -139,11 +151,13 @@ def main(argv):
         pq1, pmed, pq3 = quartiles(parent)
         cmed = quartiles(change)[1]
         gap = cmed - pmed if better == "higher" else pmed - cmed
-        met = (len(pairs) >= 10 and wins * 10 >= 9 * len(pairs)
-               and gap > pq3 - pq1)
-        print("claim %s %s: change won %d of %d pairs; median gap %.4g, "
-              "parent IQR %.4g: %s"
-              % (workload, name, wins, len(pairs), gap, pq3 - pq1,
+        met = (alternating and len(pairs) >= 10
+               and wins * 10 >= 9 * len(pairs) and gap > pq3 - pq1)
+        print("claim %s %s: first side %s; change won %d of %d pairs; "
+              "median gap %.4g, parent IQR %.4g: %s"
+              % (workload, name,
+                 "alternates" if alternating else "does not alternate",
+                 wins, len(pairs), gap, pq3 - pq1,
                  "met" if met else "not met"))
         if not met:
             problems.append("claim %s %s not met" % (workload, name))
