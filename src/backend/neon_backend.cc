@@ -858,6 +858,13 @@ class NeonBackend final : public TargetISA
         return 2;
     }
 
+    int
+    cost_model_version() const override
+    {
+        // 2: structurally equal nodes count once; vmovl's latency is 3.
+        return 2;
+    }
+
   private:
     neon::Target target_;
     std::optional<synth::SwizzleSolver<NeonMoves>> solver_;

@@ -4,6 +4,7 @@
 
 #include "base/arith.h"
 #include "support/error.h"
+#include "support/structural.h"
 
 namespace rake::hir {
 
@@ -115,17 +116,15 @@ Expr::compute_hash(Op op, const VecType &type,
                    const std::vector<ExprPtr> &args, int64_t imm,
                    const LoadRef &load, const std::string &var)
 {
-    auto mix = [](size_t h, size_t v) {
-        return h * 1000003u ^ (v + 0x9e3779b9 + (h << 6) + (h >> 2));
-    };
     size_t h = static_cast<size_t>(op);
-    h = mix(h, static_cast<size_t>(type.elem));
-    h = mix(h, static_cast<size_t>(type.lanes));
-    h = mix(h, std::hash<int64_t>{}(imm));
-    h = mix(h, std::hash<int>{}(load.buffer * 8191 + load.dx * 31 + load.dy));
-    h = mix(h, std::hash<std::string>{}(var));
+    h = hash_mix(h, static_cast<size_t>(type.elem));
+    h = hash_mix(h, static_cast<size_t>(type.lanes));
+    h = hash_mix(h, std::hash<int64_t>{}(imm));
+    h = hash_mix(h, std::hash<int>{}(load.buffer * 8191 + load.dx * 31 +
+                                     load.dy));
+    h = hash_mix(h, std::hash<std::string>{}(var));
     for (const auto &a : args)
-        h = mix(h, a->hash());
+        h = hash_mix(h, a->hash());
     return h;
 }
 

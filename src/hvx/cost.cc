@@ -1,9 +1,9 @@
 #include "hvx/cost.h"
 
 #include <sstream>
-#include <unordered_set>
 
 #include "support/error.h"
+#include "support/structural.h"
 
 namespace rake::hvx {
 
@@ -54,17 +54,16 @@ issue_count(const Instr &n, const Target &target)
     return std::max(1, (regs + native - 1) / native);
 }
 
-namespace {
-
-void
-accumulate(const InstrPtr &n, const Target &target,
-           std::unordered_set<const Instr *> &seen, Cost &c)
+Cost
+cost_of(const InstrPtr &n, const Target &target)
 {
-    if (!seen.insert(n.get()).second)
-        return;
-    const OpcodeInfo &oi = info(n->op());
-    const int issues = issue_count(*n, target);
-    if (issues > 0) {
+    RAKE_CHECK(n != nullptr, "cost of null instruction");
+    Cost c;
+    for_each_distinct_node(*n, [&](const Instr &node) {
+        const OpcodeInfo &oi = info(node.op());
+        const int issues = issue_count(node, target);
+        if (issues == 0)
+            return;
         const int res = static_cast<int>(oi.resource);
         RAKE_CHECK(res < kNumCostedResources, "uncosted resource issued");
         c.per_resource[res] += issues;
@@ -72,20 +71,7 @@ accumulate(const InstrPtr &n, const Target &target,
         c.total_latency += oi.latency * issues;
         if (oi.resource == Resource::Load)
             c.loads += issues;
-    }
-    for (const auto &a : n->args())
-        accumulate(a, target, seen, c);
-}
-
-} // namespace
-
-Cost
-cost_of(const InstrPtr &n, const Target &target)
-{
-    RAKE_CHECK(n != nullptr, "cost of null instruction");
-    Cost c;
-    std::unordered_set<const Instr *> seen;
-    accumulate(n, target, seen, c);
+    });
     return c;
 }
 

@@ -73,7 +73,7 @@ struct Cost {
 
 std::string to_string(const Cost &c);
 
-/** Compute the cost of an instruction DAG (shared nodes count once). */
+/** Cost of an instruction DAG; structurally equal nodes count once. */
 Cost cost_of(const InstrPtr &n, const Target &target);
 
 /**

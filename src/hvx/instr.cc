@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "support/error.h"
+#include "support/structural.h"
 
 namespace rake::hvx {
 
@@ -12,20 +13,17 @@ Instr::Instr(Opcode op, VecType type, std::vector<InstrPtr> args,
     : op_(op), type_(type), args_(std::move(args)), imms_(std::move(imms)),
       load_(load), splat_(std::move(splat))
 {
-    auto mix = [](size_t h, size_t v) {
-        return h * 1000003u ^ (v + 0x9e3779b9 + (h << 6) + (h >> 2));
-    };
     size_t h = static_cast<size_t>(op_);
-    h = mix(h, static_cast<size_t>(type_.elem));
-    h = mix(h, static_cast<size_t>(type_.lanes));
+    h = hash_mix(h, static_cast<size_t>(type_.elem));
+    h = hash_mix(h, static_cast<size_t>(type_.lanes));
     for (int64_t i : imms_)
-        h = mix(h, std::hash<int64_t>{}(i));
-    h = mix(h, std::hash<int>{}(load_.buffer * 8191 + load_.dx * 31 +
-                                load_.dy));
+        h = hash_mix(h, std::hash<int64_t>{}(i));
+    h = hash_mix(h, std::hash<int>{}(load_.buffer * 8191 + load_.dx * 31 +
+                                     load_.dy));
     if (splat_)
-        h = mix(h, splat_->hash());
+        h = hash_mix(h, splat_->hash());
     for (const auto &a : args_)
-        h = mix(h, a->hash());
+        h = hash_mix(h, a->hash());
     hash_ = h;
 }
 
@@ -325,11 +323,8 @@ Instr::equals(const Instr &other) const
         return true;
     if (op_ != other.op_ || !(type_ == other.type_) ||
         hash_ != other.hash_ || imms_ != other.imms_ ||
-        !(load_ == other.load_) || args_.size() != other.args_.size())
-        return false;
-    if ((splat_ == nullptr) != (other.splat_ == nullptr))
-        return false;
-    if (splat_ && !splat_->equals(*other.splat_))
+        !(load_ == other.load_) || args_.size() != other.args_.size() ||
+        !hir::equal(splat_, other.splat_))
         return false;
     for (size_t i = 0; i < args_.size(); ++i) {
         if (!args_[i]->equals(*other.args_[i]))
@@ -338,30 +333,14 @@ Instr::equals(const Instr &other) const
     return true;
 }
 
-namespace {
-
-void
-count_unique(const Instr *n, std::vector<const Instr *> &seen, int &count)
-{
-    for (const Instr *s : seen) {
-        if (s == n)
-            return;
-    }
-    seen.push_back(n);
-    if (info(n->op()).resource != Resource::None)
-        ++count;
-    for (const auto &a : n->args())
-        count_unique(a.get(), seen, count);
-}
-
-} // namespace
-
 int
 Instr::instruction_count() const
 {
-    std::vector<const Instr *> seen;
     int count = 0;
-    count_unique(this, seen, count);
+    for_each_distinct_node(*this, [&](const Instr &n) {
+        if (info(n.op()).resource != Resource::None)
+            ++count;
+    });
     return count;
 }
 

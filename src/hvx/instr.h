@@ -75,7 +75,7 @@ class Instr
     /** Deep structural equality. */
     bool equals(const Instr &other) const;
 
-    /** Number of cost-bearing instructions in the DAG (deduplicated). */
+    /** Cost-bearing instructions in the DAG, equal nodes once. */
     int instruction_count() const;
 
   private:

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
+
+#include "support/structural.h"
 
 namespace rake::neon {
 
@@ -17,7 +18,8 @@ latency_of(NOp op)
       case NOp::Mull:
       case NOp::Mlal:
         return 4;
-      // Shifts, narrows, and cross-lane permutes.
+      // Shifts, widening moves, narrows, and cross-lane permutes.
+      case NOp::Movl:
       case NOp::Shl:
       case NOp::Sshr:
       case NOp::Ushr:
@@ -82,32 +84,18 @@ issue_count(const NInstr &n, const Target &target)
     return std::max(1, regs);
 }
 
-namespace {
-
-void
-accumulate(const NInstr *n, const Target &target,
-           std::unordered_set<const NInstr *> &seen, Cost &cost)
-{
-    if (!seen.insert(n).second)
-        return;
-    const int issues = issue_count(*n, target);
-    cost.total_instructions += issues;
-    cost.total_latency += latency_of(n->op()) * issues;
-    if (n->op() == NOp::Ld1)
-        cost.loads += issues;
-    for (const auto &a : n->args())
-        accumulate(a.get(), target, seen, cost);
-}
-
-} // namespace
-
 Cost
 cost_of(const NInstrPtr &n, const Target &target)
 {
     RAKE_CHECK(n != nullptr, "cost of null instruction");
     Cost cost;
-    std::unordered_set<const NInstr *> seen;
-    accumulate(n.get(), target, seen, cost);
+    for_each_distinct_node(*n, [&](const NInstr &node) {
+        const int issues = issue_count(node, target);
+        cost.total_instructions += issues;
+        cost.total_latency += latency_of(node.op()) * issues;
+        if (node.op() == NOp::Ld1)
+            cost.loads += issues;
+    });
     return cost;
 }
 

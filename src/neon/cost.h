@@ -39,7 +39,7 @@ struct Target {
     }
 };
 
-/** Cost of one instruction DAG (shared nodes counted once). */
+/** Cost of one instruction DAG. */
 struct Cost {
     int total_instructions = 0; ///< issue slots
     int total_latency = 0;      ///< summed issue latencies
@@ -67,6 +67,7 @@ int issue_count(const NInstr &n, const Target &target);
 /** Result latency in cycles of one issue of `op`. */
 int latency_of(NOp op);
 
+/** Cost of a DAG; structurally equal nodes count once. */
 Cost cost_of(const NInstrPtr &n, const Target &target);
 
 std::string to_string(const Cost &c);

@@ -1,11 +1,12 @@
 #include "neon/instr.h"
 
+#include <functional>
 #include <map>
 #include <sstream>
-#include <unordered_set>
 
 #include "hir/printer.h"
 #include "support/error.h"
+#include "support/structural.h"
 
 namespace rake::neon {
 
@@ -111,6 +112,26 @@ is_free_movement(NOp op)
       default:
         return false;
     }
+}
+
+NInstr::NInstr(NOp op, VecType type, std::vector<NInstrPtr> args,
+               std::vector<int64_t> imms, hir::LoadRef load,
+               hir::ExprPtr dup)
+    : op_(op), type_(type), args_(std::move(args)), imms_(std::move(imms)),
+      load_(load), dup_(std::move(dup))
+{
+    size_t h = static_cast<size_t>(op_);
+    h = hash_mix(h, static_cast<size_t>(type_.elem));
+    h = hash_mix(h, static_cast<size_t>(type_.lanes));
+    for (int64_t i : imms_)
+        h = hash_mix(h, std::hash<int64_t>{}(i));
+    h = hash_mix(h, std::hash<int>{}(load_.buffer * 8191 + load_.dx * 31 +
+                                     load_.dy));
+    if (dup_)
+        h = hash_mix(h, dup_->hash());
+    for (const auto &a : args_)
+        h = hash_mix(h, a->hash());
+    hash_ = h;
 }
 
 NInstrPtr
@@ -264,28 +285,31 @@ NInstr::make(NOp op, std::vector<NInstrPtr> args,
                                 nullptr));
 }
 
-namespace {
-
-void
-count_instrs(const NInstr *n, std::unordered_set<const NInstr *> &seen,
-             int &count)
+bool
+NInstr::equals(const NInstr &other) const
 {
-    if (!seen.insert(n).second)
-        return;
-    if (!is_free_movement(n->op()))
-        ++count;
-    for (const auto &a : n->args())
-        count_instrs(a.get(), seen, count);
+    if (this == &other)
+        return true;
+    if (op_ != other.op_ || !(type_ == other.type_) ||
+        hash_ != other.hash_ || imms_ != other.imms_ ||
+        !(load_ == other.load_) || args_.size() != other.args_.size() ||
+        !hir::equal(dup_, other.dup_))
+        return false;
+    for (size_t i = 0; i < args_.size(); ++i) {
+        if (!args_[i]->equals(*other.args_[i]))
+            return false;
+    }
+    return true;
 }
-
-} // namespace
 
 int
 NInstr::instruction_count() const
 {
-    std::unordered_set<const NInstr *> seen;
     int count = 0;
-    count_instrs(this, seen, count);
+    for_each_distinct_node(*this, [&](const NInstr &n) {
+        if (!is_free_movement(n.op()))
+            ++count;
+    });
     return count;
 }
 

@@ -113,8 +113,14 @@ class NInstr
         return static_cast<int>(imms_[0]);
     }
 
+    /** Structural hash (cached). */
+    size_t hash() const { return hash_; }
+
+    /** Deep structural equality. */
+    bool equals(const NInstr &other) const;
+
     /**
-     * Instructions in the DAG (shared subtrees counted once), not
+     * Instructions in the DAG (structurally equal nodes once), not
      * counting free register plumbing — see is_free_movement().
      */
     int instruction_count() const;
@@ -122,11 +128,7 @@ class NInstr
   private:
     NInstr(NOp op, VecType type, std::vector<NInstrPtr> args,
            std::vector<int64_t> imms, hir::LoadRef load,
-           hir::ExprPtr dup)
-        : op_(op), type_(type), args_(std::move(args)),
-          imms_(std::move(imms)), load_(load), dup_(std::move(dup))
-    {
-    }
+           hir::ExprPtr dup);
 
     NOp op_;
     VecType type_;
@@ -134,6 +136,7 @@ class NInstr
     std::vector<int64_t> imms_;
     hir::LoadRef load_;
     hir::ExprPtr dup_;
+    size_t hash_ = 0;
 };
 
 /** Flat listing renderer (one instruction per line). */

@@ -3,26 +3,11 @@
 #include <unordered_map>
 
 #include "support/error.h"
+#include "support/structural.h"
 
 namespace rake::sim {
 
 namespace {
-
-struct HashByStructure {
-    size_t
-    operator()(const hvx::InstrPtr &n) const
-    {
-        return n->hash();
-    }
-};
-
-struct EqByStructure {
-    bool
-    operator()(const hvx::InstrPtr &a, const hvx::InstrPtr &b) const
-    {
-        return a->equals(*b);
-    }
-};
 
 class Linearizer
 {
@@ -72,8 +57,8 @@ class Linearizer
     }
 
   private:
-    std::unordered_map<hvx::InstrPtr, hvx::InstrPtr, HashByStructure,
-                       EqByStructure>
+    std::unordered_map<hvx::InstrPtr, hvx::InstrPtr, StructuralHash,
+                       StructuralEqual>
         canon_;
     std::vector<hvx::InstrPtr> order_;
 };

@@ -66,10 +66,12 @@ inline constexpr int kPersistFormatVersion = 1;
  * changes; rule tables and the miner key on them too. Grammar 2:
  * scalar examples take their variable type's extremes, so entries
  * written under 1, which can hold a saturating narrow where the cast
- * wraps, are re-synthesized.
+ * wraps, are re-synthesized. Cost model 2: structurally equal nodes
+ * count once, so entries and rule costs written under 1, which counted
+ * a separately built copy of a node again, are re-synthesized.
  */
 inline constexpr int kHvxGrammarVersion = 2;
-inline constexpr int kHvxCostModelVersion = 1;
+inline constexpr int kHvxCostModelVersion = 2;
 
 /** Disk-tier counters (monotonic per store). */
 struct DiskCacheStats {

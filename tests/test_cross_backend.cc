@@ -27,8 +27,32 @@ namespace {
 using pipeline::Benchmark;
 using pipeline::KernelExpr;
 
+/** A backend cost as "scalar/instructions/latency". */
+std::string
+cost_text(const backend::TargetISA &isa, const backend::InstrHandle &p)
+{
+    const backend::Cost c = isa.cost_of(p);
+    return std::to_string(c.scalar) + "/" +
+           std::to_string(c.total_instructions) + "/" +
+           std::to_string(c.total_latency);
+}
+
+/**
+ * The cost of `p` after an s-expression round trip, which rebuilds
+ * every shared node as a separate copy (as disk entries and rule
+ * tables are read back).
+ */
+std::string
+round_trip_cost_text(const backend::TargetISA &isa,
+                     const backend::InstrHandle &p)
+{
+    return cost_text(isa, isa.instr_from_sexpr(isa.instr_to_sexpr(p)));
+}
+
 TEST(CrossBackend, BenchmarkSuiteAgreesOnBothBackends)
 {
+    const auto hvx_isa = backend::make_hvx_backend(hvx::Target{});
+    const auto neon_isa = backend::make_neon_backend(neon::Target{});
     for (const Benchmark &b : pipeline::benchmark_suite()) {
         for (const KernelExpr &k : b.exprs) {
             SCOPED_TRACE(b.name + ":" + k.name);
@@ -44,6 +68,11 @@ TEST(CrossBackend, BenchmarkSuiteAgreesOnBothBackends)
                 EXPECT_EQ(hvx::evaluate(hv->instr, env), ref);
                 EXPECT_EQ(neon::evaluate(*ne, env), ref);
             }
+            // One program has one cost, shared nodes or not.
+            EXPECT_EQ(round_trip_cost_text(*hvx_isa, hv->instr),
+                      cost_text(*hvx_isa, hv->instr));
+            EXPECT_EQ(round_trip_cost_text(*neon_isa, *ne),
+                      cost_text(*neon_isa, *ne));
         }
     }
 }

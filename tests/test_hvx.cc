@@ -335,8 +335,21 @@ TEST(HvxCost, MaxPerResourceAndSharing)
     EXPECT_EQ(c.loads, 1);
     EXPECT_EQ(c.per_resource[static_cast<int>(Resource::Mpy)], 2);
     EXPECT_EQ(c.scalar(), 2); // mpy is the max
+    EXPECT_EQ(sum->instruction_count(), 4);
     Cost cheaper = cost_of(m1, t);
     EXPECT_TRUE(cheaper.better_than(c));
+
+    // A separately built but structurally equal read is the same
+    // instruction: one program has one cost, however it was built.
+    InstrPtr m2_own_read = Instr::make(Opcode::VMpy, {read8(), splat8(3)});
+    ASSERT_NE(m2_own_read->arg(0), a);
+    InstrPtr rebuilt = Instr::make(Opcode::VAdd, {m1, m2_own_read});
+    Cost r = cost_of(rebuilt, t);
+    EXPECT_EQ(r.loads, 1);
+    EXPECT_EQ(r.total_instructions, c.total_instructions);
+    EXPECT_EQ(r.total_latency, c.total_latency);
+    EXPECT_EQ(r.per_resource, c.per_resource);
+    EXPECT_EQ(rebuilt->instruction_count(), 4);
 }
 
 TEST(HvxPrinter, ConcreteNamesAndListing)

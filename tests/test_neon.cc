@@ -11,6 +11,7 @@
 #include "hir/interp.h"
 #include "hir/printer.h"
 #include "hvx/interp.h"
+#include "neon/cost.h"
 #include "neon/select.h"
 #include "synth/rake.h"
 #include "test_util.h"
@@ -117,6 +118,41 @@ TEST(Neon, WordMultiplyAccumulateWrapsPastInt64)
         neon::evaluate(neon::NInstr::make(NOp::Mla, {big, big, big}), Env{});
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(m[i], 0);
+}
+
+TEST(NeonCost, StructurallyEqualNodesCountOnce)
+{
+    // Twin of HvxCost.MaxPerResourceAndSharing: a shared load and a
+    // separately built but structurally equal one are one vld1.
+    const neon::Target t;
+    auto load = [] {
+        return neon::NInstr::make_load(hir::LoadRef{0, 0, 0},
+                                       VecType(u8, 16));
+    };
+    auto dup = [](int64_t v) {
+        return neon::NInstr::make_dup(
+            hir::Expr::make_const(v, VecType(u8, 1)), 16);
+    };
+    const NInstrPtr a = load();
+    const NInstrPtr m1 = neon::NInstr::make(NOp::Mul, {a, dup(2)});
+    const NInstrPtr m2 = neon::NInstr::make(NOp::Mul, {a, dup(3)});
+    const NInstrPtr sum = neon::NInstr::make(NOp::Add, {m1, m2});
+    const neon::Cost c = neon::cost_of(sum, t);
+    EXPECT_EQ(c.loads, 1);
+    EXPECT_EQ(c.total_instructions, 4); // vld1, 2x vmul, vadd
+    EXPECT_EQ(sum->instruction_count(), 4);
+
+    const NInstrPtr m2_own_load =
+        neon::NInstr::make(NOp::Mul, {load(), dup(3)});
+    ASSERT_NE(m2_own_load->arg(0), a);
+    const NInstrPtr rebuilt = neon::NInstr::make(NOp::Add, {m1, m2_own_load});
+    EXPECT_TRUE(rebuilt->equals(*sum));
+    EXPECT_EQ(rebuilt->hash(), sum->hash());
+    const neon::Cost r = neon::cost_of(rebuilt, t);
+    EXPECT_EQ(r.loads, 1);
+    EXPECT_EQ(r.total_instructions, c.total_instructions);
+    EXPECT_EQ(r.total_latency, c.total_latency);
+    EXPECT_EQ(rebuilt->instruction_count(), 4);
 }
 
 TEST(Neon, LiftOnceLowerTwice)

@@ -336,6 +336,100 @@ TEST(Persist, EntriesFromBeforeTypedScalarExamplesAreResynthesized)
     }
 }
 
+/**
+ * Cost model 2 counts structurally equal nodes once. For the depth-5
+ * fuzz program fuzz::program_seed(11, 900), cost model 1 kept a
+ * vmpy.acc form that builds vsxt(vsplat v) twice; cost model 2
+ * selects vmpyi.acc, which shares it and issues one multiply fewer.
+ * The entry planted here is the one a cost-model-1 build wrote, byte
+ * for byte: it must be rejected and re-synthesized, not replayed.
+ */
+TEST(Persist, EntriesFromBeforeStructuralCostsAreResynthesized)
+{
+    const std::string dir = fresh_dir("structural_costs");
+    const std::string expr =
+        "(mul (xor (max (cast i32 (absd (cast i64 (load u16x16 1 2 1)) "
+        "(const i64x16 -9223372036854775808))) (add (min (cast i32 (load "
+        "u16x16 1 1 -1)) (cast i32 (load u16x16 1 1 0))) (add (cast i32 "
+        "(load u16x16 1 -3 0)) (const i32x16 -11)))) (shr (sub (add (cast "
+        "i32 (broadcast 16 (var i16 v))) (cast i32 (load u16x16 1 0 1))) "
+        "(shr (cast i32 (broadcast 16 (var i16 v))) (const i32x16 7))) "
+        "(const i32x16 7))) (const i32x16 -7))";
+    const std::string old_instr =
+        "(vshuffvdd i32x16 (vmpyi i32x16 (vxor i32x16 (vmax i32x16 "
+        "(vdealvdd i32x16 (vpacke i32x16 (vlo i64x8 (vabsdiff i64x16 "
+        "(vbitcast i64x16 (vzxt u64x16 (vshuffvdd u32x16 (vzxt u32x16 "
+        "(vmem u16x16 1 2 1))))) (vsplat i64x16 (const i64 "
+        "-9223372036854775808)))) (vhi i64x8 (vabsdiff i64x16 (vbitcast "
+        "i64x16 (vzxt u64x16 (vshuffvdd u32x16 (vzxt u32x16 (vmem u16x16 1 "
+        "2 1))))) (vsplat i64x16 (const i64 -9223372036854775808)))))) "
+        "(vbitcast i32x16 (vmpy.acc u32x16 (vbitcast u32x16 (vadd i32x16 "
+        "(vsplat i32x16 (const i32 -11)) (vmin i32x16 (vbitcast i32x16 "
+        "(vzxt u32x16 (vmem u16x16 1 1 -1))) (vbitcast i32x16 (vzxt u32x16 "
+        "(vmem u16x16 1 1 0)))))) (vmem u16x16 1 -3 0) (vsplat u16x16 "
+        "(const u16 1))))) (vasr i32x16 (vbitcast i32x16 (vmpy.acc u32x16 "
+        "(vbitcast u32x16 (vmpy.acc i32x16 (vmpyi i32x16 (vasr i32x16 "
+        "(vsxt i32x16 (vsplat i16x16 (var i16 v))) #7) (vsplat i32x16 "
+        "(const i32 -1))) (vsplat i16x16 (var i16 v)) (vsplat i16x16 "
+        "(const i16 1)))) (vmem u16x16 1 0 1) (vsplat u16x16 (const u16 "
+        "1)))) #7)) (vsplat i32x16 (const i32 -7))))";
+    const std::string new_instr =
+        "(vshuffvdd i32x16 (vmpyi i32x16 (vxor i32x16 (vmax i32x16 "
+        "(vdealvdd i32x16 (vpacke i32x16 (vlo i64x8 (vabsdiff i64x16 "
+        "(vbitcast i64x16 (vzxt u64x16 (vshuffvdd u32x16 (vzxt u32x16 "
+        "(vmem u16x16 1 2 1))))) (vsplat i64x16 (const i64 "
+        "-9223372036854775808)))) (vhi i64x8 (vabsdiff i64x16 (vbitcast "
+        "i64x16 (vzxt u64x16 (vshuffvdd u32x16 (vzxt u32x16 (vmem u16x16 1 "
+        "2 1))))) (vsplat i64x16 (const i64 -9223372036854775808)))))) "
+        "(vbitcast i32x16 (vmpy.acc u32x16 (vbitcast u32x16 (vadd i32x16 "
+        "(vsplat i32x16 (const i32 -11)) (vmin i32x16 (vbitcast i32x16 "
+        "(vzxt u32x16 (vmem u16x16 1 1 -1))) (vbitcast i32x16 (vzxt u32x16 "
+        "(vmem u16x16 1 1 0)))))) (vmem u16x16 1 -3 0) (vsplat u16x16 "
+        "(const u16 1))))) (vasr i32x16 (vbitcast i32x16 (vmpy.acc u32x16 "
+        "(vbitcast u32x16 (vmpyi.acc i32x16 (vsxt i32x16 (vsplat i16x16 "
+        "(var i16 v))) (vasr i32x16 (vsxt i32x16 (vsplat i16x16 (var i16 "
+        "v))) #7) (vsplat i32x16 (const i32 -1)))) (vmem u16x16 1 0 1) "
+        "(vsplat u16x16 (const u16 1)))) #7)) (vsplat i32x16 (const i32 "
+        "-7))))";
+    const ExprPtr e = hir::parse_expr(expr);
+    synth::RakeOptions opts;
+    opts.use_cache = false;
+    opts.cache_dir = dir;
+    const ExprPtr normalized = hir::simplify(e);
+    ASSERT_EQ(hir::to_sexpr(normalized), expr);
+    const uint64_t fp = synth::options_fingerprint(opts);
+    char options_hex[17];
+    std::snprintf(options_hex, sizeof options_hex, "%016llx",
+                  static_cast<unsigned long long>(fp));
+    const auto isa = backend::make_hvx_backend(hvx::Target{});
+    auto *store = synth::persistent_store(dir);
+    const std::string path = store->entry_path(isa->name(), normalized, fp);
+    fs::create_directories(dir);
+    spit(path, "rake-cache 1\nbackend hvx\ngrammar 2\ncost-model 1\n"
+               "options " + std::string(options_hex) + "\nexpr " + expr +
+               "\nstatus ok\ninstr " + old_instr + "\n"
+               "lift-update 3 2 0 0 0 0x1.4eb6bec8p-12\n"
+               "lift-replace 3 3 0 0 0 0x1.250401a4p-11\n"
+               "lift-extend 14 14 0 0 1 0x1.c0dea45ep-10\n"
+               "sketch 173 113 0 74 564 0x1.1d9a9eecp-7\n"
+               "swizzle 90 34 0 14 0x1.0ae00b768951cp-12\n"
+               "backtracks 2\n"
+               "proof unknown\n"
+               "end\n");
+
+    const auto before = store->stats();
+    auto result = synth::select_instructions_for(e, *isa, opts);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_FALSE(result->disk_hit);
+    EXPECT_EQ(isa->instr_to_sexpr(result->instr), new_instr);
+    const auto after = store->stats();
+    EXPECT_EQ(after.invalid - before.invalid, 1);
+    EXPECT_EQ(after.writes - before.writes, 1);
+    const std::string rewritten = slurp(path);
+    EXPECT_NE(rewritten.find("cost-model 2\n"), std::string::npos);
+    EXPECT_NE(rewritten.find(new_instr), std::string::npos);
+}
+
 TEST(Persist, TruncatedOrCorruptEntryIsAMissNotACrash)
 {
     const std::string dir = fresh_dir("corrupt");
