@@ -24,8 +24,8 @@
  *    the lowest-cost search and the swizzle budget accounting.
  *
  * A TargetISA instance is created per lowering run and may carry
- * mutable per-run state (e.g. a swizzle memo table); the core calls
- * it from one thread.
+ * mutable per-run state (e.g. the swizzle search's window-read memo);
+ * the core calls it from one thread.
  */
 #ifndef RAKE_BACKEND_TARGET_ISA_H
 #define RAKE_BACKEND_TARGET_ISA_H
@@ -44,7 +44,16 @@
 #include "uir/uexpr.h"
 
 namespace rake::synth {
-struct SwizzleStats;
+
+/** Instrumentation for Table 1's swizzling columns. */
+struct SwizzleStats {
+    int queries = 0;   ///< candidate swizzle programs examined
+    int solved = 0;    ///< holes successfully concretized
+    int unsat = 0;     ///< holes proven infeasible within budget
+    int memo_hits = 0; ///< always 0 (no goal memo); reports read it
+    double seconds = 0.0;
+};
+
 } // namespace rake::synth
 
 namespace rake::backend {

@@ -13,6 +13,10 @@
  *  3. concretize the holes via swizzle synthesis under the cost bound
  *     β (§5), tighten β, and backtrack for a cheaper implementation.
  *
+ * The backend's cost_of() / instruction_count() count structurally
+ * equal nodes once, so a move the swizzle search builds twice is
+ * charged once, as if it were shared.
+ *
  * Lowering is parameterized over the output data layout ℓ
  * (linear / deinterleaved, §5.1) so intermediate values can stay in
  * the layout widening instructions naturally produce.
@@ -67,8 +71,8 @@ struct BackendLowerResult {
  * Lower a lifted expression through the given backend. Returns
  * nullopt when no verified implementation was found (the caller then
  * falls back to its baseline selector, as Rake falls back to
- * Halide's). The backend instance carries per-run state (swizzle
- * memo); use a fresh one per call.
+ * Halide's). The backend instance carries per-run state (the swizzle
+ * search's window reads); use a fresh one per call.
  */
 std::optional<BackendLowerResult>
 lower_with_backend(Verifier &verifier, const uir::UExprPtr &lifted,

@@ -1,29 +1,13 @@
 #include "synth/swizzle.h"
 
+#include <unordered_map>
+#include <unordered_set>
+
 #include "sim/linearize.h"
 #include "sim/simulator.h"
 #include "support/error.h"
 
 namespace rake::synth {
-
-size_t
-SwizzleKeyHash::operator()(const SwizzleKey &k) const
-{
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t x) { h = (h ^ x) * 1099511628211ull; };
-    for (const Cell &c : std::get<0>(k)) {
-        mix(static_cast<uint64_t>(c.kind));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.buffer)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.dy)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.x)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.source)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.lane)));
-    }
-    mix(static_cast<uint64_t>(static_cast<int>(std::get<1>(k))));
-    for (const void *p : std::get<2>(k))
-        mix(reinterpret_cast<uintptr_t>(p));
-    return static_cast<size_t>(h);
-}
 
 std::string
 to_string(EdgeLayout layout)

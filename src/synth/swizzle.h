@@ -7,12 +7,13 @@
  * looks, under an instruction budget, for the cheapest program in a
  * target's data-movement grammar whose output lanes realize the hole's
  * arrangement. Every candidate program tried counts as one swizzling
- * query (Table 1); the search is memoized per goal and backtracks
- * through the budget exactly as Algorithm 2 requires. Within one goal
- * the budget tightens as Algorithm 2's beta does: once a program is
- * found, later rules look only for a strictly cheaper one.
+ * query (Table 1). Within one goal the budget tightens as Algorithm
+ * 2's beta does: once a program is found, later rules look only for a
+ * strictly cheaper one. No result outlives the solve() that found it,
+ * so a goal's answer depends on the path that reached it only through
+ * the guard that refuses a goal already being explored further up.
  *
- * The engine owns the search: the memo protocol, shared window reads,
+ * The engine owns the search: that guard, shared window reads,
  * deadline polls, the stats, and the rules every target has — zero
  * splat, window read, source identity, lo/hi half, then interleave,
  * deinterleave and concatenation of solvable sub-goals. A backend
@@ -31,43 +32,16 @@
 #include <optional>
 #include <string>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "backend/target_isa.h"
 #include "hvx/cost.h"
 #include "sim/machine.h"
 #include "support/deadline.h"
 #include "synth/symbolic_vector.h"
 
 namespace rake::synth {
-
-/** Instrumentation for Table 1's swizzling columns. */
-struct SwizzleStats {
-    int queries = 0;   ///< candidate swizzle programs examined
-    int solved = 0;    ///< holes successfully concretized
-    int unsat = 0;     ///< holes proven infeasible within budget
-    int memo_hits = 0; ///< goals answered from the memo table
-    double seconds = 0.0;
-};
-
-/**
- * Swizzle memo key: the goal arrangement, its element type, and the
- * identities of the source nodes Src cells refer to (the same
- * arrangement over different sources is a different goal).
- */
-using SwizzleKey =
-    std::tuple<Arrangement, ScalarType, std::vector<const void *>>;
-
-/**
- * Cell-wise FNV hash over the full key. Lookups used to go through
- * std::map, whose lexicographic Cell comparisons were a measurable
- * slice of synthesis time on deep swizzle searches.
- */
-struct SwizzleKeyHash {
-    size_t operator()(const SwizzleKey &k) const;
-};
 
 /**
  * Goal-directed, budgeted search for data-movement programs over one
@@ -87,9 +61,9 @@ struct SwizzleKeyHash {
  *  - `isa_rules(goal, elem, sources, budget, search, consider)`: the
  *    ISA-only rules, tried after concat under the goal's budget,
  *    tightened below its best program once it has one.
- *    `search(sub_goal, sub_budget)` recurses into the memoized search
- *    over the same sources and `consider(node, cost)` counts and
- *    offers one candidate.
+ *    `search(sub_goal, sub_budget)` recurses into the search over the
+ *    same sources and `consider(node, cost)` counts and offers one
+ *    candidate.
  */
 template <typename Moves>
 class SwizzleSolver
@@ -134,7 +108,7 @@ class SwizzleSolver
     /**
      * Wall-clock budget polled at every recursive search step; on
      * expiry the search throws TimeoutError instead of returning
-     * unsat, so a timeout is never memoized as a negative result.
+     * unsat, so a timeout is never mistaken for a negative result.
      */
     void set_deadline(const Deadline &deadline) { deadline_ = deadline; }
 
@@ -145,32 +119,7 @@ class SwizzleSolver
     }
 
   private:
-    /**
-     * Memo entry for one goal. A positive result (instr + cost) and
-     * the highest budget a search came up empty at are tracked in
-     * separate fields: backtracking re-queries the same goal at a
-     * *tighter* budget (Algorithm 2 shrinks beta), and that failure
-     * must not clobber a solution already found at a looser budget —
-     * later higher-budget queries still want it.
-     */
-    struct Result {
-        NodePtr instr;         ///< best known program (null = none yet)
-        int cost = 0;          ///< its cost (when found)
-        int failed_budget = -1;///< highest budget proven infeasible
-    };
-
     using Found = std::optional<std::pair<NodePtr, int>>;
-
-    static SwizzleKey
-    key_of(const Arrangement &arr, ScalarType elem,
-           const std::vector<NodePtr> &sources)
-    {
-        std::vector<const void *> ids;
-        ids.reserve(sources.size());
-        for (const auto &s : sources)
-            ids.push_back(s.get());
-        return std::make_tuple(arr, elem, std::move(ids));
-    }
 
     /** Is `a` exactly one half (lo or hi) of a source? */
     static bool
@@ -201,7 +150,10 @@ class SwizzleSolver
         return false;
     }
 
-    /** Memoized window read so identical loads share one node. */
+    /**
+     * Memoized window read, so identical loads share one node and the
+     * JIT compiles each once.
+     */
     NodePtr
     read(int buffer, int dy, int x0, VecType type)
     {
@@ -218,33 +170,21 @@ class SwizzleSolver
     search(const Arrangement &arr, ScalarType elem,
            const std::vector<NodePtr> &sources, int budget)
     {
-        // Poll before memo writes: a timeout unwinds out of here
-        // without recording anything, so an aborted search can never
-        // masquerade as a memoized "unsat within budget".
         deadline_.check("swizzle synthesis");
 
         if (budget < 0)
             return std::nullopt;
-        const SwizzleKey key = key_of(arr, elem, sources);
-        auto it = memo_.find(key);
-        if (it != memo_.end()) {
-            const Result &r = it->second;
-            if (r.instr && r.cost <= budget) {
-                ++stats_.memo_hits;
-                return std::make_pair(r.instr, r.cost);
-            }
-            if (r.failed_budget >= budget) {
-                ++stats_.memo_hits;
+        // One solve() fixes the element type and the sources, so the
+        // cells alone tell its goals apart. A goal already being
+        // explored further up the recursion is refused.
+        for (const Arrangement *a : active_)
+            if (*a == arr)
                 return std::nullopt;
-            }
-        }
-        if (!active_.insert(key).second)
-            return std::nullopt; // already exploring this goal
+        active_.push_back(&arr);
         struct ActiveGuard {
-            std::unordered_set<SwizzleKey, SwizzleKeyHash> &set;
-            const SwizzleKey &key;
-            ~ActiveGuard() { set.erase(key); }
-        } guard{active_, key};
+            std::vector<const Arrangement *> &stack;
+            ~ActiveGuard() { stack.pop_back(); }
+        } guard{active_};
 
         const int n = static_cast<int>(arr.size());
         const VecType type(elem, n);
@@ -291,21 +231,8 @@ class SwizzleSolver
                 consider(moves_.half(sources[source], hi), 0);
         }
 
-        // Merge into the memo without discarding what is already
-        // known: keep the cheapest program ever found, and separately
-        // the highest budget that failed.
-        auto remember_solved = [&]() {
-            Result &r = memo_[key];
-            if (!r.instr || best->second < r.cost) {
-                r.instr = best->first;
-                r.cost = best->second;
-            }
-        };
-
-        if (best && best->second == 0) {
-            remember_solved();
+        if (best && best->second == 0)
             return best;
-        }
 
         auto sub_search = [&](const Arrangement &goal, int sub_budget) {
             return search(goal, elem, sources, sub_budget);
@@ -352,21 +279,13 @@ class SwizzleSolver
         }
 
         moves_.isa_rules(arr, elem, sources, bound(), sub_search, consider);
-
-        if (best) {
-            remember_solved();
-            return best;
-        }
-        Result &r = memo_[key];
-        r.failed_budget = std::max(r.failed_budget, budget);
-        return std::nullopt;
+        return best;
     }
 
     Moves moves_;
     SwizzleStats &stats_;
     Deadline deadline_;
-    std::unordered_map<SwizzleKey, Result, SwizzleKeyHash> memo_;
-    std::unordered_set<SwizzleKey, SwizzleKeyHash> active_;
+    std::vector<const Arrangement *> active_; ///< the recursion path
     std::map<std::tuple<int, int, int, int, ScalarType>, NodePtr> reads_;
 };
 
@@ -374,7 +293,7 @@ class SwizzleSolver
  * The body of a backend's TargetISA::solve_hole. A solver binds the
  * run's stats sink at construction, so `solver` is built lazily on a
  * lowering run's first query and rebuilt when a later run counts into
- * other stats: its memo lives as long as one run.
+ * other stats: its window-read memo lives as long as one run.
  */
 template <typename Moves>
 std::optional<backend::InstrHandle>
