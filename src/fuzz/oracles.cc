@@ -320,16 +320,19 @@ check_stages(const std::vector<hir::ExprPtr> &stages,
 
         // Wire the staged program into a Benchmark: stage i reads
         // stage i-1 through the generator's reserved buffer 8+(i-1).
+        auto stage_name = [](size_t i) {
+            return std::string("s").append(std::to_string(i));
+        };
         pipeline::Benchmark bench;
         bench.name = "fuzz-pipeline";
         for (size_t i = 0; i < stages.size(); ++i) {
             pipeline::KernelExpr k;
-            k.name = "s" + std::to_string(i);
+            k.name = stage_name(i);
             k.expr = stages[i];
             k.iterations = 1;
             if (i > 0)
                 k.deps.emplace(8 + static_cast<int>(i) - 1,
-                               "s" + std::to_string(i - 1));
+                               stage_name(i - 1));
             bench.exprs.push_back(std::move(k));
         }
         const pipeline::PipelineDag dag = pipeline::from_benchmark(bench);

@@ -94,12 +94,14 @@ to_string(Op op)
 std::string
 to_string(const LoadRef &l)
 {
-    std::string s = "b" + std::to_string(l.buffer);
     auto off = [](int d) {
-        if (d == 0)
-            return std::string();
-        return (d > 0 ? "+" : "") + std::to_string(d);
+        std::string s = d > 0 ? "+" : "";
+        if (d != 0)
+            s += std::to_string(d);
+        return s;
     };
+    std::string s = "b";
+    s += std::to_string(l.buffer);
     return s + "(x" + off(l.dx) + ", y" + off(l.dy) + ")";
 }
 

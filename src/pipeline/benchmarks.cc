@@ -247,7 +247,7 @@ make_matmul()
     // vector loads.
     HExpr acc;
     for (int k = 0; k < 4; ++k) {
-        HExpr a = var("a" + std::to_string(k), u8);
+        HExpr a = var(std::string("a").append(std::to_string(k)), u8);
         HExpr b = in8(0, k, 1);
         HExpr term = s32(s16(broadcast(a, kLanes)) * s16(b));
         acc = acc.defined() ? acc + term : term;
@@ -349,7 +349,7 @@ make_fully_connected()
     // Dot-product row with bias: weights are broadcast scalars.
     HExpr acc = broadcast(var("bias", i16), kLanes);
     for (int k = 0; k < 4; ++k) {
-        HExpr w = var("w" + std::to_string(k), u8);
+        HExpr w = var(std::string("w").append(std::to_string(k)), u8);
         acc = acc + s16(broadcast(w, kLanes)) * s16(in8(0, k));
     }
     HExpr out = cast(u8, clamp((acc + 64) >> 7, 0, 255));

@@ -35,9 +35,9 @@ class LaneEncoder
         auto it = cells_.find(key);
         if (it != cells_.end())
             return it->second;
-        const std::string name = "b" + std::to_string(buffer) + "_y" +
-                                 std::to_string(dy) + "_x" +
-                                 std::to_string(x);
+        std::string name = "b";
+        name += std::to_string(buffer) + "_y" + std::to_string(dy) + "_x" +
+                std::to_string(x);
         z3::expr raw = ctx_.bv_const(name.c_str(), bits(elem));
         z3::expr v = extend(raw, elem);
         cells_.emplace(key, v);
