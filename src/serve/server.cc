@@ -87,10 +87,13 @@ Server::stop()
     stopping_.store(true);
 
     // Phase 1: no new connections. Sessions already reading keep
-    // going so in-flight responses can still be delivered.
-    listener_.close();
+    // going so in-flight responses can still be delivered. The
+    // listener is closed only once the accept loop that polls it has
+    // been joined.
+    listener_.shutdown();
     if (accept_thread_.joinable())
         accept_thread_.join();
+    listener_.close();
 
     // Phase 2: drain. In-flight selects finish and flush within the
     // budget or get abandoned.
@@ -142,7 +145,7 @@ Server::accept_loop()
     while (!stopping_.load()) {
         std::optional<UnixSocket> sock = listener_.accept(100);
         if (!sock)
-            continue; // timeout or listener closed
+            continue; // timeout or listener shut down
         reap_finished_sessions();
         auto session = std::make_shared<Session>(std::move(*sock));
         std::unique_lock<std::mutex> lock(sessions_mutex_);

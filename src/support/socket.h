@@ -303,8 +303,8 @@ class UnixListener
 
     /**
      * Accept one connection, waiting at most `timeout_ms`. nullopt on
-     * timeout or when the listener was closed from another thread
-     * (the accept loop's shutdown path).
+     * timeout or once shutdown() has run (the accept loop's stop
+     * path).
      */
     std::optional<UnixSocket>
     accept(int timeout_ms) const
@@ -321,6 +321,19 @@ class UnixListener
         return UnixSocket(fd);
     }
 
+    /**
+     * Make accept() in another thread return nullopt now and after.
+     * The fd stays open, so that thread never polls a closed or reused
+     * fd: join it, then close().
+     */
+    void
+    shutdown() const
+    {
+        if (fd_ >= 0)
+            ::shutdown(fd_, SHUT_RDWR);
+    }
+
+    /** Close the fd and unlink the path; no accept() may be running. */
     void
     close()
     {
