@@ -175,11 +175,17 @@ neg_average(ScalarType t, int64_t a, int64_t b, bool round)
     return wrap(t, diff >> 1);
 }
 
-/** Absolute difference, always non-negative; exact in int64 carriers. */
+/**
+ * Absolute difference, computed in uint64_t: a difference past
+ * INT64_MAX (64-bit lanes only) wraps, which every caller's wrap() to
+ * the lane type expects.
+ */
 inline int64_t
 abs_diff(int64_t a, int64_t b)
 {
-    return a > b ? a - b : b - a;
+    const uint64_t ua = static_cast<uint64_t>(a);
+    const uint64_t ub = static_cast<uint64_t>(b);
+    return static_cast<int64_t>(a > b ? ua - ub : ub - ua);
 }
 
 } // namespace rake
