@@ -6,6 +6,7 @@
 #ifndef RAKE_BASE_VALUE_H
 #define RAKE_BASE_VALUE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -131,6 +132,31 @@ struct Buffer {
         if (iy >= height)
             iy = height - 1;
         return data[static_cast<size_t>(iy) * width + ix];
+    }
+
+    /**
+     * The vector load every interpreter shares: lane i of `out` becomes
+     * wrap(out.type.elem, at(x + i, y)). A lane window inside the row
+     * is copied straight from it; one that crosses an edge clamps per
+     * lane.
+     */
+    void
+    load_window(int x, int y, Value &out) const
+    {
+        const ScalarType t = out.type.elem;
+        const int lanes = out.type.lanes;
+        const int iy = std::clamp(y - y0, 0, height - 1);
+        const int64_t *row =
+            data.data() + static_cast<size_t>(iy) * width;
+        int64_t *dst = out.lanes.data();
+        const int ix = x - x0;
+        if (ix >= 0 && ix <= width - lanes) {
+            for (int i = 0; i < lanes; ++i)
+                dst[i] = wrap(t, row[ix + i]);
+            return;
+        }
+        for (int i = 0; i < lanes; ++i)
+            dst[i] = wrap(t, row[std::clamp(ix + i, 0, width - 1)]);
     }
 
     /** Mutable element at absolute coordinates; must be in range. */

@@ -43,8 +43,7 @@ Interpreter::eval_impl(const Expr &e)
                                                << " != buffer elem "
                                                << to_string(buf.elem));
         Value &v = slot(t);
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, buf.at(env.x + r.dx + i, env.y + r.dy));
+        buf.load_window(env.x + r.dx, env.y + r.dy, v);
         return v;
       }
       case Op::Const: {
@@ -94,65 +93,66 @@ Interpreter::eval_impl(const Expr &e)
         break;
     }
 
-    // Remaining ops are lane-wise binaries.
+    // Remaining ops are lane-wise binaries, dispatched once per node.
     const Value &a = eval(e.arg(0));
     const Value &b = eval(e.arg(1));
     Value &v = slot(t);
-    for (int i = 0; i < t.lanes; ++i) {
-        const int64_t x = a[i];
-        const int64_t y = b[i];
-        int64_t r = 0;
-        switch (e.op()) {
-          case Op::Add:
-            r = add_wrap(s, x, y);
-            break;
-          case Op::Sub:
-            r = sub_wrap(s, x, y);
-            break;
-          case Op::Mul:
-            r = mul_wrap(s, x, y);
-            break;
-          case Op::Min:
-            r = std::min(x, y);
-            break;
-          case Op::Max:
-            r = std::max(x, y);
-            break;
-          case Op::AbsDiff:
-            r = wrap(s, abs_diff(x, y));
-            break;
-          case Op::ShiftLeft:
-            r = shift_left(s, x, static_cast<int>(y));
-            break;
-          case Op::ShiftRight:
-            r = is_signed(s) ? wrap(s, shift_right(x, static_cast<int>(y)))
-                             : logical_shift_right(s, x,
-                                                   static_cast<int>(y));
-            break;
-          case Op::And:
-            r = wrap(s, x & y);
-            break;
-          case Op::Or:
-            r = wrap(s, x | y);
-            break;
-          case Op::Xor:
-            r = wrap(s, x ^ y);
-            break;
-          case Op::Lt:
-            r = x < y ? 1 : 0;
-            break;
-          case Op::Le:
-            r = x <= y ? 1 : 0;
-            break;
-          case Op::Eq:
-            r = x == y ? 1 : 0;
-            break;
-          default:
-            RAKE_UNREACHABLE("unhandled binary op " << to_string(e.op()));
-        }
-        v[i] = r;
+    auto lanewise = [&](auto f) -> const Value & {
+        for (int i = 0; i < t.lanes; ++i)
+            v[i] = f(a[i], b[i]);
+        return v;
+    };
+    switch (e.op()) {
+      case Op::Add:
+        return lanewise([s](int64_t x, int64_t y) {
+            return add_wrap(s, x, y);
+        });
+      case Op::Sub:
+        return lanewise([s](int64_t x, int64_t y) {
+            return sub_wrap(s, x, y);
+        });
+      case Op::Mul:
+        return lanewise([s](int64_t x, int64_t y) {
+            return mul_wrap(s, x, y);
+        });
+      case Op::Min:
+        return lanewise([](int64_t x, int64_t y) { return std::min(x, y); });
+      case Op::Max:
+        return lanewise([](int64_t x, int64_t y) { return std::max(x, y); });
+      case Op::AbsDiff:
+        return lanewise([s](int64_t x, int64_t y) {
+            return wrap(s, abs_diff(x, y));
+        });
+      case Op::ShiftLeft:
+        return lanewise([s](int64_t x, int64_t y) {
+            return shift_left(s, x, static_cast<int>(y));
+        });
+      case Op::ShiftRight:
+        if (is_signed(s))
+            return lanewise([s](int64_t x, int64_t y) {
+                return wrap(s, shift_right(x, static_cast<int>(y)));
+            });
+        return lanewise([s](int64_t x, int64_t y) {
+            return logical_shift_right(s, x, static_cast<int>(y));
+        });
+      case Op::And:
+        return lanewise([s](int64_t x, int64_t y) { return wrap(s, x & y); });
+      case Op::Or:
+        return lanewise([s](int64_t x, int64_t y) { return wrap(s, x | y); });
+      case Op::Xor:
+        return lanewise([s](int64_t x, int64_t y) { return wrap(s, x ^ y); });
+      case Op::Lt:
+        return lanewise(
+            [](int64_t x, int64_t y) -> int64_t { return x < y ? 1 : 0; });
+      case Op::Le:
+        return lanewise(
+            [](int64_t x, int64_t y) -> int64_t { return x <= y ? 1 : 0; });
+      case Op::Eq:
+        return lanewise(
+            [](int64_t x, int64_t y) -> int64_t { return x == y ? 1 : 0; });
+      default:
+        RAKE_UNREACHABLE("unhandled binary op " << to_string(e.op()));
     }
-    return v;
 }
 
 Value

@@ -5,31 +5,44 @@
 
 namespace rake::hvx {
 
-Value
-bitcast(const Value &v, ScalarType out_elem)
+namespace {
+
+/**
+ * Reinterpret `in`'s bytes (little-endian) as `out`'s type, which must
+ * span as many bytes; writes `out`'s lanes in place.
+ */
+void
+bitcast_into(const Value &in, Value &out)
 {
-    const int in_w = bytes(v.type.elem);
-    const int total = v.type.total_bytes();
-    RAKE_CHECK(total % bytes(out_elem) == 0, "bitcast size mismatch");
-
-    // Serialize to little-endian bytes.
-    std::vector<uint8_t> raw(total);
-    for (int i = 0; i < v.type.lanes; ++i) {
-        uint64_t u = static_cast<uint64_t>(v.lanes[i]);
-        for (int b = 0; b < in_w; ++b)
-            raw[i * in_w + b] = static_cast<uint8_t>(u >> (8 * b));
+    const int in_w = bytes(in.type.elem);
+    const int out_w = bytes(out.type.elem);
+    RAKE_CHECK(in.type.total_bytes() == out.type.total_bytes(),
+               "bitcast size mismatch");
+    const ScalarType t = out.type.elem;
+    if (out_w >= in_w) {
+        // Each output lane concatenates k input lanes, lowest first.
+        const int k = out_w / in_w;
+        const uint64_t in_mask =
+            in_w == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * in_w)) - 1;
+        for (int i = 0; i < out.type.lanes; ++i) {
+            uint64_t u = 0;
+            for (int j = 0; j < k; ++j)
+                u |= (static_cast<uint64_t>(in.lanes[i * k + j]) & in_mask)
+                     << (8 * in_w * j);
+            out.lanes[i] = wrap(t, static_cast<int64_t>(u));
+        }
+        return;
     }
-
-    const int out_w = bytes(out_elem);
-    Value r = Value::zero(VecType(out_elem, total / out_w));
-    for (int i = 0; i < r.type.lanes; ++i) {
-        uint64_t u = 0;
-        for (int b = 0; b < out_w; ++b)
-            u |= static_cast<uint64_t>(raw[i * out_w + b]) << (8 * b);
-        r[i] = wrap(out_elem, static_cast<int64_t>(u));
+    // Each input lane splits into k output lanes, lowest first.
+    const int k = in_w / out_w;
+    for (int i = 0; i < out.type.lanes; ++i) {
+        const uint64_t u = static_cast<uint64_t>(in.lanes[i / k]);
+        out.lanes[i] =
+            wrap(t, static_cast<int64_t>(u >> (8 * out_w * (i % k))));
     }
-    return r;
 }
+
+} // namespace
 
 Value &
 Interpreter::slot(VecType t)
@@ -71,8 +84,7 @@ Interpreter::eval_impl(const Instr &n)
         const Buffer &buf = env.buffer(r.buffer);
         RAKE_CHECK(buf.elem == s, "vmem elem type mismatch");
         Value &v = slot(t);
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, buf.at(env.x + r.dx + i, env.y + r.dy));
+        buf.load_window(env.x + r.dx, env.y + r.dy, v);
         return v;
       }
       case Opcode::VSplat: {
@@ -135,12 +147,9 @@ Interpreter::eval_impl(const Instr &n)
     };
 
     switch (n.op()) {
-      case Opcode::VBitcast: {
-        Value bc = bitcast(a[0], s);
-        v.type = bc.type;
-        v.lanes = std::move(bc.lanes);
+      case Opcode::VBitcast:
+        bitcast_into(a[0], v);
         return v;
-      }
       case Opcode::VCombine:
         for (int i = 0; i < L; ++i)
             v[i] = cat(i);

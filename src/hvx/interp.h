@@ -78,9 +78,6 @@ class Interpreter
 /** One-shot convenience wrapper. */
 Value evaluate(const InstrPtr &n, const Env &env);
 
-/** Reinterpret a value's bytes (little-endian) as another elem type. */
-Value bitcast(const Value &v, ScalarType out_elem);
-
 } // namespace rake::hvx
 
 #endif // RAKE_HVX_INTERP_H

@@ -38,10 +38,8 @@ Interpreter::eval_node(const NInstr &n)
     Value v = Value::zero(t);
     switch (n.op()) {
       case NOp::Ld1: {
-        const Buffer &buf = env.buffer(n.load_ref().buffer);
-        for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, buf.at(env.x + n.load_ref().dx + i,
-                                  env.y + n.load_ref().dy));
+        const hir::LoadRef &r = n.load_ref();
+        env.buffer(r.buffer).load_window(env.x + r.dx, env.y + r.dy, v);
         break;
       }
       case NOp::Dup: {

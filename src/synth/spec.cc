@@ -42,9 +42,37 @@ collect_load_types(const hir::ExprPtr &e,
         collect_load_types(a, elem, lanes);
 }
 
+/**
+ * Fills `buf` with seeded-random cells over its type's full range,
+ * bit-identical to `wrap(t, rng.range(min_value(t), max_value(t)))`
+ * per cell. Every full range has a power-of-two span, so `range`'s
+ * `% span` is a mask and every draw is already in range. Int64's span,
+ * 2^64, wraps to 0, for which `range` returns the bare draw. The draws
+ * run on a local copy of the rng: the `int64_t` cell stores may alias
+ * the rng's `uint64_t` state, which would otherwise be reloaded and
+ * re-stored on every cell.
+ */
+void
+fill_random(Buffer &buf, Rng &rng)
+{
+    const ScalarType t = buf.elem;
+    const uint64_t mask = static_cast<uint64_t>(max_value(t)) -
+                          static_cast<uint64_t>(min_value(t));
+    const uint64_t lo =
+        mask == ~uint64_t{0} ? 0 : static_cast<uint64_t>(min_value(t));
+    Rng local = rng;
+    for (int64_t &cell : buf.data)
+        cell = static_cast<int64_t>(lo + (local.next() & mask));
+    rng = local;
+}
+
 void
 fill_buffer(Buffer &buf, int pattern, Rng &rng)
 {
+    if (pattern >= ExamplePool::kCornerExamples) {
+        fill_random(buf, rng);
+        return;
+    }
     const ScalarType t = buf.elem;
     for (size_t i = 0; i < buf.data.size(); ++i) {
         int64_t v = 0;
@@ -61,12 +89,8 @@ fill_buffer(Buffer &buf, int pattern, Rng &rng)
           case 3: // alternating extremes: exposes even/odd mixups
             v = i % 2 == 0 ? max_value(t) : min_value(t);
             break;
-          case 4: // ramp with sign flips
+          default: // 4: ramp with sign flips
             v = (static_cast<int64_t>(i) - 7) * 3;
-            break;
-          default: // >= ExamplePool::kCornerExamples: seeded random
-                 // over the full type range
-            v = rng.range(min_value(t), max_value(t));
             break;
         }
         buf.data[i] = wrap(t, v);
