@@ -287,16 +287,15 @@ class BaselineSelector
 
         if (ob == ib)
             return coerce(mutate(a), want);
-        if (ob == 2 * ib)
-            return widen_linear(a, want.elem);
-        if (ob == 4 * ib) {
-            // Two widening rounds.
-            ScalarType mid = widen(a->type().elem);
-            InstrPtr m = widen_linear(a, mid);
-            InstrPtr w = Instr::make(is_signed(mid) ? Opcode::VSxt
-                                                    : Opcode::VZxt,
-                                     {m});
-            return coerce(to_linear(w), want);
+        if (ob > ib) {
+            // One widening round per doubling (two for 4x, three for
+            // 8x), each extending by the source's signedness.
+            ScalarType cur = a->type().elem;
+            InstrPtr v = mutate(a);
+            for (; bits(cur) < ob; cur = widen(cur))
+                v = to_linear(Instr::make(
+                    is_signed(cur) ? Opcode::VSxt : Opcode::VZxt, {v}));
+            return coerce(v, want);
         }
 
         // Narrowing. Halide's rules: an avg shape becomes vavg; a
@@ -324,30 +323,21 @@ class BaselineSelector
                     {}, want.elem);
             }
             // Any other clamp (or none): keep the explicit min/max
-            // and pack by truncation (vshuffeb) — the Fig. 4(c) /
-            // camera_pipe codegen the paper documents.
-            InstrPtr pair = deal(mutate(a));
-            InstrPtr lo_h = Instr::make(Opcode::VLo, {pair});
-            InstrPtr hi_h = Instr::make(Opcode::VHi, {pair});
-            return coerce(Instr::make(Opcode::VPackE, {lo_h, hi_h}),
-                          want);
+            // and pack by truncation (vshuffeb) below — the Fig. 4(c)
+            // / camera_pipe codegen the paper documents.
         }
-        if (ib == 4 * ob) {
-            ScalarType mid = narrow(a->type().elem);
-            InstrPtr pair = deal(mutate(a));
-            InstrPtr m = coerce(
-                Instr::make(Opcode::VPackE,
-                            {Instr::make(Opcode::VLo, {pair}),
-                             Instr::make(Opcode::VHi, {pair})}),
-                a->type().with_elem(mid));
-            InstrPtr pair2 = deal(m);
-            return coerce(
-                Instr::make(Opcode::VPackE,
-                            {Instr::make(Opcode::VLo, {pair2}),
-                             Instr::make(Opcode::VHi, {pair2})}),
-                want);
+        // One truncating pack per halving (one for 2x, three for 8x).
+        ScalarType cur = a->type().elem;
+        InstrPtr v = mutate(a);
+        while (bits(cur) > ob) {
+            cur = bits(cur) == 2 * ob ? want.elem : narrow(cur);
+            InstrPtr pair = deal(v);
+            v = coerce(Instr::make(Opcode::VPackE,
+                                   {Instr::make(Opcode::VLo, {pair}),
+                                    Instr::make(Opcode::VHi, {pair})}),
+                       want.with_elem(cur));
         }
-        RAKE_UNREACHABLE("unexpected cast ratio in baseline");
+        return v;
     }
 
     /**

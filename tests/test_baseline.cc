@@ -76,6 +76,25 @@ TEST(Baseline, WideningCastUsesZxtPlusShuffle)
     EXPECT_EQ(count_op(code, Opcode::VShuffVdd), 1);
 }
 
+TEST(Baseline, EightfoldCastsTakeThreeRounds)
+{
+    constexpr ScalarType i32 = ScalarType::Int32;
+    constexpr ScalarType i64 = ScalarType::Int64;
+    // Stage 1 of program 493 of `rake_fuzz --seed 5 --stages 3`: an
+    // 8-bit value cast straight to i64 widens u8 -> u16 -> u32 -> u64.
+    const HExpr v = cast(u8, broadcast(var("v", i16), 16));
+    const HExpr stage = max(cast(i32, cast(i64, absd(splat(u8, 16, 255), v))),
+                            cast(i32, load(8, u16, 16)));
+    hvx::InstrPtr code = select_checked(stage);
+    EXPECT_EQ(count_op(code, Opcode::VZxt), 3 + 1);
+
+    // And back: i64 -> u8 truncates through three packs.
+    const HExpr wide = cast(i64, load(8, u16, 16)) * 3 +
+                       cast(i64, broadcast(var("v", i16), 16));
+    code = select_checked(cast(u8, wide));
+    EXPECT_EQ(count_op(code, Opcode::VPackE), 3);
+}
+
 TEST(Baseline, ThreeTapConvUsesVmpaPlusVaddNotVtmpy)
 {
     HExpr e = cast(u16, in(-1)) + cast(u16, in(0)) * 2 +
