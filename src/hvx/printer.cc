@@ -1,10 +1,11 @@
 #include "hvx/printer.h"
 
-#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "hir/printer.h"
 #include "support/error.h"
+#include "support/structural.h"
 
 namespace rake::hvx {
 
@@ -99,9 +100,15 @@ to_string(const InstrPtr &n)
 
 namespace {
 
+/**
+ * Register numbers by node structure: separately built but equal
+ * nodes share one line, as they share one count in cost_of.
+ */
+using Registers =
+    std::unordered_map<const Instr *, int, StructuralHash, StructuralEqual>;
+
 int
-emit(const InstrPtr &n, std::map<const Instr *, int> &reg,
-     std::ostringstream &os, int &next)
+emit(const InstrPtr &n, Registers &reg, std::ostringstream &os, int &next)
 {
     auto it = reg.find(n.get());
     if (it != reg.end())
@@ -149,7 +156,7 @@ to_listing(const InstrPtr &n)
 {
     RAKE_CHECK(n != nullptr, "printing null instruction");
     std::ostringstream os;
-    std::map<const Instr *, int> reg;
+    Registers reg;
     int next = 0;
     emit(n, reg, os, next);
     return os.str();
