@@ -32,7 +32,11 @@ Image::synthetic(ScalarType elem, int w, int h, uint64_t seed)
 
 namespace {
 
-/** Build an Env whose buffers alias whole input images. */
+/**
+ * Build an Env whose buffers are copies of the whole input images,
+ * made afresh on every call. Letting a Buffer view an image without
+ * the copy is part of JIT v2 (ROADMAP.md).
+ */
 Env
 env_for(const std::map<int, Image> &inputs,
         const std::map<std::string, int64_t> &scalars)
