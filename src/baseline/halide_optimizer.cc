@@ -323,8 +323,8 @@ class BaselineSelector
                     {}, want.elem);
             }
             // Any other clamp (or none): keep the explicit min/max
-            // and pack by truncation (vshuffeb) below — the Fig. 4(c)
-            // / camera_pipe codegen the paper documents.
+            // and pack by truncation (vshuffeb) below, the Fig. 4(c)
+            // and camera_pipe codegen the paper documents.
         }
         // One truncating pack per halving (one for 2x, three for 8x).
         ScalarType cur = a->type().elem;
