@@ -47,6 +47,21 @@ average_expr(int offset = 1)
         .ptr();
 }
 
+/**
+ * A five-tap convolution with taps `offset` apart. Its synthesis takes
+ * several times longer than average_expr's (about 4 ms against 1 ms in
+ * a Release build), long enough for a duplicate query to arrive while
+ * it is in flight.
+ */
+ExprPtr
+conv_expr(int offset)
+{
+    HExpr sum = cast(u16, load(0, u8, 64));
+    for (int k = 1; k < 5; ++k)
+        sum = sum + cast(u16, load(0, u8, 64, k * offset)) * ((k % 3) + 1);
+    return cast(u8, (sum + 8) >> 4).ptr();
+}
+
 std::string
 fresh_socket(const std::string &name)
 {
@@ -720,15 +735,17 @@ TEST(Serve, DuplicateInFlightQueriesDedupeToOneSynthesis)
     // arithmetic is deterministic and asserted on every attempt.
     // Actually *witnessing* a waiter (inflight_dedup >= 1) is a
     // scheduling observation: on a loaded machine the first synthesis
-    // can finish before the duplicates are dispatched, so the race is
-    // retried with a fresh server and expression until one duplicate
-    // provably blocked on the in-flight entry.
+    // can finish before the duplicates are dispatched. The batch asks
+    // for a convolution, whose synthesis outlasts dispatch by more
+    // than a two-tap average's does, and the race is retried with a
+    // fresh server and expression until one duplicate provably blocked
+    // on the in-flight entry.
     bool witnessed = false;
     for (int attempt = 0; attempt < 5 && !witnessed; ++attempt) {
         TestServer ts("dedupe" + std::to_string(attempt), /*jobs=*/4);
         serve::RemoteSelect client = ts.client();
 
-        const std::string expr = to_sexpr(average_expr(attempt + 1));
+        const std::string expr = to_sexpr(conv_expr(attempt + 1));
         std::vector<serve::Request> batch(8);
         for (serve::Request &r : batch)
             r.expr = expr;
