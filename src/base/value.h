@@ -96,17 +96,21 @@ std::string to_string(const Value &v);
 /**
  * A 2-D input buffer an expression loads from.
  *
- * Loads address the buffer as data[(y - y0) * width + (x - x0)];
+ * Loads address the buffer as cells()[(y - y0) * width + (x - x0)];
  * out-of-range coordinates clamp to the edge (Halide's default
- * boundary condition for these benchmarks).
+ * boundary condition for these benchmarks). The cells are either
+ * owned (`data`, which synthesis examples and tests fill) or viewed
+ * in place (`view`, which the executor points at whole images).
  */
 struct Buffer {
     ScalarType elem = ScalarType::UInt8;
     int width = 0;
     int height = 1;
-    int x0 = 0; ///< x coordinate of data[0]
-    int y0 = 0; ///< y coordinate of data[0]
+    int x0 = 0; ///< x coordinate of cells()[0]
+    int y0 = 0; ///< y coordinate of cells()[0]
     std::vector<int64_t> data;
+    /** Non-owning cells, width x height row-major; null when owned. */
+    const int64_t *view = nullptr;
 
     Buffer() = default;
 
@@ -115,6 +119,28 @@ struct Buffer {
         : elem(e), width(w), height(h), x0(x_origin), y0(y_origin),
           data(static_cast<size_t>(w) * h, 0)
     {
+    }
+
+    /**
+     * A buffer reading `cells` in place, without a copy. The storage
+     * must outlive the buffer and every copy of it.
+     */
+    static Buffer
+    view_of(ScalarType e, int w, int h, const int64_t *cells)
+    {
+        Buffer b;
+        b.elem = e;
+        b.width = w;
+        b.height = h;
+        b.view = cells;
+        return b;
+    }
+
+    /** The cells loads read: the viewed storage, else `data`. */
+    const int64_t *
+    cells() const
+    {
+        return view != nullptr ? view : data.data();
     }
 
     /** Element at absolute coordinates (x, y), edge-clamped. */
@@ -131,7 +157,7 @@ struct Buffer {
             iy = 0;
         if (iy >= height)
             iy = height - 1;
-        return data[static_cast<size_t>(iy) * width + ix];
+        return cells()[static_cast<size_t>(iy) * width + ix];
     }
 
     /**
@@ -146,8 +172,7 @@ struct Buffer {
         const ScalarType t = out.type.elem;
         const int lanes = out.type.lanes;
         const int iy = std::clamp(y - y0, 0, height - 1);
-        const int64_t *row =
-            data.data() + static_cast<size_t>(iy) * width;
+        const int64_t *row = cells() + static_cast<size_t>(iy) * width;
         int64_t *dst = out.lanes.data();
         const int ix = x - x0;
         if (ix >= 0 && ix <= width - lanes) {
@@ -159,12 +184,16 @@ struct Buffer {
             dst[i] = wrap(t, row[std::clamp(ix + i, 0, width - 1)]);
     }
 
-    /** Mutable element at absolute coordinates; must be in range. */
+    /**
+     * Mutable owned element at absolute coordinates; must be in range.
+     * A view is read-only.
+     */
     int64_t &
     at_mut(int x, int y)
     {
         const int ix = x - x0;
         const int iy = y - y0;
+        RAKE_CHECK(view == nullptr, "store into a view buffer");
         RAKE_CHECK(ix >= 0 && ix < width && iy >= 0 && iy < height,
                    "store out of range (" << x << ", " << y << ")");
         return data[static_cast<size_t>(iy) * width + ix];

@@ -1,9 +1,11 @@
 #include "jit/jit.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
 #include "base/arith.h"
+#include "hir/interp.h"
 #include "support/error.h"
 
 #if defined(__x86_64__)
@@ -63,16 +65,19 @@ cpu_has_avx2()
 SimdLevel
 resolve_simd_level()
 {
+    // CPUID traps to the hypervisor on virtual hosts (about 7 us per
+    // probe), and the answer cannot change while the process runs.
+    static const bool has_avx2 = cpu_has_avx2();
     const char *env = std::getenv("RAKE_JIT_SIMD");
     if (env == nullptr || *env == '\0')
-        return cpu_has_avx2() ? SimdLevel::Avx2 : SimdLevel::Sse2;
+        return has_avx2 ? SimdLevel::Avx2 : SimdLevel::Sse2;
     const std::string want(env);
     if (want == "scalar")
         return SimdLevel::Scalar;
     if (want == "sse2")
         return SimdLevel::Sse2; // baseline on every x86-64
     if (want == "avx2") {
-        RAKE_USER_CHECK(cpu_has_avx2(),
+        RAKE_USER_CHECK(has_avx2,
                         "RAKE_JIT_SIMD=avx2 but this CPU/OS does not "
                         "support AVX2");
         return SimdLevel::Avx2;
@@ -87,55 +92,75 @@ resolve_simd_level()
 SimdLevel
 simd_level()
 {
-    // Resolved per call, not cached: compile() is rare, and tests
-    // retarget RAKE_JIT_SIMD mid-process to cover every tier.
+    // RAKE_JIT_SIMD is read per call, not cached: tests retarget it
+    // mid-process to cover every tier.
     return resolve_simd_level();
 }
 
-void
-Program::bind(const Env &env)
+Runner::Runner(const Program &program, const Env &env)
+    : program_(&program), bufs_(program.buf_ids_.size()),
+      arena_(program.arena_)
 {
-    for (size_t k = 0; k < buf_ids_.size(); ++k) {
-        const Buffer &b = env.buffer(buf_ids_[k]);
-        const auto it = load_elems_.find(buf_ids_[k]);
-        RAKE_CHECK(it != load_elems_.end(), "descriptor without a load");
+    bind(env);
+}
+
+void
+Runner::bind(const Env &env)
+{
+    const Program &p = *program_;
+    for (size_t k = 0; k < p.buf_ids_.size(); ++k) {
+        const int id = p.buf_ids_[k];
+        const Buffer &b = env.buffer(id);
+        const auto it = p.load_elems_.find(id);
+        RAKE_CHECK(it != p.load_elems_.end(), "descriptor without a load");
         RAKE_USER_CHECK(b.elem == it->second,
-                        "jit: buffer " << buf_ids_[k] << " is "
-                                       << to_string(b.elem)
+                        "jit: buffer " << id << " is " << to_string(b.elem)
                                        << " but the program loads "
                                        << to_string(it->second));
         RAKE_USER_CHECK(b.width > 0 && b.height > 0,
-                        "jit: empty buffer " << buf_ids_[k]);
+                        "jit: empty buffer " << id);
         BufferDesc &desc = bufs_[k];
-        desc.data = b.data.data();
+        desc.data = b.cells();
         desc.width = b.width;
         desc.height = b.height;
         desc.x0 = b.x0;
         desc.y0 = b.y0;
     }
-    scalar_interp_.reset(env);
-    for (const SplatSite &sp : splats_) {
-        const int64_t c =
-            wrap(sp.elem, scalar_interp_.eval(sp.expr).as_scalar());
-        for (int i = 0; i < sp.lanes; ++i)
-            arena_[static_cast<size_t>(sp.slot) + i] = c;
+    hir::Interpreter scalars(env);
+    for (const Program::SplatSite &sp : p.splats_) {
+        const int64_t c = wrap(sp.elem, scalars.eval(sp.expr).as_scalar());
+        std::fill_n(arena_.begin() + sp.slot, sp.lanes, c);
     }
-    bound_ = true;
+}
+
+void
+Runner::run(int x, int y, int64_t *dst)
+{
+    Frame frame;
+    frame.x = x;
+    frame.y = y;
+    frame.bufs = bufs_.data();
+    frame.arena = arena_.data();
+    program_->fn_(&frame);
+    std::memcpy(dst, arena_.data() + program_->out_slot_,
+                static_cast<size_t>(program_->out_type_.lanes) *
+                    sizeof(int64_t));
+}
+
+void
+Program::bind(const Env &env)
+{
+    if (bound_)
+        bound_->bind(env);
+    else
+        bound_.emplace(*this, env);
 }
 
 const Value &
 Program::run(int x, int y)
 {
     RAKE_CHECK(bound_, "jit: run() before bind()");
-    Frame frame;
-    frame.x = x;
-    frame.y = y;
-    frame.bufs = bufs_.data();
-    frame.arena = arena_.data();
-    fn_(&frame);
-    std::memcpy(out_value_.lanes.data(),
-                arena_.data() + out_slot_,
-                static_cast<size_t>(out_type_.lanes) * sizeof(int64_t));
+    bound_->run(x, y, out_value_.lanes.data());
     return out_value_;
 }
 

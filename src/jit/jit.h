@@ -15,8 +15,9 @@
  * The compiled function has C ABI `void fn(Frame *)`: the frame
  * carries the tile origin (x, y), the bound input-buffer
  * descriptors, and the arena pointer. Splat values are loop
- * invariant and are evaluated host-side at bind() time, straight
- * into their arena slots.
+ * invariant and are evaluated host-side when a Runner binds, straight
+ * into the slots of its own arena copy; so one compiled program runs
+ * on several threads at once, one Runner each.
  *
  * Only meaningful on x86-64 hosts: available() is false elsewhere
  * and compile() throws UserError, so callers can gate cleanly.
@@ -26,11 +27,11 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "base/value.h"
-#include "hir/interp.h"
 #include "hvx/instr.h"
 #include "jit/exec_buffer.h"
 
@@ -69,6 +70,36 @@ struct Frame {
     int64_t *arena = nullptr;
 };
 
+class Program;
+
+/**
+ * One thread's execution of a compiled Program under one env: its own
+ * buffer descriptors, its own copy of the arena with the env's splat
+ * values filled in, and a Frame of its own per tile. Runners of one
+ * program run concurrently. They read the env's buffer cells in
+ * place, so that storage (not the Env object) must outlive the runner,
+ * and so must the program.
+ */
+class Runner
+{
+  public:
+    Runner(const Program &program, const Env &env);
+
+    /**
+     * Resolve buffer descriptors against env.buffers and evaluate
+     * every splat's scalar expression into its arena slots.
+     */
+    void bind(const Env &env);
+
+    /** Execute the tile at (x, y) and store its lanes to dst. */
+    void run(int x, int y, int64_t *dst);
+
+  private:
+    const Program *program_;
+    std::vector<BufferDesc> bufs_;
+    std::vector<int64_t> arena_;
+};
+
 /** A compiled, executable HVX program. */
 class Program
 {
@@ -81,22 +112,23 @@ class Program
     static std::unique_ptr<Program> compile(const hvx::InstrPtr &code);
 
     /**
-     * Bind an environment: resolve buffer descriptors against
-     * env.buffers and evaluate every splat's scalar expression into
-     * its arena slots. The env (and its buffers) must outlive all
-     * run() calls made under this binding. Callers bind once per
-     * image pass — there is deliberately no "already bound to this
-     * env?" query: envs are typically stack locals, and a fresh env
-     * can land on a dead one's address, so pointer identity cannot
-     * tell a live binding from a stale one (that aliasing once read
-     * freed buffer descriptors; binding again is always safe).
+     * Bind an environment for run(): the program's own Runner binds
+     * to it. The env's buffer cells must outlive all run() calls made
+     * under this binding. Callers bind once per pass — there is
+     * deliberately no "already bound to this env?" query: envs are
+     * typically stack locals, and a fresh env can land on a dead
+     * one's address, so pointer identity cannot tell a live binding
+     * from a stale one (that aliasing once read freed buffer
+     * descriptors; binding again is always safe).
      */
     void bind(const Env &env);
 
     /**
-     * Execute one tile at origin (x, y). Returns the output value;
-     * the reference is owned by the program and valid until the next
-     * run(). bind() must have been called.
+     * Execute one tile at origin (x, y): the single-tile entry point
+     * of probes and oracles. Returns the output value; the reference
+     * is owned by the program and valid until the next run(). bind()
+     * must have been called. Whole images run on one Runner per band
+     * instead (pipeline/executor.h).
      */
     const Value &run(int x, int y);
 
@@ -116,6 +148,7 @@ class Program
 
   private:
     friend class Lowerer;
+    friend class Runner;
     Program() = default;
 
     struct SplatSite {
@@ -127,17 +160,15 @@ class Program
 
     ExecBuffer code_;
     void (*fn_)(Frame *) = nullptr;
-    std::vector<int64_t> arena_;
-    std::vector<BufferDesc> bufs_;
-    std::vector<int> buf_ids_; ///< buffer id per descriptor index
+    std::vector<int64_t> arena_; ///< zeroed slots, then the constant pool
+    std::vector<int> buf_ids_;   ///< buffer id per descriptor index
     std::vector<SplatSite> splats_;
     std::map<int, ScalarType> load_elems_;
     VecType out_type_;
     int64_t out_slot_ = 0;
     SimdLevel simd_ = SimdLevel::Scalar;
 
-    bool bound_ = false;
-    hir::Interpreter scalar_interp_;
+    std::optional<Runner> bound_;
     Value out_value_;
 };
 

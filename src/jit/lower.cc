@@ -3,10 +3,10 @@
  * HVX DAG -> x86-64 lowering.
  *
  * The machine-IR layer of the JIT: walks the selected instruction DAG
- * in topological order, gives every node a run of int64 arena slots
- * (one per lane, the interpreters' carrier representation), and emits
- * straight-line code computing each node's lanes from its operands'
- * slots. Lane counts and immediates are compile-time constants, so
+ * in topological order, gives every structurally distinct node a run
+ * of int64 arena slots (one per lane, the interpreters' carrier
+ * representation), and emits straight-line code computing each
+ * node's lanes from its operands' slots. Lane counts and immediates are compile-time constants, so
  * every HVX index map (deint/ileave/cat/align/ror) reduces to a
  * constant displacement — no loops, no tables, no relocations.
  *
@@ -25,6 +25,7 @@
 #include "jit/encoder.h"
 #include "jit/jit.h"
 #include "support/error.h"
+#include "support/structural.h"
 
 namespace rake::jit {
 
@@ -236,7 +237,14 @@ class Lowerer
     SimdLevel simd_;
     bool used_avx_ = false;
 
-    std::unordered_map<const Instr *, int64_t> slot_;
+    /**
+     * Arena slot of each node's lane 0. Keyed by structure, so nodes
+     * an s-expression parse rebuilt unshared get one slot run and are
+     * emitted once, as they are counted once by the cost model.
+     */
+    std::unordered_map<const Instr *, int64_t, StructuralHash,
+                       StructuralEqual>
+        slot_;
     std::vector<const Instr *> order_;
     int64_t num_slots_ = 0;
     std::vector<int64_t> pool_;
@@ -1002,7 +1010,6 @@ Lowerer::lower(const hvx::InstrPtr &root)
     p->arena_.assign(static_cast<size_t>(num_slots_) + pool_.size(), 0);
     std::copy(pool_.begin(), pool_.end(),
               p->arena_.begin() + num_slots_);
-    p->bufs_.resize(buf_ids_.size());
     p->buf_ids_ = std::move(buf_ids_);
     p->splats_ = std::move(splats_);
     p->load_elems_ = std::move(load_elems_);

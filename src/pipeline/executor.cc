@@ -1,9 +1,11 @@
 #include "pipeline/executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "hir/analysis.h"
 #include "hir/interp.h"
@@ -11,6 +13,7 @@
 #include "jit/jit.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace rake::pipeline {
 
@@ -32,21 +35,28 @@ Image::synthetic(ScalarType elem, int w, int h, uint64_t seed)
 
 namespace {
 
-/**
- * Build an Env whose buffers are copies of the whole input images,
- * made afresh on every call. Letting a Buffer view an image without
- * the copy is part of JIT v2 (ROADMAP.md).
- */
+/** Input images by buffer id, read in place. */
+using ImageRefs = std::map<int, const Image *>;
+
+ImageRefs
+refs_of(const std::map<int, Image> &inputs)
+{
+    ImageRefs refs;
+    for (const auto &[id, img] : inputs)
+        refs.emplace(id, &img);
+    return refs;
+}
+
+/** An Env whose buffers view the input images without copying them. */
 Env
-env_for(const std::map<int, Image> &inputs,
+env_for(const ImageRefs &inputs,
         const std::map<std::string, int64_t> &scalars)
 {
     Env env;
-    for (const auto &[id, img] : inputs) {
-        Buffer buf(img.elem, img.width, img.height, 0, 0);
-        buf.data = img.pixels;
-        env.buffers.emplace(id, std::move(buf));
-    }
+    for (const auto &[id, img] : inputs)
+        env.buffers.emplace(id, Buffer::view_of(img->elem, img->width,
+                                                img->height,
+                                                img->pixels.data()));
     for (const auto &[name, v] : scalars)
         env.scalars.emplace(name, v);
     return env;
@@ -80,6 +90,15 @@ collect_load_elems(const hvx::InstrPtr &n, LoadElems &out,
         collect_load_elems(a, out, visited);
 }
 
+LoadElems
+load_elems_of(const hvx::InstrPtr &code)
+{
+    LoadElems loads;
+    std::set<const hvx::Instr *> visited;
+    collect_load_elems(code, loads, visited);
+    return loads;
+}
+
 /**
  * Every input shares the primary's (x, y) grid, so a size mismatch
  * would silently edge-clamp a secondary input instead of failing, and
@@ -87,17 +106,16 @@ collect_load_elems(const hvx::InstrPtr &n, LoadElems &out,
  * inside the interpreter. Reject both up front, per input.
  */
 void
-validate_inputs(const std::map<int, Image> &inputs,
-                const LoadElems &loads)
+validate_inputs(const ImageRefs &inputs, const LoadElems &loads)
 {
     RAKE_USER_CHECK(!inputs.empty(), "no input images");
     const auto &[primary_id, primary] = *inputs.begin();
     for (const auto &[id, img] : inputs) {
         RAKE_USER_CHECK(
-            img.width == primary.width && img.height == primary.height,
-            "input " << id << " is " << img.width << "x" << img.height
+            img->width == primary->width && img->height == primary->height,
+            "input " << id << " is " << img->width << "x" << img->height
                      << " but input " << primary_id << " is "
-                     << primary.width << "x" << primary.height
+                     << primary->width << "x" << primary->height
                      << "; all inputs must share one size");
     }
     for (const auto &[buffer, elem] : loads) {
@@ -106,140 +124,103 @@ validate_inputs(const std::map<int, Image> &inputs,
                         "the code loads from buffer "
                             << buffer
                             << " but no such input image was supplied");
-        RAKE_USER_CHECK(it->second.elem == elem,
+        RAKE_USER_CHECK(it->second->elem == elem,
                         "input " << buffer << " holds "
-                                 << to_string(it->second.elem)
+                                 << to_string(it->second->elem)
                                  << " pixels but the code loads "
                                  << to_string(elem) << " from it");
     }
 }
 
-template <typename EvalFn>
+/** Online CPUs, probed once. */
+int
+online_cpus()
+{
+    static const int cpus =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    return cpus;
+}
+
+/**
+ * The one whole-image pass: validate the inputs, then run the rows as
+ * bands on their own threads, each band storing its tiles straight
+ * into the output rows through an evaluator of its own.
+ */
 Image
-run_impl(VecType out_type, const LoadElems &loads,
-         const std::map<int, Image> &inputs,
-         const std::map<std::string, int64_t> &scalars, EvalFn &&eval)
+run_impl(VecType out_type, const LoadElems &loads, const ImageRefs &inputs,
+         const std::map<std::string, int64_t> &scalars,
+         const TileEvalFactory &make_eval)
 {
     validate_inputs(inputs, loads);
-    const Image &primary = inputs.begin()->second;
-    RAKE_USER_CHECK(primary.width % out_type.lanes == 0,
+    const Image &primary = *inputs.begin()->second;
+    const int lanes = out_type.lanes;
+    RAKE_USER_CHECK(primary.width % lanes == 0,
                     "image width " << primary.width
                                    << " must be a multiple of the "
                                       "vector lane count "
-                                   << out_type.lanes);
+                                   << lanes);
 
     Image out(out_type.elem, primary.width, primary.height);
-    Env env = env_for(inputs, scalars);
-    for (int y = 0; y < primary.height; ++y) {
-        for (int x = 0; x < primary.width; x += out_type.lanes) {
-            env.x = x;
-            env.y = y;
-            const Value &v = eval(env);
-            for (int i = 0; i < out_type.lanes; ++i)
-                out.at(x + i, y) = v[i];
+    const Env env = env_for(inputs, scalars);
+    const std::vector<RowBand> bands =
+        row_bands(out.height, out.width / lanes, online_cpus());
+    const int n = static_cast<int>(bands.size());
+    parallel_for(n, n, [&](int b) {
+        TileEval eval = make_eval(env);
+        for (int y = bands[b].begin; y < bands[b].end; ++y) {
+            int64_t *row = &out.at(0, y);
+            for (int x = 0; x < out.width; x += lanes)
+                eval(x, y, row + x);
         }
-    }
+    });
     return out;
 }
 
-} // namespace
-
-Image
-run_tiles(const hvx::InstrPtr &code, const std::map<int, Image> &inputs,
-          const std::map<std::string, int64_t> &scalars)
+/**
+ * Bands that evaluate `code` on an interpreter (hvx::Interpreter or
+ * hir::Interpreter): each owns its interpreter and a copy of the view
+ * Env. IR nodes hold no mutable state, so bands share the code.
+ */
+template <typename Interp, typename Code>
+TileEvalFactory
+interpreter_bands(Code code)
 {
-    RAKE_USER_CHECK(code != nullptr, "null code");
-    LoadElems loads;
-    std::set<const hvx::Instr *> visited;
-    collect_load_elems(code, loads, visited);
-    // One interpreter context for the whole image: tile evaluation
-    // reuses its value slots instead of reallocating per tile.
-    hvx::Interpreter interp;
-    return run_impl(code->type(), loads, inputs, scalars,
-                    [&](const Env &env) -> const Value & {
-                        interp.reset(env);
-                        return interp.eval(code);
-                    });
+    return [code](const Env &env) -> TileEval {
+        return [code, env = Env(env), interp = Interp()](
+                   int x, int y, int64_t *dst) mutable {
+            env.x = x;
+            env.y = y;
+            interp.reset(env);
+            const Value &v = interp.eval(code);
+            std::copy(v.lanes.begin(), v.lanes.end(), dst);
+        };
+    };
 }
 
-Image
-run_tiles_reference(const hir::ExprPtr &expr,
-                    const std::map<int, Image> &inputs,
-                    const std::map<std::string, int64_t> &scalars)
+/**
+ * Bands that run `program` natively, one jit::Runner each; the
+ * program must outlive the pass.
+ */
+TileEvalFactory
+jit_bands(const jit::Program &program)
 {
-    RAKE_USER_CHECK(expr != nullptr, "null expression");
-    LoadElems loads;
-    collect_load_elems(expr, loads);
-    hir::Interpreter interp;
-    return run_impl(expr->type(), loads, inputs, scalars,
-                    [&](const Env &env) -> const Value & {
-                        interp.reset(env);
-                        return interp.eval(expr);
-                    });
+    return [&program](const Env &env) -> TileEval {
+        return [runner = jit::Runner(program, env)](
+                   int x, int y, int64_t *dst) mutable {
+            runner.run(x, y, dst);
+        };
+    };
 }
 
-Image
-run_tiles_jit(const hvx::InstrPtr &code,
-              const std::map<int, Image> &inputs,
-              const std::map<std::string, int64_t> &scalars,
-              const JitRunOptions &opts)
-{
-    RAKE_USER_CHECK(code != nullptr, "null code");
-    LoadElems loads;
-    std::set<const hvx::Instr *> visited;
-    collect_load_elems(code, loads, visited);
-    std::unique_ptr<jit::Program> program = jit::Program::compile(code);
-    hvx::Interpreter check;
-    bool bound = false;
-    return run_impl(
-        code->type(), loads, inputs, scalars,
-        [&](const Env &env) -> const Value & {
-            // run_impl walks one Env across the whole image, so this
-            // binds exactly once, on the first tile.
-            if (!bound) {
-                program->bind(env);
-                bound = true;
-            }
-            const Value &v = program->run(env.x, env.y);
-            if (opts.validate) {
-                check.reset(env);
-                const Value &ref = check.eval(code);
-                RAKE_USER_CHECK(v == ref,
-                                "jit/interpreter divergence at ("
-                                    << env.x << ", " << env.y
-                                    << "): jit " << to_string(v)
-                                    << " vs interpreter "
-                                    << to_string(ref));
-            }
-            return v;
-        });
-}
+/** Checks one stage's image against its inputs; may be empty. */
+using StageCheck =
+    std::function<void(int stage, const ImageRefs &, const Image &)>;
 
 Image
-run_tiles_jit_with(jit::Program &program,
-                   const std::map<int, Image> &inputs,
-                   const std::map<std::string, int64_t> &scalars)
-{
-    // Always rebind on the first tile of each pass, even when the
-    // program was bound by an earlier call: the previous pass's Env
-    // was a stack local whose buffers are gone, and a fresh Env can
-    // reuse its address — a pointer-identity "still bound?" test here
-    // once skipped the rebind and ran over freed descriptors.
-    bool bound = false;
-    return run_impl(program.out_type(), program.load_elems(), inputs,
-                    scalars, [&](const Env &env) -> const Value & {
-                        if (!bound) {
-                            program.bind(env);
-                            bound = true;
-                        }
-                        return program.run(env.x, env.y);
-                    });
-}
-
-Image
-run_dag_with(const PipelineDag &dag, const std::vector<StageCode> &stages,
-             const std::map<int, Image> &inputs,
-             const std::map<std::string, int64_t> &scalars)
+run_stages(const PipelineDag &dag, const std::vector<StageCode> &stages,
+           const std::map<int, Image> &inputs,
+           const std::map<std::string, int64_t> &scalars,
+           const StageCheck &check)
 {
     RAKE_USER_CHECK(!dag.stages.empty(), "empty pipeline DAG");
     RAKE_USER_CHECK(stages.size() == dag.stages.size(),
@@ -253,10 +234,10 @@ run_dag_with(const PipelineDag &dag, const std::vector<StageCode> &stages,
     for (int idx : dag.topo) {
         const DagStage &stage = dag.stages[idx];
         const StageCode &code = stages[idx];
-        RAKE_USER_CHECK(code.eval != nullptr,
+        RAKE_USER_CHECK(code.make_eval != nullptr,
                         "stage '" << stage.name << "' has no evaluator");
 
-        std::map<int, Image> stage_inputs;
+        ImageRefs stage_inputs;
         for (const StageInput &in : stage.inputs) {
             if (in.producer >= 0) {
                 RAKE_CHECK(have[in.producer],
@@ -272,7 +253,7 @@ run_dag_with(const PipelineDag &dag, const std::vector<StageCode> &stages,
                                   << dag.stages[in.producer].name
                                   << "' but it produced "
                                   << to_string(img.elem));
-                stage_inputs.emplace(in.slot, img);
+                stage_inputs.emplace(in.slot, &img);
             } else {
                 auto iit = inputs.find(in.external);
                 RAKE_USER_CHECK(iit != inputs.end(),
@@ -281,32 +262,137 @@ run_dag_with(const PipelineDag &dag, const std::vector<StageCode> &stages,
                                                   << stage.name
                                                   << "') was not "
                                                      "supplied");
-                stage_inputs.emplace(in.slot, iit->second);
+                stage_inputs.emplace(in.slot, &iit->second);
             }
         }
         // validate_inputs inside run_impl enforces that this stage's
         // intermediate and external images all share one size, so a
         // dims mismatch at a boundary fails here, per stage.
         produced[idx] = run_impl(code.out_type, code.load_elems,
-                                 stage_inputs, scalars, code.eval);
+                                 stage_inputs, scalars, code.make_eval);
+        if (check)
+            check(idx, stage_inputs, produced[idx]);
         have[idx] = true;
     }
-    return produced.back();
+    return std::move(produced.back());
+}
+
+} // namespace
+
+std::vector<RowBand>
+row_bands(int height, int tiles_per_row, int workers)
+{
+    std::vector<RowBand> bands;
+    if (height <= 0 || tiles_per_row <= 0)
+        return bands;
+    int n = std::clamp(workers, 1, height);
+    while (n > 1 &&
+           static_cast<int64_t>(height / n) * tiles_per_row < kMinBandTiles)
+        --n;
+    for (int i = 0; i < n; ++i) {
+        RowBand band;
+        band.begin = static_cast<int>(static_cast<int64_t>(height) * i / n);
+        band.end =
+            static_cast<int>(static_cast<int64_t>(height) * (i + 1) / n);
+        bands.push_back(band);
+    }
+    return bands;
+}
+
+void
+require_equal_tiles(const Image &jit, const Image &interp, VecType tile,
+                    const std::string &where)
+{
+    RAKE_CHECK(jit.width == interp.width && jit.height == interp.height,
+               "image sizes differ");
+    const auto [a, b] = std::mismatch(jit.pixels.begin(), jit.pixels.end(),
+                                      interp.pixels.begin());
+    if (a == jit.pixels.end())
+        return;
+    const int64_t first = a - jit.pixels.begin();
+    const int y = static_cast<int>(first / jit.width);
+    const int x = static_cast<int>(first % jit.width) / tile.lanes *
+                  tile.lanes;
+    const auto lanes_at = [&](const Image &img) {
+        const int64_t *p =
+            img.pixels.data() + static_cast<size_t>(y) * img.width + x;
+        return Value(tile, std::vector<int64_t>(p, p + tile.lanes));
+    };
+    RAKE_USER_CHECK(false, where << "jit/interpreter divergence at (" << x
+                                 << ", " << y << "): jit "
+                                 << to_string(lanes_at(jit))
+                                 << " vs interpreter "
+                                 << to_string(lanes_at(interp)));
 }
 
 Image
-run_dag(const PipelineDag &dag,
-        const std::vector<hvx::InstrPtr> &programs,
-        const std::map<int, Image> &inputs,
-        const std::map<std::string, int64_t> &scalars)
+run_tiles(const hvx::InstrPtr &code, const std::map<int, Image> &inputs,
+          const std::map<std::string, int64_t> &scalars)
+{
+    RAKE_USER_CHECK(code != nullptr, "null code");
+    return run_impl(code->type(), load_elems_of(code), refs_of(inputs),
+                    scalars, interpreter_bands<hvx::Interpreter>(code));
+}
+
+Image
+run_tiles_reference(const hir::ExprPtr &expr,
+                    const std::map<int, Image> &inputs,
+                    const std::map<std::string, int64_t> &scalars)
+{
+    RAKE_USER_CHECK(expr != nullptr, "null expression");
+    LoadElems loads;
+    collect_load_elems(expr, loads);
+    return run_impl(expr->type(), loads, refs_of(inputs), scalars,
+                    interpreter_bands<hir::Interpreter>(expr));
+}
+
+Image
+run_tiles_jit(const hvx::InstrPtr &code,
+              const std::map<int, Image> &inputs,
+              const std::map<std::string, int64_t> &scalars,
+              const JitRunOptions &opts)
+{
+    RAKE_USER_CHECK(code != nullptr, "null code");
+    const std::unique_ptr<jit::Program> program =
+        jit::Program::compile(code);
+    const Image out = run_impl(code->type(), load_elems_of(code),
+                               refs_of(inputs), scalars, jit_bands(*program));
+    if (opts.validate)
+        require_equal_tiles(out, run_tiles(code, inputs, scalars),
+                            code->type());
+    return out;
+}
+
+Image
+run_tiles_jit_with(const jit::Program &program,
+                   const std::map<int, Image> &inputs,
+                   const std::map<std::string, int64_t> &scalars)
+{
+    return run_impl(program.out_type(), program.load_elems(),
+                    refs_of(inputs), scalars, jit_bands(program));
+}
+
+Image
+run_dag_with(const PipelineDag &dag, const std::vector<StageCode> &stages,
+             const std::map<int, Image> &inputs,
+             const std::map<std::string, int64_t> &scalars)
+{
+    return run_stages(dag, stages, inputs, scalars, nullptr);
+}
+
+namespace {
+
+/** The per-stage code of `programs`, each stage run by `bands`. */
+template <typename Bands>
+std::vector<StageCode>
+stage_codes(const PipelineDag &dag,
+            const std::vector<hvx::InstrPtr> &programs, Bands &&bands)
 {
     RAKE_USER_CHECK(programs.size() == dag.stages.size(),
                     "pipeline '" << dag.name << "' has "
                                  << dag.stages.size() << " stages but "
                                  << programs.size()
                                  << " programs were supplied");
-    // One interpreter context per stage, alive for the whole run.
-    std::vector<std::unique_ptr<hvx::Interpreter>> interps;
     std::vector<StageCode> codes;
     for (size_t i = 0; i < programs.size(); ++i) {
         RAKE_USER_CHECK(programs[i] != nullptr,
@@ -314,17 +400,26 @@ run_dag(const PipelineDag &dag,
                             << dag.stages[i].name << "'");
         StageCode code;
         code.out_type = programs[i]->type();
-        std::set<const hvx::Instr *> visited;
-        collect_load_elems(programs[i], code.load_elems, visited);
-        interps.push_back(std::make_unique<hvx::Interpreter>());
-        hvx::Interpreter *interp = interps.back().get();
-        code.eval = [interp, prog = programs[i]](const Env &env) {
-            interp->reset(env);
-            return interp->eval(prog);
-        };
+        code.load_elems = load_elems_of(programs[i]);
+        code.make_eval = bands(programs[i]);
         codes.push_back(std::move(code));
     }
-    return run_dag_with(dag, codes, inputs, scalars);
+    return codes;
+}
+
+} // namespace
+
+Image
+run_dag(const PipelineDag &dag,
+        const std::vector<hvx::InstrPtr> &programs,
+        const std::map<int, Image> &inputs,
+        const std::map<std::string, int64_t> &scalars)
+{
+    return run_dag_with(
+        dag,
+        stage_codes(dag, programs,
+                    interpreter_bands<hvx::Interpreter, hvx::InstrPtr>),
+        inputs, scalars);
 }
 
 Image
@@ -334,53 +429,24 @@ run_dag_jit(const PipelineDag &dag,
             const std::map<std::string, int64_t> &scalars,
             const JitRunOptions &opts)
 {
-    RAKE_USER_CHECK(programs.size() == dag.stages.size(),
-                    "pipeline '" << dag.name << "' has "
-                                 << dag.stages.size() << " stages but "
-                                 << programs.size()
-                                 << " programs were supplied");
-    std::vector<StageCode> codes;
-    for (size_t i = 0; i < programs.size(); ++i) {
-        RAKE_USER_CHECK(programs[i] != nullptr,
-                        "null program for stage '"
-                            << dag.stages[i].name << "'");
-        StageCode code;
-        code.out_type = programs[i]->type();
-        std::set<const hvx::Instr *> visited;
-        collect_load_elems(programs[i], code.load_elems, visited);
-        // shared_ptr: StageCode::eval must be copyable. Each stage's
-        // program binds on the first tile of its pass; copies of the
-        // lambda share the flag (and the program) via shared_ptr.
-        std::shared_ptr<jit::Program> compiled =
-            jit::Program::compile(programs[i]);
-        auto check = std::make_shared<hvx::Interpreter>();
-        auto bound = std::make_shared<bool>(false);
-        code.eval = [compiled, check, bound, prog = programs[i],
-                     name = dag.stages[i].name,
-                     validate = opts.validate](const Env &env) -> Value {
-            if (!*bound) {
-                compiled->bind(env);
-                *bound = true;
-            }
-            const Value &v = compiled->run(env.x, env.y);
-            if (validate) {
-                check->reset(env);
-                const Value &ref = check->eval(prog);
-                RAKE_USER_CHECK(v == ref,
-                                "stage '"
-                                    << name
-                                    << "': jit/interpreter divergence "
-                                       "at ("
-                                    << env.x << ", " << env.y
-                                    << "): jit " << to_string(v)
-                                    << " vs interpreter "
-                                    << to_string(ref));
-            }
-            return v;
+    std::vector<std::unique_ptr<jit::Program>> compiled;
+    const std::vector<StageCode> codes =
+        stage_codes(dag, programs, [&](const hvx::InstrPtr &p) {
+            compiled.push_back(jit::Program::compile(p));
+            return jit_bands(*compiled.back());
+        });
+    StageCheck check;
+    if (opts.validate)
+        check = [&](int idx, const ImageRefs &stage_inputs,
+                    const Image &got) {
+            const StageCode &code = codes[idx];
+            const Image want = run_impl(
+                code.out_type, code.load_elems, stage_inputs, scalars,
+                interpreter_bands<hvx::Interpreter>(programs[idx]));
+            require_equal_tiles(got, want, code.out_type,
+                                "stage '" + dag.stages[idx].name + "': ");
         };
-        codes.push_back(std::move(code));
-    }
-    return run_dag_with(dag, codes, inputs, scalars);
+    return run_stages(dag, codes, inputs, scalars, check);
 }
 
 Image
@@ -388,18 +454,12 @@ run_dag_reference(const PipelineDag &dag,
                   const std::map<int, Image> &inputs,
                   const std::map<std::string, int64_t> &scalars)
 {
-    std::vector<std::unique_ptr<hir::Interpreter>> interps;
     std::vector<StageCode> codes;
     for (const DagStage &stage : dag.stages) {
         StageCode code;
         code.out_type = stage.expr->type();
         collect_load_elems(stage.expr, code.load_elems);
-        interps.push_back(std::make_unique<hir::Interpreter>());
-        hir::Interpreter *interp = interps.back().get();
-        code.eval = [interp, expr = stage.expr](const Env &env) {
-            interp->reset(env);
-            return interp->eval(expr);
-        };
+        code.make_eval = interpreter_bands<hir::Interpreter>(stage.expr);
         codes.push_back(std::move(code));
     }
     return run_dag_with(dag, codes, inputs, scalars);
@@ -409,11 +469,8 @@ std::map<int, Image>
 synthetic_inputs_for(const hvx::InstrPtr &code, int w, int h,
                      uint64_t seed)
 {
-    LoadElems loads;
-    std::set<const hvx::Instr *> visited;
-    collect_load_elems(code, loads, visited);
     std::map<int, Image> inputs;
-    for (const auto &[id, elem] : loads)
+    for (const auto &[id, elem] : load_elems_of(code))
         inputs.emplace(id,
                        Image::synthetic(elem, w, h,
                                         seed +

@@ -63,10 +63,12 @@ struct Image {
  * Execute a compiled vector expression over an image set.
  *
  * The expression's loads refer to buffer ids; `inputs[id]` supplies
- * the image for each id. The expression is evaluated at every
- * (x, y) with x stepping by the vector lane count, writing its lanes
- * to the output image (which is sized like inputs[0]). Borders are
- * edge-clamped, as Halide's boundary condition would.
+ * the image for each id, read in place. The expression is evaluated
+ * at every (x, y) with x stepping by the vector lane count, writing
+ * its lanes to the output image (which is sized like inputs[0]).
+ * Borders are edge-clamped, as Halide's boundary condition would.
+ * Every whole-image pass runs its rows as contiguous bands, one per
+ * online CPU (see row_bands), each band with its own evaluator.
  */
 Image run_tiles(const hvx::InstrPtr &code,
                 const std::map<int, Image> &inputs,
@@ -81,8 +83,9 @@ Image run_tiles_reference(const hir::ExprPtr &expr,
 /** Options for the native (jit) execution paths. */
 struct JitRunOptions {
     /**
-     * Cross-check every tile against the HVX interpreter and throw
-     * UserError on the first divergence. On by default — this is the
+     * Compare the native image with the HVX interpreter's image over
+     * the same inputs (per stage for a DAG) and throw UserError naming
+     * the first divergent tile. On by default — this is the
      * correctness harness; timing paths turn it off.
      */
     bool validate = true;
@@ -91,9 +94,9 @@ struct JitRunOptions {
 /**
  * Execute a compiled vector expression natively: the program is
  * jit-compiled to host x86-64 once, then run per tile. Semantics are
- * identical to run_tiles (bit-for-bit; validated per tile when
- * opts.validate). Throws UserError on non-x86-64 hosts — gate with
- * jit::available().
+ * identical to run_tiles (bit-for-bit; checked against run_tiles'
+ * image when opts.validate). Throws UserError on non-x86-64 hosts —
+ * gate with jit::available().
  */
 Image run_tiles_jit(const hvx::InstrPtr &code,
                     const std::map<int, Image> &inputs,
@@ -105,33 +108,77 @@ Image run_tiles_jit(const hvx::InstrPtr &code,
  * paths use this to keep one-time jit compilation out of the
  * steady-state measurement.
  */
-Image run_tiles_jit_with(jit::Program &program,
+Image run_tiles_jit_with(const jit::Program &program,
                          const std::map<int, Image> &inputs,
                          const std::map<std::string, int64_t> &scalars
                          = {});
 
 /**
+ * One band's tile evaluator: stores the lanes of the tile whose first
+ * pixel is (x, y) to dst, which points into the output image's row.
+ */
+using TileEval = std::function<void(int x, int y, int64_t *dst)>;
+
+/**
+ * Makes one band's TileEval. Called once per band, from the band's
+ * own thread, with the pass's view Env (the band copies what it
+ * keeps); it must not mutate state shared between bands.
+ */
+using TileEvalFactory = std::function<TileEval(const Env &env)>;
+
+/**
  * Executable code for one DAG stage, backend-agnostic: the staged
  * executor only needs the stage's output type, which element type it
- * loads from each slot, and a per-tile evaluator. Both interpreters
- * (and the NEON backend's type-erased evaluator) fit this shape.
+ * loads from each slot, and a factory for per-band tile evaluators.
+ * Both interpreters, the jit and the NEON backend's type-erased
+ * evaluator fit this shape.
  */
 struct StageCode {
     VecType out_type;
     std::map<int, ScalarType> load_elems; ///< slot -> element type read
-    std::function<Value(const Env &)> eval;
+    TileEvalFactory make_eval;
 };
+
+/** Rows [begin, end) of one band of a whole-image pass. */
+struct RowBand {
+    int begin = 0;
+    int end = 0;
+};
+
+/**
+ * Fewest tiles a band holds. Starting and joining a 4-thread pool
+ * costs about 95 us and one 128-lane jit tile about 2.5 us, so a
+ * smaller band would spend more on the pool than it saves.
+ */
+constexpr int kMinBandTiles = 64;
+
+/**
+ * Split `height` rows of `tiles_per_row` tiles into at most `workers`
+ * contiguous, disjoint bands covering every row in order. Each band
+ * holds at least kMinBandTiles tiles unless there is only one; a pass
+ * too small for two bands gets one. Empty when there are no tiles.
+ */
+std::vector<RowBand> row_bands(int height, int tiles_per_row,
+                               int workers);
+
+/**
+ * Throws UserError unless `jit` equals `interp`, naming the first
+ * divergent tile in row-major order (tiles are `tile.lanes` pixels
+ * wide) and both of its lane vectors; `where` prefixes the message.
+ */
+void require_equal_tiles(const Image &jit, const Image &interp,
+                         VecType tile, const std::string &where = "");
 
 /**
  * Execute a staged program over an image set, materializing each
  * intermediate buffer. Stages run in the DAG's topological order;
  * each stage's slots are bound per its StageInput table (externals
- * from `inputs`, intermediates from the producing stage's output),
- * and every stage boundary is validated — the produced image's
- * element type must match what the consumer loads, and all of a
- * stage's inputs must share one size — throwing UserError otherwise.
- * Returns the last declared stage's image (the pipeline output, by
- * the same convention as the flat path's final expression).
+ * from `inputs`, intermediates from the producing stage's output,
+ * both read in place), and every stage boundary is validated — the
+ * produced image's element type must match what the consumer loads,
+ * and all of a stage's inputs must share one size — throwing UserError
+ * otherwise. Returns the last declared stage's image (the pipeline
+ * output, by the same convention as the flat path's final expression).
  */
 Image run_dag_with(const PipelineDag &dag,
                    const std::vector<StageCode> &stages,
@@ -147,8 +194,9 @@ Image run_dag(const PipelineDag &dag,
 /**
  * Staged execution of jit-compiled per-stage programs. Each stage is
  * lowered to native code once and run per tile; stage boundaries are
- * validated by run_dag_with as usual, and each tile is additionally
- * cross-checked against the interpreter when opts.validate.
+ * validated by run_dag_with as usual, and when opts.validate each
+ * stage's image is compared with the HVX interpreter's image over the
+ * same stage inputs.
  */
 Image run_dag_jit(const PipelineDag &dag,
                   const std::vector<hvx::InstrPtr> &programs,

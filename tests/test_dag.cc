@@ -13,6 +13,7 @@
 #include "hir/hashcons.h"
 #include "hir/interp.h"
 #include "hvx/instr.h"
+#include "neon/interp.h"
 #include "neon/select.h"
 #include "pipeline/benchmarks.h"
 #include "pipeline/dag.h"
@@ -332,8 +333,17 @@ TEST(DagExecutor, FusedSuiteMatchesComposedReferenceOnNeon)
             for (const StageInput &in : s.inputs)
                 code.load_elems[in.slot] =
                     load_elem_of(s.expr, in.slot);
-            code.eval = [prog = *ne](const Env &env) {
-                return neon::evaluate(prog, env);
+            // One Neon interpreter and view Env per band.
+            code.make_eval = [prog = *ne](const Env &env) -> TileEval {
+                auto interp = std::make_shared<neon::Interpreter>();
+                return [prog, interp, env = Env(env)](
+                           int x, int y, int64_t *dst) mutable {
+                    env.x = x;
+                    env.y = y;
+                    interp->reset(env);
+                    const Value &v = interp->eval(prog);
+                    std::copy(v.lanes.begin(), v.lanes.end(), dst);
+                };
             };
             codes.push_back(std::move(code));
         }
@@ -368,8 +378,14 @@ TEST(DagExecutor, ValidatesStageBoundaries)
         code.out_type = s.expr->type();
         for (const StageInput &in : s.inputs)
             code.load_elems[in.slot] = load_elem_of(s.expr, in.slot);
-        code.eval = [expr = s.expr](const Env &env) {
-            return hir::evaluate(expr, env);
+        code.make_eval = [expr = s.expr](const Env &env) -> TileEval {
+            return [expr, env = Env(env)](int x, int y,
+                                          int64_t *dst) mutable {
+                env.x = x;
+                env.y = y;
+                const Value v = hir::evaluate(expr, env);
+                std::copy(v.lanes.begin(), v.lanes.end(), dst);
+            };
         };
         codes.push_back(std::move(code));
     }
@@ -382,7 +398,7 @@ TEST(DagExecutor, ValidatesStageBoundaries)
     EXPECT_THROW(run_dag_with(dag, codes, inputs, scalars), UserError);
 
     // A null evaluator is refused by name.
-    codes[1].eval = nullptr;
+    codes[1].make_eval = nullptr;
     EXPECT_THROW(run_dag_with(dag, codes, inputs, scalars), UserError);
 
     // Mismatched input image sizes fail per-stage validation.

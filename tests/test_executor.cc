@@ -2,9 +2,12 @@
  * @file
  * Tests for the tile executor: whole-image execution of generated
  * code vs the HIR reference, multi-input kernels, scalar parameters,
- * image quality helpers, and input validation.
+ * image quality helpers, input validation, buffers that view images
+ * in place, the row-band split, and the divergence report.
  */
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -203,6 +206,106 @@ TEST(Executor, FullSobelPipelineRoundTrip)
     Image base = run_tiles(
         baseline::select_instructions(sobel, target), inputs);
     EXPECT_EQ(count_mismatches(ref, base), 0);
+}
+
+TEST(Executor, ViewBufferReadsTheImageInPlace)
+{
+    const Image img = Image::synthetic(u8, 16, 5, 9);
+    const Buffer view = Buffer::view_of(img.elem, img.width, img.height,
+                                        img.pixels.data());
+    EXPECT_EQ(view.cells(), img.pixels.data());
+    EXPECT_TRUE(view.data.empty());
+    const Buffer copy = view; // a copy views the same storage
+    EXPECT_EQ(copy.cells(), img.pixels.data());
+
+    Buffer owned(img.elem, img.width, img.height);
+    owned.data = img.pixels;
+    EXPECT_EQ(owned.cells(), owned.data.data());
+    for (int y = -2; y <= img.height + 1; ++y)
+        for (int x = -3; x <= img.width + 2; ++x)
+            EXPECT_EQ(view.at(x, y), owned.at(x, y)) << x << "," << y;
+
+    // Windows inside the image and crossing each edge, at the image's
+    // own type and at a narrower signed one (loads wrap per lane).
+    for (const VecType t : {VecType(u8, 4), VecType(u8, 8),
+                            VecType(ScalarType::Int8, 8)}) {
+        for (int y : {-1, 0, 2, img.height - 1, img.height}) {
+            for (int x : {-6, -1, 0, 3, 8, 12, 13, img.width - 1,
+                          img.width}) {
+                Value a = Value::zero(t);
+                Value b = Value::zero(t);
+                view.load_window(x, y, a);
+                owned.load_window(x, y, b);
+                EXPECT_EQ(a, b) << to_string(t) << " at " << x << ","
+                                << y;
+            }
+        }
+    }
+}
+
+TEST(Executor, RowBandsAreContiguousDisjointAndCoverEveryRow)
+{
+    for (int height = 1; height <= 300; ++height) {
+        for (int workers = 1; workers <= 8; ++workers) {
+            for (int tiles : {1, 2, 3, 4, 8, 21, 31, 32, 33, 63, 64, 65,
+                              127, 128, 129, 512}) {
+                const std::vector<RowBand> bands =
+                    row_bands(height, tiles, workers);
+                const int n = static_cast<int>(bands.size());
+                ASSERT_GE(n, 1);
+                ASSERT_LE(n, std::min(workers, height));
+                int next = 0;
+                for (const RowBand &b : bands) {
+                    ASSERT_EQ(b.begin, next);
+                    ASSERT_LT(b.begin, b.end);
+                    if (n > 1) {
+                        ASSERT_GE((b.end - b.begin) * tiles,
+                                  kMinBandTiles)
+                            << height << " rows of " << tiles
+                            << " tiles on " << workers << " workers";
+                    }
+                    next = b.end;
+                }
+                ASSERT_EQ(next, height);
+                // Too small for two bands: one, on the calling thread.
+                if (height * tiles < 2 * kMinBandTiles) {
+                    ASSERT_EQ(n, 1);
+                }
+                // Large enough for a band per worker: one per worker.
+                if (height >= workers &&
+                    (height / workers) * tiles >= kMinBandTiles) {
+                    ASSERT_EQ(n, workers);
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(row_bands(0, 8, 4).empty());
+    EXPECT_TRUE(row_bands(8, 0, 4).empty());
+}
+
+TEST(Executor, DivergenceReportNamesFirstTileAndBothLaneVectors)
+{
+    const VecType tile(u8, 4);
+    const Image interp = Image::synthetic(u8, 16, 3, 4);
+    Image jit = interp;
+    EXPECT_NO_THROW(require_equal_tiles(jit, interp, tile));
+
+    // Two divergent tiles: (4, 1) comes first in row-major order.
+    jit.at(6, 1) = wrap(u8, jit.at(6, 1) + 1);
+    jit.at(1, 2) = wrap(u8, jit.at(1, 2) + 1);
+    const auto lanes = [&](const Image &img) {
+        return to_string(Value(tile, {img.at(4, 1), img.at(5, 1),
+                                      img.at(6, 1), img.at(7, 1)}));
+    };
+    try {
+        require_equal_tiles(jit, interp, tile, "stage 's': ");
+        FAIL() << "divergent images passed";
+    } catch (const UserError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "rake: stage 's': jit/interpreter divergence at (4, 1): "
+                  "jit " +
+                      lanes(jit) + " vs interpreter " + lanes(interp));
+    }
 }
 
 } // namespace

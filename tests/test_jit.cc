@@ -2,12 +2,15 @@
  * @file
  * Tests for the native x86-64 JIT execution tier: per-opcode
  * differential checks against the HVX interpreter, whole-image
- * execution over every flat benchmark and the fused DAG suite, SIMD
- * tier coverage via the RAKE_JIT_SIMD knob, and failure-mode gating.
+ * execution over every flat benchmark and the fused DAG suite (in
+ * several row bands too), SIMD tier coverage via the RAKE_JIT_SIMD
+ * knob, structural slot sharing, concurrent runners, and failure-mode
+ * gating.
  *
  * Everything is gated on jit::available(): on non-x86-64 hosts the
  * suite skips (and one test pins that compile() refuses cleanly).
  */
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -18,11 +21,14 @@
 #include "baseline/halide_optimizer.h"
 #include "hir/analysis.h"
 #include "hir/builder.h"
+#include "hvx/interp.h"
+#include "hvx/sexpr.h"
 #include "jit/jit.h"
 #include "pipeline/benchmarks.h"
 #include "pipeline/dag.h"
 #include "pipeline/executor.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 #include "synth/rake.h"
 #include "test_util.h"
 
@@ -138,6 +144,27 @@ expect_jit_matches_interp(const InstrPtr &prog,
     const Image want = run_tiles(prog, inputs, scalars);
     const Image got = run_tiles_jit(prog, inputs, scalars);
     EXPECT_EQ(count_mismatches(want, got), 0);
+}
+
+/** Every tier this host can run: scalar, sse2, and avx2 if present. */
+std::vector<const char *>
+simd_tiers()
+{
+    std::vector<const char *> tiers = {"scalar", "sse2"};
+    ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
+    if (jit::simd_level() == jit::SimdLevel::Avx2)
+        tiers.push_back("avx2");
+    return tiers;
+}
+
+/** Scalar value 5 for every variable `e` reads. */
+std::map<std::string, int64_t>
+scalars_for(const hir::ExprPtr &e)
+{
+    std::map<std::string, int64_t> scalars;
+    for (const std::string &v : hir::collect_vars(e))
+        scalars.emplace(v, 5);
+    return scalars;
 }
 
 TEST(Jit, AvailabilityAndSimdLevel)
@@ -387,12 +414,7 @@ TEST(Jit, AllSimdTiersAgree)
         Instr::make(Opcode::VAnd, {vread(0, u16, 6), vread(1, u16, 6)}),
         Instr::make(Opcode::VOr, {vread(0, u16, 6), vread(1, u16, 6)}),
     };
-    std::vector<const char *> tiers = {"scalar", "sse2"};
-    {
-        ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
-        if (jit::simd_level() == jit::SimdLevel::Avx2)
-            tiers.push_back("avx2");
-    }
+    const std::vector<const char *> tiers = simd_tiers();
     for (const InstrPtr &prog : progs) {
         std::map<int, ScalarType> loads;
         std::set<const hvx::Instr *> seen;
@@ -525,6 +547,152 @@ TEST(Jit, FusedDagSuiteMatchesReference)
             run_dag_jit(dag, programs, inputs, scalars, fast);
         EXPECT_EQ(count_mismatches(expected, timed), 0);
     }
+}
+
+TEST(Jit, StructurallyEqualNodesShareOneSlot)
+{
+    // A selection read back from a disk entry or a rule table is an
+    // s-expression parse that shares no nodes. It must compile to the
+    // same code as the DAG it was printed from, not to one copy of a
+    // shared node per use.
+    SKIP_IF_NO_JIT();
+    hvx::Target target;
+    for (const Benchmark &b : benchmark_suite()) {
+        for (const KernelExpr &k : b.exprs) {
+            SCOPED_TRACE(b.name + "/" + k.name);
+            const InstrPtr code =
+                baseline::select_instructions(k.expr, target);
+            ASSERT_NE(code, nullptr);
+            const InstrPtr parsed = hvx::parse_instr(hvx::to_sexpr(code));
+            const auto shared = jit::Program::compile(code);
+            const auto unshared = jit::Program::compile(parsed);
+            EXPECT_EQ(shared->code_size(), unshared->code_size());
+
+            std::map<int, ScalarType> loads;
+            collect_hvx_loads(k.expr, loads);
+            std::map<int, Image> inputs;
+            uint64_t seed = 41;
+            for (const auto &[id, elem] : loads)
+                inputs.emplace(id, random_image(elem, code->type().lanes * 2,
+                                                3, seed++));
+            const std::map<std::string, int64_t> scalars =
+                scalars_for(k.expr);
+            const Image want = run_tiles(code, inputs, scalars);
+            EXPECT_EQ(count_mismatches(
+                          want, run_tiles_jit_with(*shared, inputs, scalars)),
+                      0);
+            EXPECT_EQ(count_mismatches(want, run_tiles_jit_with(
+                                                 *unshared, inputs, scalars)),
+                      0);
+        }
+    }
+}
+
+TEST(Jit, MultiBandFlatImagesMatchReferenceAtEveryTier)
+{
+    // 131 rows of 4 tiles: several bands, with rows left over.
+    SKIP_IF_NO_JIT();
+    hvx::Target target;
+    const std::vector<const char *> tiers = simd_tiers();
+    for (const Benchmark &b : benchmark_suite()) {
+        for (const KernelExpr &k : b.exprs) {
+            SCOPED_TRACE(b.name + "/" + k.name);
+            const InstrPtr code =
+                baseline::select_instructions(k.expr, target);
+            ASSERT_NE(code, nullptr);
+            std::map<int, ScalarType> loads;
+            collect_hvx_loads(k.expr, loads);
+            std::map<int, Image> inputs;
+            uint64_t seed = 53;
+            for (const auto &[id, elem] : loads)
+                inputs.emplace(id, random_image(elem, 4 * code->type().lanes,
+                                                131, seed++));
+            const std::map<std::string, int64_t> scalars =
+                scalars_for(k.expr);
+            const Image want = run_tiles_reference(k.expr, inputs, scalars);
+            EXPECT_EQ(count_mismatches(want, run_tiles(code, inputs, scalars)),
+                      0);
+            for (const char *tier : tiers) {
+                SCOPED_TRACE(tier);
+                ScopedEnv force("RAKE_JIT_SIMD", tier);
+                EXPECT_EQ(count_mismatches(
+                              want, run_tiles_jit(code, inputs, scalars)),
+                          0);
+            }
+        }
+    }
+}
+
+TEST(Jit, MultiBandDagImagesMatchReference)
+{
+    SKIP_IF_NO_JIT();
+    hvx::Target target;
+    for (const Benchmark &b : fused_suite()) {
+        SCOPED_TRACE(b.name);
+        const PipelineDag dag = from_benchmark(b);
+        std::vector<InstrPtr> programs;
+        int lanes = 1;
+        for (const DagStage &s : dag.stages) {
+            programs.push_back(
+                baseline::select_instructions(s.expr, target));
+            ASSERT_NE(programs.back(), nullptr) << s.name;
+            lanes = std::max(lanes, s.expr->type().lanes);
+        }
+        std::map<std::string, int64_t> scalars;
+        std::map<int, Image> inputs;
+        uint64_t seed = 61;
+        for (const DagStage &s : dag.stages) {
+            for (const std::string &v : hir::collect_vars(s.expr))
+                scalars.emplace(v, 5);
+            std::map<int, ScalarType> loads;
+            collect_hvx_loads(s.expr, loads);
+            for (const StageInput &in : s.inputs) {
+                if (in.external < 0 || inputs.count(in.external))
+                    continue;
+                inputs.emplace(in.external,
+                               Image::synthetic(loads.at(in.slot),
+                                                4 * lanes, 131, seed++));
+            }
+        }
+        const Image want = run_dag_reference(dag, inputs, scalars);
+        EXPECT_EQ(count_mismatches(want, run_dag(dag, programs, inputs,
+                                                 scalars)),
+                  0);
+        EXPECT_EQ(count_mismatches(want, run_dag_jit(dag, programs, inputs,
+                                                     scalars)),
+                  0);
+    }
+}
+
+TEST(Jit, RunnersOfOneProgramRunConcurrently)
+{
+    // One compiled program, one Runner per thread, each bound to its
+    // own env (a different splat value): no runner sees another's.
+    SKIP_IF_NO_JIT();
+    using namespace rake::hir;
+    const InstrPtr prog = hvx::Instr::make(
+        Opcode::VAdd,
+        {vread(0, i16, 8), hvx::Instr::make_splat(var("bias", i16).ptr(), 8)});
+    const auto compiled = jit::Program::compile(prog);
+    const Image img = random_image(i16, 32, 16, 3);
+    std::vector<Value> got(8), want(8);
+    parallel_for(8, 4, [&](int t) {
+        Env env;
+        env.buffers.emplace(0, Buffer::view_of(i16, img.width, img.height,
+                                               img.pixels.data()));
+        env.scalars.emplace("bias", int64_t{100} * t);
+        jit::Runner runner(*compiled, env);
+        Value out = Value::zero(prog->type());
+        for (int y = 0; y < img.height; ++y)
+            for (int x = 0; x < img.width; x += 8)
+                runner.run(x, y, out.lanes.data());
+        got[t] = out;
+        env.x = img.width - 8;
+        env.y = img.height - 1;
+        want[t] = hvx::evaluate(prog, env);
+    });
+    for (int t = 0; t < 8; ++t)
+        EXPECT_EQ(got[t], want[t]) << "runner " << t;
 }
 
 #if !defined(__x86_64__)
