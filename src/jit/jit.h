@@ -100,10 +100,16 @@ class Runner
     std::vector<int64_t> arena_;
 };
 
-/** A compiled, executable HVX program. */
+/**
+ * A compiled, executable HVX program. Runners hold its address, so it
+ * is neither copied nor moved.
+ */
 class Program
 {
   public:
+    Program(const Program &) = delete;
+    Program &operator=(const Program &) = delete;
+
     /**
      * Lower and seal `code`. Throws UserError when the host is not
      * x86-64, when W^X sealing is refused, or when the program

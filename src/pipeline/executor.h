@@ -2,7 +2,9 @@
  * @file
  * Tile executor: runs generated HVX code (or the HIR reference) over
  * whole 2-D images, tile by tile, the way the Halide schedule in the
- * paper's Fig. 2 does (vectorized x, looped y).
+ * paper's Fig. 2 does (vectorized x, looped y), with the y loop split
+ * into row bands that run on every CPU. Input images are read in
+ * place, never copied.
  *
  * This is what makes the generated code *runnable* end to end: given
  * input images, it produces the output image a real deployment would,
