@@ -143,8 +143,9 @@ online_cpus()
 
 /**
  * The one whole-image pass: validate the inputs, then run the rows as
- * bands on their own threads, each band storing its tiles straight
- * into the output rows through an evaluator of its own.
+ * bands, one thread each (the calling thread when there is one band),
+ * each band storing its tiles straight into the output rows through
+ * an evaluator of its own.
  */
 Image
 run_impl(VecType out_type, const LoadElems &loads, const ImageRefs &inputs,
@@ -305,11 +306,12 @@ require_equal_tiles(const Image &jit, const Image &interp, VecType tile,
 {
     RAKE_CHECK(jit.width == interp.width && jit.height == interp.height,
                "image sizes differ");
-    const auto [a, b] = std::mismatch(jit.pixels.begin(), jit.pixels.end(),
-                                      interp.pixels.begin());
-    if (a == jit.pixels.end())
+    const auto diff = std::mismatch(jit.pixels.begin(), jit.pixels.end(),
+                                    interp.pixels.begin())
+                          .first;
+    if (diff == jit.pixels.end())
         return;
-    const int64_t first = a - jit.pixels.begin();
+    const int64_t first = diff - jit.pixels.begin();
     const int y = static_cast<int>(first / jit.width);
     const int x = static_cast<int>(first % jit.width) / tile.lanes *
                   tile.lanes;
