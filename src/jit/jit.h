@@ -133,8 +133,8 @@ class Program
      * Execute one tile at origin (x, y): the single-tile entry point
      * of probes and oracles. Returns the output value; the reference
      * is owned by the program and valid until the next run(). bind()
-     * must have been called. Whole images run on one Runner per band
-     * instead (pipeline/executor.h).
+     * must have been called. Whole images run on one Runner per
+     * worker instead (pipeline/executor.h).
      */
     const Value &run(int x, int y);
 

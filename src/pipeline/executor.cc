@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "hir/analysis.h"
 #include "hir/interp.h"
@@ -132,20 +131,12 @@ validate_inputs(const ImageRefs &inputs, const LoadElems &loads)
     }
 }
 
-/** Online CPUs, probed once. */
-int
-online_cpus()
-{
-    static const int cpus =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-    return cpus;
-}
-
 /**
- * The one whole-image pass: validate the inputs, then run the rows as
- * bands, one thread each (the calling thread when there is one band),
- * each band storing its tiles straight into the output rows through
- * an evaluator of its own.
+ * The one whole-image pass: validate the inputs, split the rows into
+ * bands of at least kMinBandTiles tiles, and let every usable CPU
+ * claim bands one at a time (parallel_claims). Each worker makes its
+ * own evaluator once and stores its tiles straight into the output
+ * rows.
  */
 Image
 run_impl(VecType out_type, const LoadElems &loads, const ImageRefs &inputs,
@@ -164,23 +155,24 @@ run_impl(VecType out_type, const LoadElems &loads, const ImageRefs &inputs,
     Image out(out_type.elem, primary.width, primary.height);
     const Env env = env_for(inputs, scalars);
     const std::vector<RowBand> bands =
-        row_bands(out.height, out.width / lanes, online_cpus());
-    const int n = static_cast<int>(bands.size());
-    parallel_for(n, n, [&](int b) {
-        TileEval eval = make_eval(env);
-        for (int y = bands[b].begin; y < bands[b].end; ++y) {
-            int64_t *row = &out.at(0, y);
-            for (int x = 0; x < out.width; x += lanes)
-                eval(x, y, row + x);
-        }
-    });
+        row_bands(out.height, out.width / lanes, out.height);
+    parallel_claims(
+        static_cast<int>(bands.size()), usable_cpus(), [&] {
+            return [&, eval = make_eval(env)](int b) {
+                for (int y = bands[b].begin; y < bands[b].end; ++y) {
+                    int64_t *row = &out.at(0, y);
+                    for (int x = 0; x < out.width; x += lanes)
+                        eval(x, y, row + x);
+                }
+            };
+        });
     return out;
 }
 
 /**
- * Bands that evaluate `code` on an interpreter (hvx::Interpreter or
+ * Workers that evaluate `code` on an interpreter (hvx::Interpreter or
  * hir::Interpreter): each owns its interpreter and a copy of the view
- * Env. IR nodes hold no mutable state, so bands share the code.
+ * Env. IR nodes hold no mutable state, so workers share the code.
  */
 template <typename Interp, typename Code>
 TileEvalFactory
@@ -199,7 +191,7 @@ interpreter_bands(Code code)
 }
 
 /**
- * Bands that run `program` natively, one jit::Runner each; the
+ * Workers that run `program` natively, one jit::Runner each; the
  * program must outlive the pass.
  */
 TileEvalFactory
@@ -281,12 +273,12 @@ run_stages(const PipelineDag &dag, const std::vector<StageCode> &stages,
 } // namespace
 
 std::vector<RowBand>
-row_bands(int height, int tiles_per_row, int workers)
+row_bands(int height, int tiles_per_row, int max_bands)
 {
     std::vector<RowBand> bands;
     if (height <= 0 || tiles_per_row <= 0)
         return bands;
-    int n = std::clamp(workers, 1, height);
+    int n = std::clamp(max_bands, 1, height);
     while (n > 1 &&
            static_cast<int64_t>(height / n) * tiles_per_row < kMinBandTiles)
         --n;

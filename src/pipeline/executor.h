@@ -3,8 +3,8 @@
  * Tile executor: runs generated HVX code (or the HIR reference) over
  * whole 2-D images, tile by tile, the way the Halide schedule in the
  * paper's Fig. 2 does (vectorized x, looped y), with the y loop split
- * into row bands that run on every CPU. Input images are read in
- * place, never copied.
+ * into row bands that every usable CPU claims one at a time. Input
+ * images are read in place, never copied.
  *
  * This is what makes the generated code *runnable* end to end: given
  * input images, it produces the output image a real deployment would,
@@ -69,8 +69,10 @@ struct Image {
  * at every (x, y) with x stepping by the vector lane count, writing
  * its lanes to the output image (which is sized like inputs[0]).
  * Borders are edge-clamped, as Halide's boundary condition would.
- * Every whole-image pass runs its rows as contiguous bands, one per
- * online CPU (see row_bands), each band with its own evaluator.
+ * Every whole-image pass splits its rows into contiguous bands (see
+ * row_bands) that the calling thread and one helper per other usable
+ * CPU claim one at a time (parallel_claims, support/thread_pool.h),
+ * each of these workers with its own evaluator.
  */
 Image run_tiles(const hvx::InstrPtr &code,
                 const std::map<int, Image> &inputs,
@@ -116,22 +118,23 @@ Image run_tiles_jit_with(const jit::Program &program,
                          = {});
 
 /**
- * One band's tile evaluator: stores the lanes of the tile whose first
- * pixel is (x, y) to dst, which points into the output image's row.
+ * One worker's tile evaluator: stores the lanes of the tile whose
+ * first pixel is (x, y) to dst, which points into the output image's
+ * row.
  */
 using TileEval = std::function<void(int x, int y, int64_t *dst)>;
 
 /**
- * Makes one band's TileEval. Called once per band, from the band's
- * own thread, with the pass's view Env (the band copies what it
- * keeps); it must not mutate state shared between bands.
+ * Makes one worker's TileEval. Called once per worker of a pass, from
+ * the worker's own thread, with the pass's view Env (the worker copies
+ * what it keeps); it must not mutate state shared between workers.
  */
 using TileEvalFactory = std::function<TileEval(const Env &env)>;
 
 /**
  * Executable code for one DAG stage, backend-agnostic: the staged
  * executor only needs the stage's output type, which element type it
- * loads from each slot, and a factory for per-band tile evaluators.
+ * loads from each slot, and a factory for per-worker tile evaluators.
  * Both interpreters, the jit and the NEON backend's type-erased
  * evaluator fit this shape.
  */
@@ -148,20 +151,23 @@ struct RowBand {
 };
 
 /**
- * Fewest tiles a band holds. Starting and joining a 4-thread pool
- * costs about 95 us and one 128-lane jit tile about 2.5 us, so a
- * smaller band would spend more on the pool than it saves.
+ * Fewest tiles a band holds. One 128-lane jit tile takes about 2.5 us,
+ * so a band runs for at least about 160 us: long enough that waking
+ * the helpers and claiming bands cost little beside it, short enough
+ * that the last band a worker claims ends soon after the others.
  */
 constexpr int kMinBandTiles = 64;
 
 /**
- * Split `height` rows of `tiles_per_row` tiles into at most `workers`
- * contiguous, disjoint bands covering every row in order. Each band
- * holds at least kMinBandTiles tiles unless there is only one; a pass
- * too small for two bands gets one. Empty when there are no tiles.
+ * Split `height` rows of `tiles_per_row` tiles into at most
+ * `max_bands` contiguous, disjoint bands covering every row in order.
+ * Each band holds at least kMinBandTiles tiles unless there is only
+ * one; a pass too small for two bands gets one, and runs on the
+ * calling thread. Empty when there are no tiles. The executor asks
+ * for as many bands as the minimum allows.
  */
 std::vector<RowBand> row_bands(int height, int tiles_per_row,
-                               int workers);
+                               int max_bands);
 
 /**
  * Throws UserError unless `jit` equals `interp`, naming the first

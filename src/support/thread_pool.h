@@ -9,20 +9,30 @@
  * synthesis cache). The pool is intentionally minimal: submit
  * closures, then wait for the queue to drain; the first exception
  * thrown by any task is captured and rethrown from wait().
+ *
+ * parallel_claims shares one data-parallel pass (the executor's row
+ * bands) between the calling thread and a process-wide pool of
+ * helpers that sleep between passes.
  */
 #ifndef RAKE_SUPPORT_THREAD_POOL_H
 #define RAKE_SUPPORT_THREAD_POOL_H
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "support/deadline.h"
 #include "support/parse.h"
@@ -204,6 +214,137 @@ parallel_for(int n, int jobs, Fn &&fn)
     for (int i = 0; i < n; ++i)
         pool.submit([&fn, i] { fn(i); });
     pool.wait();
+}
+
+/**
+ * CPUs this process may run on: its affinity mask where the OS has
+ * one (so a pinned process sees its own share, not the host's), else
+ * the online count. Probed once.
+ */
+inline int
+usable_cpus()
+{
+    static const int cpus = [] {
+#if defined(__linux__)
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if (sched_getaffinity(0, sizeof set, &set) == 0)
+            return std::max(1, CPU_COUNT(&set));
+#endif
+        return std::max(
+            1, static_cast<int>(std::thread::hardware_concurrency()));
+    }();
+    return cpus;
+}
+
+/**
+ * The helpers of parallel_claims: one thread per usable CPU but the
+ * caller's, started on first use and asleep between passes.
+ */
+inline ThreadPool &
+claim_helpers()
+{
+    static ThreadPool pool(usable_cpus() - 1);
+    return pool;
+}
+
+namespace detail {
+
+/** The state one parallel_claims pass shares with its helpers. */
+struct ClaimPass {
+    explicit ClaimPass(int items) : n(items) {}
+
+    /** The next unclaimed item, or -1 when none is left. */
+    int
+    claim()
+    {
+        const int i = next.fetch_add(1, std::memory_order_relaxed);
+        return i < n ? i : -1;
+    }
+
+    /** Keep the first error; leave the remaining items unclaimed. */
+    void
+    fail(std::exception_ptr e)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!error)
+            error = std::move(e);
+        next.store(n, std::memory_order_relaxed);
+    }
+
+    const int n;
+    std::atomic<int> next{0};
+    /** Runs one participant from its first claimed item on. */
+    const std::function<void(int)> *join = nullptr;
+    std::mutex mutex;
+    std::condition_variable idle;
+    int helpers = 0; ///< helpers between arrival and departure
+    std::exception_ptr error;
+};
+
+} // namespace detail
+
+/**
+ * Run n independent items on the calling thread and up to `workers`
+ * - 1 helpers of claim_helpers(). Every participant claims items one
+ * at a time until none is left, so a participant that the OS
+ * deschedules holds up only the item it is running, and the caller
+ * never waits for a helper that has not started: it works through
+ * the items itself and then waits only for helpers still running
+ * one. A participant calls make_worker() once, after its first claim,
+ * and runs each item it claims with the returned callable, w(i); a
+ * helper that wakes after every item is claimed never touches the
+ * caller's state. Sequential on the calling thread when workers <= 1
+ * or n <= 1. Rethrows the first exception after every participant
+ * has left; items not yet claimed by then are skipped.
+ */
+template <typename MakeWorker>
+void
+parallel_claims(int n, int workers, MakeWorker &&make_worker)
+{
+    if (n <= 0)
+        return;
+    workers = std::min(workers, n);
+    if (workers <= 1) {
+        auto work = make_worker();
+        for (int i = 0; i < n; ++i)
+            work(i);
+        return;
+    }
+    const auto pass = std::make_shared<detail::ClaimPass>(n);
+    const std::function<void(int)> join = [&](int first) {
+        try {
+            auto work = make_worker();
+            for (int i = first; i >= 0; i = pass->claim())
+                work(i);
+        } catch (...) {
+            pass->fail(std::current_exception());
+        }
+    };
+    pass->join = &join;
+    ThreadPool &helpers = claim_helpers();
+    for (int h = std::min(workers - 1, helpers.workers()); h > 0; --h) {
+        helpers.submit([pass] {
+            {
+                std::lock_guard<std::mutex> lock(pass->mutex);
+                ++pass->helpers;
+            }
+            // Arrived before claiming: the caller, which claims until
+            // none is left and then waits for arrived helpers, is
+            // still waiting while this one runs an item.
+            if (const int first = pass->claim(); first >= 0)
+                (*pass->join)(first);
+            std::lock_guard<std::mutex> lock(pass->mutex);
+            if (--pass->helpers == 0)
+                pass->idle.notify_all();
+        });
+    }
+    if (const int first = pass->claim(); first >= 0)
+        join(first);
+    std::unique_lock<std::mutex> lock(pass->mutex);
+    pass->idle.wait(lock, [&] { return pass->helpers == 0; });
+    if (pass->error)
+        std::rethrow_exception(pass->error);
 }
 
 } // namespace rake

@@ -333,7 +333,7 @@ TEST(DagExecutor, FusedSuiteMatchesComposedReferenceOnNeon)
             for (const StageInput &in : s.inputs)
                 code.load_elems[in.slot] =
                     load_elem_of(s.expr, in.slot);
-            // One Neon interpreter and view Env per band.
+            // One Neon interpreter and view Env per worker.
             code.make_eval = [prog = *ne](const Env &env) -> TileEval {
                 auto interp = std::make_shared<neon::Interpreter>();
                 return [prog, interp, env = Env(env)](

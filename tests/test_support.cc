@@ -6,9 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -174,6 +176,98 @@ TEST(ParallelFor, RethrowsTaskException)
                                       throw std::runtime_error("boom");
                               }),
                  std::runtime_error);
+}
+
+/** A claim worker that counts itself live and records its items. */
+class ClaimWorker
+{
+  public:
+    ClaimWorker(std::atomic<int> &live, std::vector<std::atomic<int>> &hits,
+                int throw_at = -1)
+        : live_(live), hits_(hits), throw_at_(throw_at)
+    {
+        ++live_;
+    }
+    ClaimWorker(const ClaimWorker &) = delete;
+    ~ClaimWorker() { --live_; }
+
+    void
+    operator()(int i)
+    {
+        ++hits_[i];
+        if (i == throw_at_)
+            throw std::runtime_error("boom");
+    }
+
+  private:
+    std::atomic<int> &live_;
+    std::vector<std::atomic<int>> &hits_;
+    int throw_at_;
+};
+
+TEST(ParallelFor, ClaimsRunEveryItemOnceWithAWorkerPerParticipant)
+{
+    for (int workers : {1, 2, 4, 9}) {
+        for (int n : {1, 2, 7, 64}) {
+            std::vector<std::atomic<int>> hits(n);
+            std::atomic<int> made{0}, live{0};
+            parallel_claims(n, workers, [&] {
+                ++made;
+                return ClaimWorker(live, hits);
+            });
+            for (int i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "item " << i << " of " << n << ", " << workers
+                    << " workers";
+            // Every participant made one worker, after its first claim,
+            // and destroyed it before the pass returned.
+            EXPECT_GE(made.load(), 1);
+            EXPECT_LE(made.load(), std::min(workers, n));
+            EXPECT_EQ(live.load(), 0);
+        }
+    }
+}
+
+TEST(ParallelFor, ClaimsRethrowAfterEveryParticipantLeaves)
+{
+    std::vector<std::atomic<int>> hits(64);
+    std::atomic<int> live{0};
+    EXPECT_THROW(parallel_claims(64, 4,
+                                 [&] {
+                                     return ClaimWorker(live, hits, 5);
+                                 }),
+                 std::runtime_error);
+    EXPECT_EQ(live.load(), 0);
+    EXPECT_EQ(hits[5].load(), 1);
+    for (int i = 0; i < 64; ++i)
+        EXPECT_LE(hits[i].load(), 1);
+
+    // A worker that cannot be made fails the pass the same way.
+    EXPECT_THROW(parallel_claims(64, 4,
+                                 []() -> std::function<void(int)> {
+                                     throw std::runtime_error("no worker");
+                                 }),
+                 std::runtime_error);
+}
+
+TEST(ParallelFor, ClaimsNeverOutliveThePass)
+{
+    // Passes this small often end before a helper wakes; a helper that
+    // wakes late must not touch the finished pass's stack (the
+    // ThreadSanitizer job runs this).
+    for (int round = 0; round < 500; ++round) {
+        int cells[3] = {0, 0, 0};
+        parallel_claims(3, 4, [&] {
+            return [&](int i) { cells[i] += i + 1; };
+        });
+        ASSERT_EQ(cells[0] + cells[1] + cells[2], 6) << "round " << round;
+    }
+}
+
+TEST(ParallelFor, UsableCpusIsPositive)
+{
+    EXPECT_GE(usable_cpus(), 1);
+    EXPECT_EQ(claim_helpers().workers(), std::max(1, usable_cpus() - 1));
 }
 
 TEST(ResolveJobs, ExplicitRequestWinsOverEnv)
