@@ -258,7 +258,7 @@ struct ClaimPass {
     int
     claim()
     {
-        const int i = next.fetch_add(1, std::memory_order_relaxed);
+        const int i = next.fetch_add(1);
         return i < n ? i : -1;
     }
 
@@ -269,7 +269,7 @@ struct ClaimPass {
         std::lock_guard<std::mutex> lock(mutex);
         if (!error)
             error = std::move(e);
-        next.store(n, std::memory_order_relaxed);
+        next.store(n);
     }
 
     const int n;
@@ -322,9 +322,9 @@ parallel_claims(int n, int workers, MakeWorker &&make_worker)
         }
     };
     pass->join = &join;
-    ThreadPool &helpers = claim_helpers();
-    for (int h = std::min(workers - 1, helpers.workers()); h > 0; --h) {
-        helpers.submit([pass] {
+    ThreadPool &pool = claim_helpers();
+    for (int h = std::min(workers - 1, pool.workers()); h > 0; --h) {
+        pool.submit([pass] {
             {
                 std::lock_guard<std::mutex> lock(pass->mutex);
                 ++pass->helpers;
