@@ -4,8 +4,8 @@
  *
  * The model mirrors the structure of hvx/cost.h at Neon's scale: a
  * Target describing the register file (128-bit Q registers), an
- * issue count per instruction, a latency table, and a DAG-walking
- * cost_of(). Wide logical vectors (the benchmark suite works on
+ * issue count per instruction, the latencies of the opcode table
+ * (NOpInfo, neon/instr.h), and a DAG-walking cost_of(). Wide logical vectors (the benchmark suite works on
  * 64-lane values) occupy several Q registers, so a non-free
  * instruction issues once per register it produces — narrows count
  * the wider input side. Register plumbing (vget_low/high, vcombine,
@@ -63,9 +63,6 @@ struct Cost {
 
 /** Issue slots one node occupies (0 for free movement). */
 int issue_count(const NInstr &n, const Target &target);
-
-/** Result latency in cycles of one issue of `op`. */
-int latency_of(NOp op);
 
 /** Cost of a DAG; structurally equal nodes count once. */
 Cost cost_of(const NInstrPtr &n, const Target &target);

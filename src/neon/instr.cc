@@ -1,6 +1,7 @@
 #include "neon/instr.h"
 
 #include <functional>
+#include <iterator>
 #include <map>
 #include <sstream>
 
@@ -10,108 +11,80 @@
 
 namespace rake::neon {
 
+namespace {
+
+constexpr NOpInfo kTable[] = {
+    // op             mnemonic        lat  free
+    {NOp::Ld1,        "vld1",         4,   false},
+    {NOp::Dup,        "vdup",         0,   true},
+    {NOp::Bitcast,    "vreinterpret", 0,   true},
+    {NOp::Movl,       "vmovl",        3,   false},
+    {NOp::Add,        "vadd",         2,   false},
+    {NOp::Qadd,       "vqadd",        2,   false},
+    {NOp::Sub,        "vsub",         2,   false},
+    {NOp::Mul,        "vmul",         4,   false},
+    {NOp::Mla,        "vmla",         4,   false},
+    {NOp::Mull,       "vmull",        4,   false},
+    {NOp::Mlal,       "vmlal",        4,   false},
+    {NOp::Abd,        "vabd",         2,   false},
+    {NOp::Min,        "vmin",         2,   false},
+    {NOp::Max,        "vmax",         2,   false},
+    {NOp::Hadd,       "vhadd",        2,   false},
+    {NOp::Rhadd,      "vrhadd",       2,   false},
+    {NOp::Shl,        "vshl",         3,   false},
+    {NOp::Sshr,       "vshr.s",       3,   false},
+    {NOp::Ushr,       "vshr.u",       3,   false},
+    {NOp::Rshr,       "vrshr",        3,   false},
+    {NOp::Xtn,        "vmovn",        3,   false},
+    {NOp::Qxtn,       "vqmovn",       3,   false},
+    {NOp::Shrn,       "vshrn",        3,   false},
+    {NOp::Qrshrn,     "vqrshrn",      3,   false},
+    {NOp::Cmgt,       "vcgt",         2,   false},
+    {NOp::Cmeq,       "vceq",         2,   false},
+    {NOp::Bsl,        "vbsl",         2,   false},
+    {NOp::And,        "vand",         2,   false},
+    {NOp::Orr,        "vorr",         2,   false},
+    {NOp::Eor,        "veor",         2,   false},
+    {NOp::Not,        "vmvn",         2,   false},
+    {NOp::Hole,       "??",           0,   true},
+    {NOp::Lo,         "vget_low",     0,   true},
+    {NOp::Hi,         "vget_high",    0,   true},
+    {NOp::Combine,    "vcombine",     0,   true},
+    {NOp::Ext,        "vext",         3,   false},
+    {NOp::Zip,        "vzip",         3,   false},
+    {NOp::Uzp,        "vuzp",         3,   false},
+    {NOp::Rev,        "vrev",         3,   false},
+    {NOp::Tbl,        "vtbl",         3,   false},
+};
+
+static_assert(std::size(kTable) == kNumNOps, "one kTable entry per NOp");
+
+constexpr bool
+table_in_opcode_order()
+{
+    for (int i = 0; i < kNumNOps; ++i) {
+        if (static_cast<int>(kTable[i].op) != i)
+            return false;
+    }
+    return true;
+}
+
+static_assert(table_in_opcode_order(), "kTable rows follow NOp order");
+
+} // namespace
+
+const NOpInfo &
+info(NOp op)
+{
+    const int i = static_cast<int>(op);
+    RAKE_CHECK(i >= 0 && i < kNumNOps, "bad NOp " << i);
+    return kTable[i];
+}
+
 std::string
 to_string(NOp op)
 {
-    switch (op) {
-      case NOp::Ld1:
-        return "vld1";
-      case NOp::Dup:
-        return "vdup";
-      case NOp::Bitcast:
-        return "vreinterpret";
-      case NOp::Movl:
-        return "vmovl";
-      case NOp::Add:
-        return "vadd";
-      case NOp::Qadd:
-        return "vqadd";
-      case NOp::Sub:
-        return "vsub";
-      case NOp::Mul:
-        return "vmul";
-      case NOp::Mla:
-        return "vmla";
-      case NOp::Mull:
-        return "vmull";
-      case NOp::Mlal:
-        return "vmlal";
-      case NOp::Abd:
-        return "vabd";
-      case NOp::Min:
-        return "vmin";
-      case NOp::Max:
-        return "vmax";
-      case NOp::Hadd:
-        return "vhadd";
-      case NOp::Rhadd:
-        return "vrhadd";
-      case NOp::Shl:
-        return "vshl";
-      case NOp::Sshr:
-        return "vshr.s";
-      case NOp::Ushr:
-        return "vshr.u";
-      case NOp::Rshr:
-        return "vrshr";
-      case NOp::Xtn:
-        return "vmovn";
-      case NOp::Qxtn:
-        return "vqmovn";
-      case NOp::Shrn:
-        return "vshrn";
-      case NOp::Qrshrn:
-        return "vqrshrn";
-      case NOp::Cmgt:
-        return "vcgt";
-      case NOp::Cmeq:
-        return "vceq";
-      case NOp::Bsl:
-        return "vbsl";
-      case NOp::And:
-        return "vand";
-      case NOp::Orr:
-        return "vorr";
-      case NOp::Eor:
-        return "veor";
-      case NOp::Not:
-        return "vmvn";
-      case NOp::Hole:
-        return "??";
-      case NOp::Lo:
-        return "vget_low";
-      case NOp::Hi:
-        return "vget_high";
-      case NOp::Combine:
-        return "vcombine";
-      case NOp::Ext:
-        return "vext";
-      case NOp::Zip:
-        return "vzip";
-      case NOp::Uzp:
-        return "vuzp";
-      case NOp::Rev:
-        return "vrev";
-      case NOp::Tbl:
-        return "vtbl";
-    }
-    RAKE_UNREACHABLE("bad NOp");
-}
-
-bool
-is_free_movement(NOp op)
-{
-    switch (op) {
-      case NOp::Bitcast:
-      case NOp::Dup:
-      case NOp::Hole:
-      case NOp::Lo:
-      case NOp::Hi:
-      case NOp::Combine:
-        return true;
-      default:
-        return false;
-    }
+    return info(op).mnemonic;
 }
 
 NInstr::NInstr(NOp op, VecType type, std::vector<NInstrPtr> args,
@@ -307,7 +280,7 @@ NInstr::instruction_count() const
 {
     int count = 0;
     for_each_distinct_node(*this, [&](const NInstr &n) {
-        if (!is_free_movement(n.op()))
+        if (!info(n.op()).free)
             ++count;
     });
     return count;

@@ -72,15 +72,28 @@ enum class NOp : uint8_t {
     Tbl,    ///< table lookup with a static index list (vtbl)
 };
 
-std::string to_string(NOp op);
+/** Number of NOp values. */
+inline constexpr int kNumNOps = static_cast<int>(NOp::Tbl) + 1;
 
-/**
- * Ops that cost no issue slot: register renames and loop-invariant
- * broadcasts (vdup of a kernel constant is hoisted out of the loop),
- * plus the search-time Hole placeholder. Shared by the instruction
- * counter and the cycle-cost model.
- */
-bool is_free_movement(NOp op);
+/** Static metadata of an opcode; the one table is in instr.cc. */
+struct NOpInfo {
+    NOp op;               ///< the entry's own opcode (order is checked)
+    const char *mnemonic; ///< unique: the listing and s-expression name
+    int latency;          ///< result latency in cycles (neon/cost.h)
+    /**
+     * Costs no issue slot: register renames and loop-invariant
+     * broadcasts (vdup of a kernel constant is hoisted out of the
+     * loop), plus the search-time Hole placeholder. Shared by the
+     * instruction counter and the cycle-cost model.
+     */
+    bool free;
+};
+
+/** Metadata for one opcode. */
+const NOpInfo &info(NOp op);
+
+/** Mnemonic of the opcode family. */
+std::string to_string(NOp op);
 
 class NInstr;
 using NInstrPtr = std::shared_ptr<const NInstr>;
@@ -121,7 +134,7 @@ class NInstr
 
     /**
      * Instructions in the DAG (structurally equal nodes once), not
-     * counting free register plumbing — see is_free_movement().
+     * counting free register plumbing (NOpInfo::free).
      */
     int instruction_count() const;
 

@@ -11,25 +11,19 @@ namespace rake::neon {
 
 namespace {
 
-/** Mnemonic table (to_string(NOp) is unique per opcode). */
+/**
+ * Mnemonic to opcode, from the opcode table (mnemonics are unique).
+ * Holes are search-time placeholders and never parse.
+ */
 const std::map<std::string, NOp> &
 opcode_table()
 {
     static const std::map<std::string, NOp> table = [] {
         std::map<std::string, NOp> t;
-        for (NOp op : {NOp::Ld1,    NOp::Dup,    NOp::Bitcast,
-                       NOp::Movl,   NOp::Add,    NOp::Qadd,
-                       NOp::Sub,    NOp::Mul,    NOp::Mla,
-                       NOp::Mull,   NOp::Mlal,   NOp::Abd,
-                       NOp::Min,    NOp::Max,    NOp::Hadd,
-                       NOp::Rhadd,  NOp::Shl,    NOp::Sshr,
-                       NOp::Ushr,   NOp::Rshr,   NOp::Xtn,
-                       NOp::Qxtn,   NOp::Shrn,   NOp::Qrshrn,
-                       NOp::Cmgt,   NOp::Cmeq,   NOp::Bsl,
-                       NOp::And,    NOp::Orr,    NOp::Eor,
-                       NOp::Not,    NOp::Lo,     NOp::Hi,
-                       NOp::Combine, NOp::Ext,   NOp::Zip,
-                       NOp::Uzp,    NOp::Rev,    NOp::Tbl}) {
+        for (int i = 0; i < kNumNOps; ++i) {
+            const NOp op = static_cast<NOp>(i);
+            if (op == NOp::Hole)
+                continue;
             const bool inserted =
                 t.emplace(to_string(op), op).second;
             RAKE_CHECK(inserted,
