@@ -1,12 +1,16 @@
 /**
  * @file
- * Fixed-point arithmetic helpers with explicit wrapping, saturating,
- * and rounding semantics.
+ * Fixed-point arithmetic with explicit wrapping, saturating and
+ * rounding semantics, and the lane algebra built on it.
  *
- * Every interpreter in Rake (HIR, Uber-Instruction IR, HVX) evaluates
- * lane values as int64_t and re-normalizes through these helpers, so
- * the three IRs agree bit-for-bit on overflow behaviour. This is the
- * foundation the equivalence checker relies on.
+ * Every opcode's lane function is written once, as a template over a
+ * lane algebra: `hir/semantics.h`, `uir/semantics.h`,
+ * `hvx/semantics.h` and `neon/semantics.h`. `Int64Lanes` below is the
+ * instantiation the interpreters run, over int64 carriers;
+ * `synth/z3_lanes.h` instantiates the same interface over 64-bit z3
+ * bit-vectors for the prover. So the interpreters and the z3 proofs
+ * run one definition, and this file's rules (for out-of-range shift
+ * amounts, say) are what both mean.
  */
 #ifndef RAKE_BASE_ARITH_H
 #define RAKE_BASE_ARITH_H
@@ -56,12 +60,13 @@ fits_in(ScalarType t, int64_t v)
 }
 
 /**
- * Arithmetic shift right by a non-negative amount, with optional
- * round-to-nearest (adds 1 << (n-1) before shifting, the HVX ":rnd"
- * behaviour). Shift amounts >= 63 collapse to the sign.
+ * Arithmetic shift right with optional round-to-nearest (adds
+ * 1 << (n-1) before shifting, the HVX ":rnd" behaviour). Amounts
+ * <= 0 leave v unchanged; amounts >= 63 collapse to the sign, with no
+ * rounding.
  */
 inline int64_t
-shift_right(int64_t v, int n, bool round = false)
+shift_right(int64_t v, int64_t n, bool round = false)
 {
     if (n <= 0)
         return v;
@@ -77,9 +82,12 @@ shift_right(int64_t v, int n, bool round = false)
     return v >> n;
 }
 
-/** Shift left with wrap-around in the given type. */
+/**
+ * Shift left with wrap-around in the given type. Amounts <= 0 only
+ * wrap v; amounts >= 64 give 0.
+ */
 inline int64_t
-shift_left(ScalarType t, int64_t v, int n)
+shift_left(ScalarType t, int64_t v, int64_t n)
 {
     if (n <= 0)
         return wrap(t, v);
@@ -88,9 +96,12 @@ shift_left(ScalarType t, int64_t v, int n)
     return wrap(t, static_cast<int64_t>(static_cast<uint64_t>(v) << n));
 }
 
-/** Logical (zero-fill) shift right within the width of t. */
+/**
+ * Logical (zero-fill) shift right within the width of t. Amounts <= 0
+ * only wrap v; amounts >= bits(t) give 0.
+ */
 inline int64_t
-logical_shift_right(ScalarType t, int64_t v, int n)
+logical_shift_right(ScalarType t, int64_t v, int64_t n)
 {
     if (n <= 0)
         return wrap(t, v);
@@ -101,34 +112,6 @@ logical_shift_right(ScalarType t, int64_t v, int n)
         b == 64 ? ~uint64_t{0} : (uint64_t{1} << b) - 1;
     const uint64_t u = static_cast<uint64_t>(v) & mask;
     return wrap(t, static_cast<int64_t>(u >> n));
-}
-
-/*
- * Wrapping add, subtract and multiply in type t. They compute in
- * uint64_t, whose overflow is defined, and then wrap(): the int64
- * carrier of a 32- or 64-bit lane can overflow before the wrap (UB),
- * and the low bits are the same either way.
- */
-
-inline int64_t
-add_wrap(ScalarType t, int64_t a, int64_t b)
-{
-    return wrap(t, static_cast<int64_t>(static_cast<uint64_t>(a) +
-                                        static_cast<uint64_t>(b)));
-}
-
-inline int64_t
-sub_wrap(ScalarType t, int64_t a, int64_t b)
-{
-    return wrap(t, static_cast<int64_t>(static_cast<uint64_t>(a) -
-                                        static_cast<uint64_t>(b)));
-}
-
-inline int64_t
-mul_wrap(ScalarType t, int64_t a, int64_t b)
-{
-    return wrap(t, static_cast<int64_t>(static_cast<uint64_t>(a) *
-                                        static_cast<uint64_t>(b)));
 }
 
 /** Saturating addition in type t. */
@@ -187,6 +170,78 @@ abs_diff(int64_t a, int64_t b)
     const uint64_t ub = static_cast<uint64_t>(b);
     return static_cast<int64_t>(a > b ? ua - ub : ub - ua);
 }
+
+/**
+ * The lane algebra over int64 carriers. Values are 64-bit two's-
+ * complement carriers: add, sub, mul, absd and the bit ops compute in
+ * the carrier, where overflow wraps; wrap() and sat() bring a carrier
+ * into a lane type. Compares give 1 or 0, select() takes any nonzero
+ * condition as true, min and max compare signed carriers. Shift
+ * amounts are carriers too, with the out-of-range rules of
+ * shift_left, shift_right and logical_shift_right above. A lane
+ * function combines these; it never touches the carrier directly.
+ */
+struct Int64Lanes {
+    using V = int64_t;
+
+    static V lit(int64_t c) { return c; }
+    static V wrap(ScalarType t, V v) { return rake::wrap(t, v); }
+    static V sat(ScalarType t, V v) { return saturate(t, v); }
+
+    static V
+    add(V a, V b)
+    {
+        return static_cast<V>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+    }
+
+    static V
+    sub(V a, V b)
+    {
+        return static_cast<V>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+    }
+
+    static V
+    mul(V a, V b)
+    {
+        return static_cast<V>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+    }
+
+    static V
+    avg(ScalarType t, V a, V b, bool round)
+    {
+        return average(t, a, b, round);
+    }
+
+    static V
+    navg(ScalarType t, V a, V b, bool round)
+    {
+        return neg_average(t, a, b, round);
+    }
+
+    static V absd(V a, V b) { return abs_diff(a, b); }
+    static V min(V a, V b) { return a < b ? a : b; }
+    static V max(V a, V b) { return a > b ? a : b; }
+    static V lt(V a, V b) { return a < b ? 1 : 0; }
+    static V le(V a, V b) { return a <= b ? 1 : 0; }
+    static V gt(V a, V b) { return a > b ? 1 : 0; }
+    static V eq(V a, V b) { return a == b ? 1 : 0; }
+    static V select(V c, V a, V b) { return c != 0 ? a : b; }
+    static V and_(V a, V b) { return a & b; }
+    static V or_(V a, V b) { return a | b; }
+    static V xor_(V a, V b) { return a ^ b; }
+    static V not_(V a) { return ~a; }
+    static V shl(ScalarType t, V v, V n) { return shift_left(t, v, n); }
+    static V asr(V v, V n, bool round) { return shift_right(v, n, round); }
+
+    static V
+    lsr(ScalarType t, V v, V n)
+    {
+        return logical_shift_right(t, v, n);
+    }
+};
 
 } // namespace rake
 

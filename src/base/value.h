@@ -94,6 +94,23 @@ struct Value {
 std::string to_string(const Value &v);
 
 /**
+ * Write lane(i) into every lane of v: the loop in which the
+ * interpreters run an opcode's lane function (hir/semantics.h and its
+ * siblings). Kept out of line, one small function per opcode, so the
+ * compiler inlines the lane function and its arithmetic into the
+ * loop; expanded inside a 60-case dispatch, GCC stops inlining
+ * wrap() and friends there.
+ */
+template <typename Lane>
+[[gnu::noinline]] void
+fill_lanes(Value &v, Lane lane)
+{
+    int64_t *out = v.lanes.data();
+    for (int i = 0; i < v.type.lanes; ++i)
+        out[i] = lane(i);
+}
+
+/**
  * A 2-D input buffer an expression loads from.
  *
  * Loads address the buffer as cells()[(y - y0) * width + (x - x0)];

@@ -4,11 +4,32 @@
 
 #include "base/arith.h"
 #include "hir/analysis.h"
+#include "hir/semantics.h"
 #include "support/error.h"
 
 namespace rake::hir {
 
 namespace {
+
+/** Ops folded to a constant when every operand is one. */
+bool
+folds(Op op)
+{
+    switch (op) {
+      case Op::Cast:
+      case Op::Add:
+      case Op::Sub:
+      case Op::Mul:
+      case Op::Min:
+      case Op::Max:
+      case Op::AbsDiff:
+      case Op::ShiftLeft:
+      case Op::ShiftRight:
+        return true;
+      default:
+        return false;
+    }
+}
 
 class Simplifier
 {
@@ -51,48 +72,13 @@ class Simplifier
                 break;
             }
         }
-        if (all_const && e->op() != Op::Broadcast) {
-            int64_t r = 0;
-            bool folded = true;
-            switch (e->op()) {
-              case Op::Cast:
-                r = wrap(s, cvals[0]);
-                break;
-              case Op::Add:
-                r = add_wrap(s, cvals[0], cvals[1]);
-                break;
-              case Op::Sub:
-                r = sub_wrap(s, cvals[0], cvals[1]);
-                break;
-              case Op::Mul:
-                r = mul_wrap(s, cvals[0], cvals[1]);
-                break;
-              case Op::Min:
-                r = std::min(cvals[0], cvals[1]);
-                break;
-              case Op::Max:
-                r = std::max(cvals[0], cvals[1]);
-                break;
-              case Op::AbsDiff:
-                r = wrap(s, abs_diff(cvals[0], cvals[1]));
-                break;
-              case Op::ShiftLeft:
-                r = shift_left(s, cvals[0], static_cast<int>(cvals[1]));
-                break;
-              case Op::ShiftRight:
-                r = is_signed(s)
-                        ? wrap(s, shift_right(cvals[0],
-                                              static_cast<int>(cvals[1])))
-                        : logical_shift_right(
-                              s, cvals[0], static_cast<int>(cvals[1]));
-                break;
-              default:
-                folded = false;
-                break;
-            }
-            if (folded)
-                return Expr::make_const(r, e->type());
-        }
+        if (all_const && folds(e->op()))
+            return Expr::make_const(
+                lane_semantics(
+                    Int64Lanes{}, *e,
+                    [&cvals](int k, int) { return cvals[k]; },
+                    [](auto lane) { return lane(0); }),
+                e->type());
 
         switch (e->op()) {
           case Op::Cast: {

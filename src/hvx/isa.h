@@ -11,7 +11,9 @@
  * description of HVX as "hundreds of intrinsics implementing
  * relatively few compute patterns".
  *
- * Semantics live in hvx/interp.cc; costs in hvx/cost.cc.
+ * Lane semantics live in hvx/semantics.h, one definition that the
+ * interpreter runs over int64 and the z3 prover over bit-vectors;
+ * costs in hvx/cost.cc.
  */
 #ifndef RAKE_HVX_ISA_H
 #define RAKE_HVX_ISA_H

@@ -264,9 +264,9 @@ eval_equal(const hir::ExprPtr &ref, const backend::TargetISA &isa,
 }
 
 /**
- * Verify one candidate generalization. Proved by z3 where the
- * backend has a lane encoding (universal over hole values, since the
- * holes are symbolic scalars), otherwise by exhaustive evaluation.
+ * Verify one candidate generalization. Proved by z3 (universal over
+ * hole values, since the holes are symbolic scalars); when the
+ * solver answers Unknown, by exhaustive evaluation instead.
  * Returns the proof kind ("z3"/"eval") or nullopt when refuted or
  * unverifiable.
  */

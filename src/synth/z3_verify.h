@@ -2,8 +2,12 @@
  * @file
  * SMT-backed equivalence proofs via z3 (the paper's Rosette/z3 oracle).
  *
- * Expressions from all three IRs are encoded lane-wise into 64-bit
- * bit-vector terms over symbolic buffer cells and scalar parameters.
+ * Expressions from all four IRs (HIR, UIR, HVX, Neon) are encoded
+ * lane-wise into 64-bit bit-vector terms over symbolic buffer cells
+ * and scalar parameters. The encoding is each IR's lane_semantics
+ * (hir/semantics.h and its siblings) instantiated over z3 bit-vectors
+ * (synth/z3_lanes.h): the one definition the interpreters run over
+ * int64, so a proof is about the semantics the interpreters compute.
  * Encoding is lazy per output lane, which directly implements the
  * paper's incremental lane verification (§4.1): proving lane 0 first
  * rejects most wrong candidates before the full query is ever built.
@@ -65,13 +69,13 @@ ProofOutcome z3_check(const hir::ExprPtr &ref, const hir::ExprPtr &impl,
 
 /**
  * TargetISA-generic entry point: prove a backend's type-erased
- * implementation equal to the HIR reference. Dispatches to the
- * backend's lane encoding where one exists (today: HVX, recovered
- * through the backend's own sexpr round-trip so no handle-layout
- * assumption leaks out of the backend). Backends without an encoding
- * (NEON) return Unknown — never Refuted — so callers can cleanly
- * fall back to exhaustive evaluation, which is exactly what the
- * rule miner does (synth/rules.h).
+ * implementation equal to the HIR reference. The concrete DAG is
+ * recovered through the backend's own sexpr round-trip, so no
+ * handle-layout assumption leaks out of the backend, and encoded
+ * with that ISA's lane semantics: HVX and Neon. A backend without
+ * lane semantics gets Unknown, never Refuted, so callers can fall
+ * back to exhaustive evaluation, as the rule miner does on Unknown
+ * (synth/rules.h).
  */
 ProofOutcome z3_check(const hir::ExprPtr &ref,
                       const backend::TargetISA &isa,

@@ -2,6 +2,7 @@
 
 #include "base/arith.h"
 #include "support/error.h"
+#include "uir/semantics.h"
 
 namespace rake::uir {
 
@@ -31,9 +32,6 @@ Interpreter::eval(const UExprPtr &e)
 const Value &
 Interpreter::eval_impl(const UExpr &e)
 {
-    const VecType t = e.type();
-    const ScalarType s = t.elem;
-
     if (e.op() == UOp::HirLeaf)
         return hir_.eval(e.leaf());
 
@@ -43,118 +41,18 @@ Interpreter::eval_impl(const UExpr &e)
     constexpr size_t kMaxArgs = 32;
     const size_t nargs = e.args().size();
     RAKE_CHECK(nargs <= kMaxArgs, "UIR node with " << nargs << " args");
-    const Value *argp[kMaxArgs];
+    const int64_t *argp[kMaxArgs];
     for (size_t k = 0; k < nargs; ++k)
-        argp[k] = &eval(e.args()[k]);
-    auto arg = [&argp](size_t k) -> const Value & { return *argp[k]; };
+        argp[k] = eval(e.args()[k]).lanes.data();
 
-    const UParams &p = e.params();
-    Value &v = slot(t);
-
-    switch (e.op()) {
-      case UOp::Widen:
-        // Lane carriers already hold the exact value; widening is
-        // value-preserving by construction.
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, arg(0)[i]);
-        break;
-      case UOp::Narrow:
-        for (int i = 0; i < t.lanes; ++i) {
-            int64_t x = arg(0)[i];
-            x = shift_right(x, p.shift, p.round);
-            v[i] = p.saturate ? saturate(s, x) : wrap(s, x);
-        }
-        break;
-      case UOp::VsMpyAdd:
-        for (int i = 0; i < t.lanes; ++i) {
-            int64_t acc = 0;
-            for (size_t k = 0; k < nargs; ++k)
-                acc += arg(k)[i] * p.kernel[k];
-            v[i] = p.saturate ? saturate(s, acc) : wrap(s, acc);
-        }
-        break;
-      case UOp::VvMpyAdd:
-        for (int i = 0; i < t.lanes; ++i) {
-            int64_t acc = 0;
-            for (size_t k = 0; k + 1 < nargs; k += 2)
-                acc += arg(k)[i] * arg(k + 1)[i];
-            v[i] = p.saturate ? saturate(s, acc) : wrap(s, acc);
-        }
-        break;
-      case UOp::AbsDiff:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, abs_diff(arg(0)[i], arg(1)[i]));
-        break;
-      case UOp::Min:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = std::min(arg(0)[i], arg(1)[i]);
-        break;
-      case UOp::Max:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = std::max(arg(0)[i], arg(1)[i]);
-        break;
-      case UOp::Average:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = average(s, arg(0)[i], arg(1)[i], p.round);
-        break;
-      case UOp::ShiftLeft:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = shift_left(s, arg(0)[i],
-                              static_cast<int>(arg(1)[i]));
-        break;
-      case UOp::ShiftRight:
-        for (int i = 0; i < t.lanes; ++i) {
-            if (is_signed(s)) {
-                v[i] = wrap(s, shift_right(arg(0)[i],
-                                           static_cast<int>(arg(1)[i]),
-                                           p.round));
-            } else {
-                int64_t x = arg(0)[i];
-                const int n = static_cast<int>(arg(1)[i]);
-                if (p.round)
-                    x = shift_right(x, n, true);
-                else
-                    x = logical_shift_right(s, x, n);
-                v[i] = wrap(s, x);
-            }
-        }
-        break;
-      case UOp::And:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, arg(0)[i] & arg(1)[i]);
-        break;
-      case UOp::Or:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, arg(0)[i] | arg(1)[i]);
-        break;
-      case UOp::Xor:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, arg(0)[i] ^ arg(1)[i]);
-        break;
-      case UOp::Not:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = wrap(s, ~arg(0)[i]);
-        break;
-      case UOp::Lt:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = arg(0)[i] < arg(1)[i] ? 1 : 0;
-        break;
-      case UOp::Le:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = arg(0)[i] <= arg(1)[i] ? 1 : 0;
-        break;
-      case UOp::Eq:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = arg(0)[i] == arg(1)[i] ? 1 : 0;
-        break;
-      case UOp::Select:
-        for (int i = 0; i < t.lanes; ++i)
-            v[i] = arg(0)[i] != 0 ? arg(1)[i] : arg(2)[i];
-        break;
-      case UOp::HirLeaf:
-        RAKE_UNREACHABLE("handled above");
-    }
-    return v;
+    // The op's lane function (uir/semantics.h), dispatched once.
+    Value &v = slot(e.type());
+    return lane_semantics(
+        Int64Lanes{}, e, [&argp](int k, int j) { return argp[k][j]; },
+        [&v](auto lane) -> const Value & {
+            fill_lanes(v, lane);
+            return v;
+        });
 }
 
 Value

@@ -284,7 +284,7 @@ TEST(Rules, WarmRuleRunIsBitIdentical)
     }
 }
 
-TEST(Rules, GenericZ3ProvesHvxAndFallsBackOnNeon)
+TEST(Rules, GenericZ3ProvesHvxAndNeon)
 {
     // HVX: the generic entry recovers the typed DAG and proves it.
     const ExprPtr e = plus_const_expr(5);
@@ -300,22 +300,21 @@ TEST(Rules, GenericZ3ProvesHvxAndFallsBackOnNeon)
         normalized, *hvx_isa, backend::InstrHandle(r->instr), spec);
     EXPECT_EQ(hvx_outcome.result, synth::ProofResult::Proved);
 
-    // NEON: no lane encoding exists; the generic entry must return
-    // Unknown (never Refuted) so callers fall back to evaluation.
+    // NEON: the same entry proves it through the Neon sexpr round
+    // trip and the Neon lane semantics.
     neon::Target ntarget;
     auto neon_isa = backend::make_neon_backend(ntarget);
     auto nr = synth::select_instructions_for(e, *neon_isa, opts);
     ASSERT_TRUE(nr && nr->instr);
     synth::ProofOutcome neon_outcome =
         synth::z3_check(normalized, *neon_isa, nr->instr, spec);
-    EXPECT_EQ(neon_outcome.result, synth::ProofResult::Unknown);
+    EXPECT_EQ(neon_outcome.result, synth::ProofResult::Proved);
 }
 
-TEST(Rules, NeonRulesAreEvalProven)
+TEST(Rules, NeonRulesAreZ3Proven)
 {
-    // Satellite contract: mining a NEON pair either proves the rule
-    // by evaluation (no z3 overload exists) or cleanly drops it —
-    // never a z3 proof, never a crash.
+    // Mining a NEON pair proves the rule with z3, as for HVX: the
+    // prover runs the Neon lane semantics the interpreter runs.
     const ExprPtr e =
         (cast(u16, load(0, u8, 64)) + cast(u16, load(0, u8, 64, 1)))
             .ptr();
@@ -333,10 +332,10 @@ TEST(Rules, NeonRulesAreEvalProven)
         *isa, isa->grammar_version(), isa->cost_model_version(),
         {{hir::to_sexpr(hir::simplify(e)), instr}},
         synth::MineOptions{}, &stats);
-    EXPECT_EQ(stats.proved_z3, 0);
+    EXPECT_EQ(stats.proved_z3, 1);
     ASSERT_EQ(section.rules.size(), 1u);
-    EXPECT_EQ(section.rules[0].proof, "eval");
-    EXPECT_EQ(stats.proved_eval, 1);
+    EXPECT_EQ(section.rules[0].proof, "z3");
+    EXPECT_EQ(stats.proved_eval, 0);
 
     // And the mined section answers the query through the backend
     // path with the identical program.

@@ -1,17 +1,24 @@
 /**
  * @file
  * Tests for the z3 bit-vector verification backend: proofs across all
- * three IRs, refutations with usable counter-examples, incremental
- * lane selection, and agreement with the concrete interpreters
+ * four IRs, refutations with usable counter-examples, incremental
+ * lane selection, agreement of the lane algebra's z3 and int64
+ * instantiations, and agreement with the concrete interpreters
  * (differential soundness on random expressions).
  */
 #include <gtest/gtest.h>
 
+#include "backend/neon_backend.h"
+#include "base/arith.h"
 #include "baseline/halide_optimizer.h"
 #include "hir/builder.h"
 #include "hir/interp.h"
 #include "hir/printer.h"
 #include "hvx/interp.h"
+#include "neon/cost.h"
+#include "neon/interp.h"
+#include "neon/sexpr.h"
+#include "synth/z3_lanes.h"
 #include "synth/z3_verify.h"
 #include "test_util.h"
 #include "uir/uexpr.h"
@@ -128,6 +135,124 @@ TEST(Z3, SemanticReasoningProof)
     Spec spec = Spec::from_expr(trunc.ptr());
     EXPECT_EQ(z3_check(trunc.ptr(), sat.ptr(), spec).result,
               ProofResult::Proved);
+}
+
+TEST(Z3, RefutesShiftByNegativeAmount)
+{
+    // A shift by a negative amount leaves x (base/arith.h), so the two
+    // sides differ wherever n < 0 and x != 0. z3's own bvshl reads the
+    // amount as unsigned and shifts everything out; the prover follows
+    // the interpreters instead.
+    HExpr x = load(0, i16, 8);
+    HExpr n = broadcast(var("n", i16), 8);
+    HExpr zero = splat(i16, 8, 0);
+    HExpr lhs = select(lt(n, zero), x << n, x);
+    HExpr rhs = select(lt(n, zero), zero, x);
+    Spec spec = Spec::from_expr(lhs.ptr());
+    auto out = z3_check(lhs.ptr(), rhs.ptr(), spec);
+    ASSERT_EQ(out.result, ProofResult::Refuted);
+    ASSERT_TRUE(out.counterexample.has_value());
+    const Env &env = *out.counterexample;
+    EXPECT_LT(env.scalar("n"), 0);
+    EXPECT_NE(evaluate(lhs.ptr(), env), evaluate(rhs.ptr(), env));
+}
+
+/** The value a z3 term over constants simplifies to. */
+int64_t
+folded(const z3::expr &e)
+{
+    const z3::expr v = e.simplify();
+    int64_t out = 0;
+    if (v.is_numeral_i64(out))
+        return out;
+    uint64_t u = 0;
+    EXPECT_TRUE(v.is_numeral_u64(u)) << "not a constant: " << v;
+    return static_cast<int64_t>(u);
+}
+
+TEST(Z3, LaneAlgebraMatchesInt64)
+{
+    // Every primitive of the lane algebra, in both instantiations, at
+    // each scalar type's extremes and shift amounts past both ends.
+    z3::context ctx;
+    const synth::Z3Lanes z(ctx);
+    const Int64Lanes c;
+    for (int ti = 0; ti < kNumScalarTypes; ++ti) {
+        const ScalarType t = static_cast<ScalarType>(ti);
+        const int64_t lo = min_value(t);
+        const int64_t hi = max_value(t);
+        std::vector<int64_t> vals;
+        for (int64_t v : {lo, lo + 1, int64_t{-1}, int64_t{0}, int64_t{1},
+                          hi - 1, hi})
+            vals.push_back(wrap(t, v));
+        for (int64_t a : vals) {
+            const z3::expr za = z.lit(a);
+            SCOPED_TRACE(to_string(t) + " a=" + std::to_string(a));
+            EXPECT_EQ(folded(z.wrap(t, za)), c.wrap(t, a));
+            EXPECT_EQ(folded(z.sat(t, za)), c.sat(t, a));
+            EXPECT_EQ(folded(z.not_(za)), c.not_(a));
+            for (int64_t b : vals) {
+                const z3::expr zb = z.lit(b);
+                SCOPED_TRACE("b=" + std::to_string(b));
+                EXPECT_EQ(folded(z.add(za, zb)), c.add(a, b));
+                EXPECT_EQ(folded(z.sub(za, zb)), c.sub(a, b));
+                EXPECT_EQ(folded(z.mul(za, zb)), c.mul(a, b));
+                for (bool r : {false, true}) {
+                    EXPECT_EQ(folded(z.avg(t, za, zb, r)), c.avg(t, a, b, r));
+                    EXPECT_EQ(folded(z.navg(t, za, zb, r)),
+                              c.navg(t, a, b, r));
+                }
+                EXPECT_EQ(folded(z.absd(za, zb)), c.absd(a, b));
+                EXPECT_EQ(folded(z.min(za, zb)), c.min(a, b));
+                EXPECT_EQ(folded(z.max(za, zb)), c.max(a, b));
+                EXPECT_EQ(folded(z.lt(za, zb)), c.lt(a, b));
+                EXPECT_EQ(folded(z.le(za, zb)), c.le(a, b));
+                EXPECT_EQ(folded(z.gt(za, zb)), c.gt(a, b));
+                EXPECT_EQ(folded(z.eq(za, zb)), c.eq(a, b));
+                EXPECT_EQ(folded(z.select(za, zb, za)), c.select(a, b, a));
+                EXPECT_EQ(folded(z.and_(za, zb)), c.and_(a, b));
+                EXPECT_EQ(folded(z.or_(za, zb)), c.or_(a, b));
+                EXPECT_EQ(folded(z.xor_(za, zb)), c.xor_(a, b));
+            }
+            for (int64_t n = -2; n <= 70; ++n) {
+                const z3::expr zn = z.lit(n);
+                SCOPED_TRACE("n=" + std::to_string(n));
+                EXPECT_EQ(folded(z.shl(t, za, zn)), c.shl(t, a, n));
+                EXPECT_EQ(folded(z.lsr(t, za, zn)), c.lsr(t, a, n));
+                for (bool r : {false, true})
+                    EXPECT_EQ(folded(z.asr(za, zn, r)), c.asr(a, n, r));
+            }
+        }
+    }
+}
+
+TEST(Z3, RefutesPlantedNeonLaneError)
+{
+    // Neon programs are proved through the backend's sexpr round trip,
+    // as HVX ones are. A vtbl that reads lane 6 twice is the identity
+    // on every lane but the last.
+    HExpr x = load(0, u8, 8);
+    Spec spec = Spec::from_expr(x.ptr());
+    neon::Target target;
+    auto isa = backend::make_neon_backend(target);
+    const std::string load = "(vld1 u8x8 0 0 0)";
+    auto good = isa->instr_from_sexpr("(vtbl u8x8 " + load +
+                                      " #0 #1 #2 #3 #4 #5 #6 #7)");
+    EXPECT_EQ(z3_check(x.ptr(), *isa, good, spec).result,
+              ProofResult::Proved);
+
+    const std::string bad_text =
+        "(vtbl u8x8 " + load + " #0 #1 #2 #3 #4 #5 #6 #6)";
+    auto out = z3_check(x.ptr(), *isa, isa->instr_from_sexpr(bad_text),
+                        spec);
+    ASSERT_EQ(out.result, ProofResult::Refuted);
+    ASSERT_TRUE(out.counterexample.has_value());
+    const Env &env = *out.counterexample;
+    const Value want = evaluate(x.ptr(), env);
+    const Value got = neon::evaluate(neon::parse_instr(bad_text), env);
+    EXPECT_NE(want[7], got[7]);
+    for (int i = 0; i < 7; ++i)
+        EXPECT_EQ(want[i], got[i]) << "lane " << i;
 }
 
 class Z3Differential : public ::testing::TestWithParam<int>

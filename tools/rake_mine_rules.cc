@@ -16,8 +16,8 @@
  *
  * Each pair is anti-unified into a candidate rule (constants and leaf
  * operands become typed holes), verified once over symbolic lanes —
- * by the z3 encoder where the backend has one, else by exhaustive
- * corner-lane evaluation — and written to `--out` under the same
+ * by z3 on every backend, or by exhaustive corner-lane evaluation
+ * when the solver answers Unknown — and written to `--out` under the same
  * version-key discipline as the cache. Refuted candidates back off
  * toward concrete and are dropped if still refuted.
  *
