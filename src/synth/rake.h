@@ -173,8 +173,7 @@ using BackendRakeResult = BasicRakeResult<backend::InstrHandle>;
  * `isa` carries per-run state and must outlive the call. Each
  * backend name has its own memory table; `opts.target` is only part
  * of the options fingerprint (the backend brings its own machine
- * model). `z3_prove` proves HVX and Neon results alike (a backend
- * without lane semantics would record ProofResult::Unknown).
+ * model). `z3_prove` proves HVX and Neon results alike.
  */
 std::optional<BackendRakeResult>
 select_instructions_for(const hir::ExprPtr &expr, backend::TargetISA &isa,

@@ -264,11 +264,11 @@ eval_equal(const hir::ExprPtr &ref, const backend::TargetISA &isa,
 }
 
 /**
- * Verify one candidate generalization. Proved by z3 (universal over
- * hole values, since the holes are symbolic scalars); when the
- * solver answers Unknown, by exhaustive evaluation instead.
- * Returns the proof kind ("z3"/"eval") or nullopt when refuted or
- * unverifiable.
+ * Verify one candidate generalization. Proved by z3 on every output
+ * lane (universal over hole values, since the holes are symbolic
+ * scalars); when the solver answers Unknown, by exhaustive
+ * evaluation instead. Returns the proof kind ("z3"/"eval") or
+ * nullopt when refuted or unverifiable.
  */
 std::optional<std::string>
 verify_candidate(const hir::SExpr &lhs_sym, const hir::SExpr &rhs_sym,
@@ -287,6 +287,10 @@ verify_candidate(const hir::SExpr &lhs_sym, const hir::SExpr &rhs_sym,
     Spec spec = Spec::from_expr(ref);
     Z3Options zopts;
     zopts.timeout_ms = opts.z3_timeout_ms;
+    // A rule claims every lane, not the sample z3_check proves by
+    // default: a wrong index in a middle lane must not ship as proved.
+    for (int i = 0; i < ref->type().lanes; ++i)
+        zopts.lanes.push_back(i);
     const ProofOutcome proof = z3_check(ref, isa, impl, spec, zopts);
     if (proof.result == ProofResult::Proved)
         return std::string("z3");

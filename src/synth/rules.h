@@ -17,11 +17,11 @@
  *    encodings weave them into alignments, so generalizing them is
  *    unsound.
  *  - Every candidate rule is verified ONCE with every hole bound to a
- *    fresh symbolic scalar: by z3 over the backend's lane semantics
- *    (the proof is then universal over hole values), falling back to
- *    exhaustive corner-lane evaluation through
- *    TargetISA::make_evaluator() when the solver answers Unknown.
- *    A refuted candidate backs off —
+ *    fresh symbolic scalar: by z3 over the backend's lane semantics,
+ *    on every output lane (the proof is then universal over hole
+ *    values), falling back to exhaustive corner-lane evaluation
+ *    through TargetISA::make_evaluator() when the solver answers
+ *    Unknown. A refuted candidate backs off —
  *    constant holes are dropped one by one, then variable holes — and
  *    a pair that stays refuted fully concrete is discarded. Every
  *    shipped rule is verifier-proven.

@@ -125,14 +125,6 @@ class Z3Lanes
     {
         if (!round)
             return unless_negative(n, v, z3::ashr(v, n));
-        int64_t k = 0;
-        if (n.is_numeral_i64(k)) {
-            if (k <= 0)
-                return v;
-            if (k >= 63)
-                return z3::ashr(v, lit(63));
-            return z3::ashr(v + lit(int64_t{1} << (k - 1)), n);
-        }
         const V rounded = z3::ashr(v + z3::shl(lit(1), n - lit(1)), n);
         return z3::ite(z3::sle(n, lit(0)), v,
                        z3::ite(z3::sge(n, lit(63)), z3::ashr(v, lit(63)),
@@ -159,15 +151,11 @@ class Z3Lanes
     /**
      * `low` when the amount n is negative, else `shifted`. z3's shifts
      * read n as unsigned, so a negative amount would shift everything
-     * out; arith.h's leave the value alone. Constant amounts choose
-     * here instead of in the solver.
+     * out; arith.h's leave the value alone.
      */
     V
     unless_negative(const V &n, const V &low, const V &shifted) const
     {
-        int64_t k = 0;
-        if (n.is_numeral_i64(k))
-            return k < 0 ? low : shifted;
         return z3::ite(z3::slt(n, lit(0)), low, shifted);
     }
 

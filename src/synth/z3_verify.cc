@@ -1,8 +1,11 @@
 #include "synth/z3_verify.h"
 
+#include <chrono>
 #include <map>
 #include <optional>
 #include <tuple>
+#include <unordered_set>
+#include <vector>
 
 #include <z3++.h>
 
@@ -207,43 +210,96 @@ select_lanes(const Z3Options &opts, int lanes)
     return out;
 }
 
+/**
+ * A lane query with its inputs renamed c0, c1, ... in the order a
+ * depth-first walk first meets them. Lanes that compute the same
+ * function of different cells (most lanes of a stencil) then build
+ * the same term, which z3 hash-conses to one id.
+ */
+z3::expr
+canonical_query(const z3::expr &query)
+{
+    z3::context &ctx = query.ctx();
+    z3::expr_vector from(ctx);
+    z3::expr_vector to(ctx);
+    std::unordered_set<unsigned> seen;
+    std::vector<z3::expr> stack = {query};
+    while (!stack.empty()) {
+        const z3::expr e = stack.back();
+        stack.pop_back();
+        if (!e.is_app() || !seen.insert(e.id()).second)
+            continue;
+        if (e.num_args() == 0 &&
+            e.decl().decl_kind() == Z3_OP_UNINTERPRETED) {
+            from.push_back(e);
+            const std::string name = "c" + std::to_string(to.size());
+            to.push_back(ctx.constant(name.c_str(), e.get_sort()));
+            continue;
+        }
+        for (unsigned k = e.num_args(); k-- > 0;)
+            stack.push_back(e.arg(k));
+    }
+    z3::expr renamed = query;
+    return renamed.substitute(from, to);
+}
+
+/**
+ * Prove the selected lanes one at a time, in order, each in a fresh
+ * solver: the paper's incremental lane verification (§4.1). A wrong
+ * candidate is usually refuted on its first lane, each query holds
+ * only the cells its lane reads, and a lane whose query is a renaming
+ * of one already proved is proved with it, which keeps a proof of
+ * every lane of a 128-lane vector affordable. The timeout covers all
+ * lanes.
+ */
 template <typename ImplPtr>
 ProofOutcome
 run_check(const hir::ExprPtr &ref, const ImplPtr &impl, const Spec &spec,
           const Z3Options &opts)
 {
+    using Clock = std::chrono::steady_clock;
     const int out_lanes = ref->type().lanes;
     RAKE_USER_CHECK(out_lanes == impl->type().lanes,
                     "lane count mismatch in z3_check");
+    const Clock::time_point expiry =
+        Clock::now() + std::chrono::milliseconds(opts.timeout_ms);
     z3::context ctx;
-    z3::solver solver(ctx);
-    z3::params params(ctx);
-    params.set("timeout", opts.timeout_ms);
-    solver.set(params);
-
     LaneEncoder enc(ctx);
-    z3::expr_vector diffs(ctx);
+    // Proved canonical queries, kept alive so their ids stay theirs.
+    z3::expr_vector proved(ctx);
+    std::unordered_set<unsigned> proved_ids;
+    ProofOutcome outcome;
     for (int i : select_lanes(opts, out_lanes)) {
         RAKE_USER_CHECK(i >= 0 && i < out_lanes,
                         "lane " << i << " out of range");
-        diffs.push_back(enc.lane(ref, i) != enc.lane(impl, i));
+        const z3::expr query = enc.lane(ref, i) != enc.lane(impl, i);
+        const z3::expr key = canonical_query(query);
+        if (proved_ids.count(key.id()))
+            continue;
+        const auto left = std::chrono::duration_cast<
+            std::chrono::milliseconds>(expiry - Clock::now());
+        if (left.count() <= 0)
+            return outcome;
+        z3::solver solver(ctx);
+        z3::params params(ctx);
+        params.set("timeout", static_cast<unsigned>(left.count()));
+        solver.set(params);
+        solver.add(query);
+        switch (solver.check()) {
+          case z3::unsat:
+            proved.push_back(key);
+            proved_ids.insert(key.id());
+            break;
+          case z3::sat:
+            outcome.result = ProofResult::Refuted;
+            outcome.counterexample =
+                enc.model_to_env(solver.get_model(), spec);
+            return outcome;
+          default:
+            return outcome;
+        }
     }
-    solver.add(z3::mk_or(diffs));
-
-    ProofOutcome outcome;
-    switch (solver.check()) {
-      case z3::unsat:
-        outcome.result = ProofResult::Proved;
-        break;
-      case z3::sat:
-        outcome.result = ProofResult::Refuted;
-        outcome.counterexample = enc.model_to_env(solver.get_model(),
-                                                  spec);
-        break;
-      default:
-        outcome.result = ProofResult::Unknown;
-        break;
-    }
+    outcome.result = ProofResult::Proved;
     return outcome;
 }
 
@@ -281,15 +337,12 @@ z3_check(const hir::ExprPtr &ref, const backend::TargetISA &isa,
     // instruction set is tiny next to solver time, so the extra parse
     // is noise.
     const std::string text = isa.instr_to_sexpr(impl);
-    if (text.empty())
-        return {};
     if (isa.name() == "hvx")
         return run_check(ref, hvx::parse_instr(text), spec, opts);
     if (isa.name() == "neon")
         return run_check(ref, neon::parse_instr(text), spec, opts);
-    // No lane semantics for this backend: Unknown, never Refuted, so
-    // callers fall back to exhaustive evaluation.
-    return {};
+    RAKE_UNREACHABLE("z3_check has no lane semantics for backend "
+                     << isa.name());
 }
 
 } // namespace rake::synth

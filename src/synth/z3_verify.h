@@ -8,9 +8,11 @@
  * (hir/semantics.h and its siblings) instantiated over z3 bit-vectors
  * (synth/z3_lanes.h): the one definition the interpreters run over
  * int64, so a proof is about the semantics the interpreters compute.
- * Encoding is lazy per output lane, which directly implements the
- * paper's incremental lane verification (§4.1): proving lane 0 first
- * rejects most wrong candidates before the full query is ever built.
+ * Encoding is lazy per output lane and the lanes are proved one at a
+ * time, which directly implements the paper's incremental lane
+ * verification (§4.1): proving lane 0 first rejects most wrong
+ * candidates before later lanes are ever built, and a lane whose
+ * query is a renaming of an already proved one is not solved again.
  *
  * When a query is satisfiable, the model is converted back into a
  * concrete Env so it can join the CEGIS example pool — closing the
@@ -72,10 +74,9 @@ ProofOutcome z3_check(const hir::ExprPtr &ref, const hir::ExprPtr &impl,
  * implementation equal to the HIR reference. The concrete DAG is
  * recovered through the backend's own sexpr round-trip, so no
  * handle-layout assumption leaks out of the backend, and encoded
- * with that ISA's lane semantics: HVX and Neon. A backend without
- * lane semantics gets Unknown, never Refuted, so callers can fall
- * back to exhaustive evaluation, as the rule miner does on Unknown
- * (synth/rules.h).
+ * with that ISA's lane semantics (HVX or Neon; any other backend is
+ * an internal error). Unknown means the solver gave up; the rule
+ * miner then falls back to exhaustive evaluation (synth/rules.h).
  */
 ProofOutcome z3_check(const hir::ExprPtr &ref,
                       const backend::TargetISA &isa,

@@ -5,8 +5,8 @@
  * mismatches stay concrete, duplicates dedup), the one-time verifier
  * gate (a refuted candidate never ships), the version-key discipline
  * of the table file, warm-rule bit-identity against fresh synthesis,
- * and the TargetISA-generic z3 entry point's prove-or-fall-back
- * contract on both backends.
+ * the TargetISA-generic z3 entry point on both backends, and the
+ * miner's proof over every output lane.
  */
 #include <gtest/gtest.h>
 
@@ -350,6 +350,25 @@ TEST(Rules, NeonRulesAreZ3Proven)
     ASSERT_TRUE(hit && hit->instr);
     EXPECT_TRUE(hit->rule_hit);
     EXPECT_EQ(isa2->instr_to_sexpr(hit->instr), instr);
+}
+
+TEST(Rules, NeonMiddleLaneErrorIsRefuted)
+{
+    // A vtbl that reads lane 2 twice differs from the load on lane 3
+    // only, which a proof of the sampled lanes {0, 1, 4, 7} misses.
+    // The miner proves every lane, so the pair is refuted, not shipped.
+    neon::Target target;
+    auto isa = backend::make_neon_backend(target);
+    const synth::MinedPair bogus{
+        hir::to_sexpr(hir::simplify(load(0, u8, 8).ptr())),
+        "(vtbl u8x8 (vld1 u8x8 0 0 0) #0 #1 #2 #2 #4 #5 #6 #7)"};
+    synth::MineStats stats;
+    auto section = synth::mine_rules(*isa, isa->grammar_version(),
+                                     isa->cost_model_version(), {bogus},
+                                     synth::MineOptions{}, &stats);
+    EXPECT_TRUE(section.rules.empty());
+    EXPECT_EQ(stats.refuted, 1);
+    EXPECT_EQ(stats.proved_z3 + stats.proved_eval, 0);
 }
 
 TEST(Rules, ResolveRulesFilePrecedence)

@@ -214,13 +214,25 @@ TEST(Z3, LaneAlgebraMatchesInt64)
                 EXPECT_EQ(folded(z.or_(za, zb)), c.or_(a, b));
                 EXPECT_EQ(folded(z.xor_(za, zb)), c.xor_(a, b));
             }
+            // Shifts are built over a symbolic amount, as a variable
+            // amount reaches them in a proof, then given each constant.
+            const z3::expr zn = ctx.bv_const("n", 64);
+            const z3::expr shl = z.shl(t, za, zn);
+            const z3::expr lsr = z.lsr(t, za, zn);
+            const z3::expr asr = z.asr(za, zn, false);
+            const z3::expr rasr = z.asr(za, zn, true);
             for (int64_t n = -2; n <= 70; ++n) {
-                const z3::expr zn = z.lit(n);
                 SCOPED_TRACE("n=" + std::to_string(n));
-                EXPECT_EQ(folded(z.shl(t, za, zn)), c.shl(t, a, n));
-                EXPECT_EQ(folded(z.lsr(t, za, zn)), c.lsr(t, a, n));
-                for (bool r : {false, true})
-                    EXPECT_EQ(folded(z.asr(za, zn, r)), c.asr(a, n, r));
+                z3::expr_vector from(ctx), to(ctx);
+                from.push_back(zn);
+                to.push_back(z.lit(n));
+                const auto at = [&](z3::expr e) {
+                    return folded(e.substitute(from, to));
+                };
+                EXPECT_EQ(at(shl), c.shl(t, a, n));
+                EXPECT_EQ(at(lsr), c.lsr(t, a, n));
+                EXPECT_EQ(at(asr), c.asr(a, n, false));
+                EXPECT_EQ(at(rasr), c.asr(a, n, true));
             }
         }
     }
@@ -229,8 +241,9 @@ TEST(Z3, LaneAlgebraMatchesInt64)
 TEST(Z3, RefutesPlantedNeonLaneError)
 {
     // Neon programs are proved through the backend's sexpr round trip,
-    // as HVX ones are. A vtbl that reads lane 6 twice is the identity
-    // on every lane but the last.
+    // as HVX ones are. Each wrong vtbl below is the identity on every
+    // lane but one: the last (one of the default sampled lanes), and
+    // lane 3 (outside them, so only a proof over every lane sees it).
     HExpr x = load(0, u8, 8);
     Spec spec = Spec::from_expr(x.ptr());
     neon::Target target;
@@ -241,18 +254,31 @@ TEST(Z3, RefutesPlantedNeonLaneError)
     EXPECT_EQ(z3_check(x.ptr(), *isa, good, spec).result,
               ProofResult::Proved);
 
-    const std::string bad_text =
-        "(vtbl u8x8 " + load + " #0 #1 #2 #3 #4 #5 #6 #6)";
-    auto out = z3_check(x.ptr(), *isa, isa->instr_from_sexpr(bad_text),
-                        spec);
-    ASSERT_EQ(out.result, ProofResult::Refuted);
-    ASSERT_TRUE(out.counterexample.has_value());
-    const Env &env = *out.counterexample;
-    const Value want = evaluate(x.ptr(), env);
-    const Value got = neon::evaluate(neon::parse_instr(bad_text), env);
-    EXPECT_NE(want[7], got[7]);
-    for (int i = 0; i < 7; ++i)
-        EXPECT_EQ(want[i], got[i]) << "lane " << i;
+    Z3Options every_lane;
+    every_lane.lanes = {0, 1, 2, 3, 4, 5, 6, 7};
+    const std::pair<std::string, int> planted[] = {
+        {"#0 #1 #2 #3 #4 #5 #6 #6", 7},
+        {"#0 #1 #2 #2 #4 #5 #6 #7", 3},
+    };
+    for (const auto &[indices, wrong] : planted) {
+        SCOPED_TRACE(indices);
+        const std::string bad_text =
+            "(vtbl u8x8 " + load + " " + indices + ")";
+        auto out = z3_check(x.ptr(), *isa,
+                            isa->instr_from_sexpr(bad_text), spec,
+                            every_lane);
+        ASSERT_EQ(out.result, ProofResult::Refuted);
+        ASSERT_TRUE(out.counterexample.has_value());
+        const Env &env = *out.counterexample;
+        const Value want = evaluate(x.ptr(), env);
+        const Value got = neon::evaluate(neon::parse_instr(bad_text), env);
+        for (int i = 0; i < 8; ++i) {
+            if (i == wrong)
+                EXPECT_NE(want[i], got[i]) << "lane " << i;
+            else
+                EXPECT_EQ(want[i], got[i]) << "lane " << i;
+        }
+    }
 }
 
 class Z3Differential : public ::testing::TestWithParam<int>
