@@ -232,7 +232,8 @@ canonical_query(const z3::expr &query)
         if (e.num_args() == 0 &&
             e.decl().decl_kind() == Z3_OP_UNINTERPRETED) {
             from.push_back(e);
-            const std::string name = "c" + std::to_string(to.size());
+            std::string name = "c";
+            name += std::to_string(to.size());
             to.push_back(ctx.constant(name.c_str(), e.get_sort()));
             continue;
         }
