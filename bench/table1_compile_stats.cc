@@ -10,10 +10,11 @@
  * query count.
  *
  * `--jobs N` (or RAKE_JOBS) compiles each benchmark's expressions on
- * N workers. The per-stage columns and "total s" sum per-expression
- * effort, so they are identical for every job count (Table 1 stays
- * faithful); "wall s" is the elapsed time and is what parallelism
- * and the cross-expression synthesis cache improve.
+ * up to N threads, at most one per usable CPU (parallel_claims). The
+ * per-stage columns and "total s" sum per-expression effort, so they
+ * are identical for every job count (Table 1 stays faithful); "wall
+ * s" is the elapsed time and is what parallelism and the
+ * cross-expression synthesis cache improve.
  *
  * `--target neon` runs the same suite through the Neon TargetISA
  * backend (synthesis statistics only — the VLIW scheduling columns of

@@ -189,53 +189,34 @@ class TargetISA
      * Wall-clock budget for this run; the backend's own search loops
      * (the swizzle solver) poll it and throw TimeoutError on expiry.
      * Called by the core lowerer before any candidates()/solve_hole()
-     * call. Backends without internal search may ignore it.
+     * call.
      */
-    virtual void
-    set_deadline(const Deadline &deadline)
-    {
-        (void)deadline;
-    }
+    virtual void set_deadline(const Deadline &deadline) = 0;
 
     /**
      * The target's greedy (synthesis-free) selector over a whole HIR
      * expression — the degradation path select_instructions_for()
      * takes when a deadline expires, so the pipeline still emits a
      * runnable program. Must be fast and bounded (it runs *after* the
-     * budget is spent, deliberately without a deadline). Backends
-     * without a greedy mapper return nullopt and degrade to nothing.
+     * budget is spent, deliberately without a deadline); nullopt when
+     * it cannot map the expression.
      */
     virtual std::optional<InstrHandle>
-    greedy_select(const hir::ExprPtr &expr) const
-    {
-        (void)expr;
-        return std::nullopt;
-    }
+    greedy_select(const hir::ExprPtr &expr) const = 0;
 
     /**
-     * Round-trippable s-expression of a complete (hole-free) DAG, for
-     * the persistent cache (synth/persist.h). An empty string means
-     * the backend has no serialization, which disables the disk tier
-     * for it — the in-memory tier and synthesis are unaffected.
+     * Round-trippable single-line s-expression of a complete
+     * (hole-free) DAG, for the persistent cache (synth/persist.h), the
+     * rule tables (synth/rules.h) and the compile server's replies.
      */
-    virtual std::string
-    instr_to_sexpr(const InstrHandle &instr) const
-    {
-        (void)instr;
-        return {};
-    }
+    virtual std::string instr_to_sexpr(const InstrHandle &instr) const = 0;
 
     /**
      * Inverse of instr_to_sexpr. Throws UserError on malformed input
      * (the persistent cache treats that as a corrupt entry, i.e. a
-     * miss); returns nullptr when serialization is unsupported.
+     * miss); never returns null.
      */
-    virtual InstrHandle
-    instr_from_sexpr(const std::string &text) const
-    {
-        (void)text;
-        return nullptr;
-    }
+    virtual InstrHandle instr_from_sexpr(const std::string &text) const = 0;
 
     /**
      * Version keys for persisted entries. Bump grammar_version() when
@@ -246,8 +227,8 @@ class TargetISA
      * so a stale cache can never replay a selection today's search
      * would not make.
      */
-    virtual int grammar_version() const { return 1; }
-    virtual int cost_model_version() const { return 1; }
+    virtual int grammar_version() const = 0;
+    virtual int cost_model_version() const = 0;
 };
 
 } // namespace rake::backend

@@ -1,5 +1,9 @@
 #include "base/type.h"
 
+#include <climits>
+
+#include "support/parse.h"
+
 namespace rake {
 
 std::string
@@ -54,6 +58,17 @@ to_string(const VecType &t)
     if (t.is_scalar())
         return to_string(t.elem);
     return to_string(t.elem) + "x" + std::to_string(t.lanes);
+}
+
+VecType
+vec_type_from_string(const std::string &s)
+{
+    const size_t x = s.find('x');
+    if (x == std::string::npos)
+        return VecType(scalar_type_from_string(s), 1);
+    return VecType(scalar_type_from_string(s.substr(0, x)),
+                   static_cast<int>(parse_int(s.substr(x + 1),
+                                              "lane count", 1, INT_MAX)));
 }
 
 } // namespace rake

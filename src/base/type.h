@@ -249,6 +249,13 @@ struct VecType {
 /** "i16x64"-style rendering; scalars render as just the element type. */
 std::string to_string(const VecType &t);
 
+/**
+ * Parse a type atom produced by to_string(VecType): "i16x64", or a
+ * bare element type for one lane. Throws UserError on an unknown
+ * element type or a lane count outside [1, INT_MAX].
+ */
+VecType vec_type_from_string(const std::string &s);
+
 } // namespace rake
 
 #endif // RAKE_BASE_TYPE_H

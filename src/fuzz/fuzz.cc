@@ -27,7 +27,7 @@ run(const FuzzOptions &opts)
     std::vector<Slot> slots(static_cast<size_t>(
         opts.count > 0 ? opts.count : 0));
 
-    parallel_for(opts.count, resolve_jobs(opts.jobs), [&](int i) {
+    const auto check_program = [&](int i) {
         Slot &slot = slots[static_cast<size_t>(i)];
         const uint64_t seed = program_seed(opts.seed, i);
         // Multi-stage streams run the staged-executor oracle instead
@@ -68,7 +68,9 @@ run(const FuzzOptions &opts)
             });
         }
         slot.finding = std::move(f);
-    });
+    };
+    parallel_claims(opts.count, resolve_jobs(opts.jobs),
+                    [&] { return check_program; });
 
     FuzzReport report;
     report.count = opts.count;

@@ -6,9 +6,10 @@
  * seed (fuzz/generator.h), generate, run the oracle lattice
  * (fuzz/oracles.h), shrink any divergence with the delta-debugging
  * minimizer (fuzz/minimize.h), and optionally persist reproducers
- * (fuzz/corpus.h). Programs are independent, so the run parallelizes
- * over the shared thread pool; results land in per-index slots, which
- * makes the report byte-identical for any --jobs value.
+ * (fuzz/corpus.h). Programs are independent, so the calling thread
+ * and the process-wide claim helpers take them one at a time
+ * (parallel_claims, support/thread_pool.h); results land in per-index
+ * slots, which makes the report byte-identical for any --jobs value.
  */
 #ifndef RAKE_FUZZ_FUZZ_H
 #define RAKE_FUZZ_FUZZ_H
@@ -27,7 +28,8 @@ namespace rake::fuzz {
 struct FuzzOptions {
     uint64_t seed = 1;      ///< base seed of the program stream
     int count = 100;        ///< number of programs to generate
-    int jobs = 1;           ///< worker threads (0 = RAKE_JOBS, else 1)
+    int jobs = 1;           ///< participants (0 = RAKE_JOBS, else 1),
+                            ///< at most one per usable CPU
     bool minimize = true;   ///< shrink divergences before reporting
     std::string corpus_dir; ///< write reproducers here ("" = don't)
     GenOptions gen;

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "support/error.h"
+#include "support/parse.h"
 
 namespace rake::hir {
 
@@ -66,31 +67,6 @@ class Reader
     size_t pos_ = 0;
 };
 
-int64_t
-parse_int(const std::string &s)
-{
-    try {
-        size_t idx = 0;
-        int64_t v = std::stoll(s, &idx);
-        RAKE_USER_CHECK(idx == s.size(), "bad integer literal: " << s);
-        return v;
-    } catch (const std::invalid_argument &) {
-        throw UserError("bad integer literal: " + s);
-    } catch (const std::out_of_range &) {
-        throw UserError("integer literal out of range: " + s);
-    }
-}
-
-VecType
-parse_vec_type(const std::string &s)
-{
-    const size_t x = s.find('x');
-    if (x == std::string::npos)
-        return VecType(scalar_type_from_string(s), 1);
-    return VecType(scalar_type_from_string(s.substr(0, x)),
-                   static_cast<int>(parse_int(s.substr(x + 1))));
-}
-
 const std::map<std::string, Op> &
 op_table()
 {
@@ -140,25 +116,26 @@ expr_from_sexpr(const SExpr &s)
 
     if (head == "load") {
         RAKE_USER_CHECK(n == 4, "load expects 4 arguments");
-        VecType t = parse_vec_type(atom(0));
-        LoadRef ref{static_cast<int>(parse_int(atom(1))),
-                    static_cast<int>(parse_int(atom(2))),
-                    static_cast<int>(parse_int(atom(3)))};
+        VecType t = vec_type_from_string(atom(0));
+        LoadRef ref{parse_int_as<int>(atom(1), "buffer id"),
+                    parse_int_as<int>(atom(2), "load dx"),
+                    parse_int_as<int>(atom(3), "load dy")};
         return Expr::make_load(ref, t);
     }
     if (head == "const") {
         RAKE_USER_CHECK(n == 2, "const expects 2 arguments");
-        return Expr::make_const(parse_int(atom(1)),
-                                parse_vec_type(atom(0)));
+        return Expr::make_const(
+            parse_int_as<int64_t>(atom(1), "constant"),
+            vec_type_from_string(atom(0)));
     }
     if (head == "var") {
         RAKE_USER_CHECK(n == 2, "var expects 2 arguments");
-        return Expr::make_var(atom(1), parse_vec_type(atom(0)));
+        return Expr::make_var(atom(1), vec_type_from_string(atom(0)));
     }
     if (head == "broadcast") {
         RAKE_USER_CHECK(n == 2, "broadcast expects 2 arguments");
-        return Expr::make_broadcast(sub(1),
-                                    static_cast<int>(parse_int(atom(0))));
+        return Expr::make_broadcast(
+            sub(1), parse_int_as<int>(atom(0), "broadcast lanes"));
     }
     if (head == "cast") {
         RAKE_USER_CHECK(n == 2, "cast expects 2 arguments");

@@ -6,6 +6,7 @@
 #include "hir/printer.h"
 #include "hir/sexpr.h"
 #include "support/error.h"
+#include "support/parse.h"
 
 namespace rake::neon {
 
@@ -60,29 +61,6 @@ print(std::ostringstream &os, const NInstrPtr &n)
     os << ")";
 }
 
-int64_t
-parse_int(const std::string &s)
-{
-    try {
-        size_t idx = 0;
-        const int64_t v = std::stoll(s, &idx);
-        RAKE_USER_CHECK(idx == s.size(), "bad integer: " << s);
-        return v;
-    } catch (const std::logic_error &) {
-        throw UserError("bad integer literal: " + s);
-    }
-}
-
-VecType
-parse_vec_type(const std::string &s)
-{
-    const size_t x = s.find('x');
-    RAKE_USER_CHECK(x != std::string::npos, "expected a vector type: "
-                                                << s);
-    return VecType(scalar_type_from_string(s.substr(0, x)),
-                   static_cast<int>(parse_int(s.substr(x + 1))));
-}
-
 NInstrPtr
 from_sexpr(const hir::SExpr &s)
 {
@@ -93,14 +71,14 @@ from_sexpr(const hir::SExpr &s)
     RAKE_USER_CHECK(it != opcode_table().end(),
                     "unknown Neon opcode: " << s.items[0].atom);
     const NOp op = it->second;
-    const VecType type = parse_vec_type(s.items[1].atom);
+    const VecType type = vec_type_from_string(s.items[1].atom);
 
     if (op == NOp::Ld1) {
         RAKE_USER_CHECK(s.items.size() == 5, "vld1 expects 3 fields");
         hir::LoadRef ref{
-            static_cast<int>(parse_int(s.items[2].atom)),
-            static_cast<int>(parse_int(s.items[3].atom)),
-            static_cast<int>(parse_int(s.items[4].atom))};
+            parse_int_as<int>(s.items[2].atom, "buffer id"),
+            parse_int_as<int>(s.items[3].atom, "load dx"),
+            parse_int_as<int>(s.items[4].atom, "load dy")};
         return NInstr::make_load(ref, type);
     }
     if (op == NOp::Dup) {
@@ -116,7 +94,8 @@ from_sexpr(const hir::SExpr &s)
         if (item.is_atom) {
             RAKE_USER_CHECK(!item.atom.empty() && item.atom[0] == '#',
                             "expected #imm, got " << item.atom);
-            imms.push_back(parse_int(item.atom.substr(1)));
+            imms.push_back(
+                parse_int_as<int64_t>(item.atom.substr(1), "immediate"));
         } else {
             RAKE_USER_CHECK(imms.empty(),
                             "operands must precede immediates");

@@ -136,9 +136,11 @@ compile_benchmark(const Benchmark &bench, const CompileOptions &opts)
     // Rake synthesis, validation, and scheduling are independent of
     // the others — per-expression Verifier / ExamplePool /
     // SwizzleSolver state is local to the call, and the only shared
-    // structure is the mutex-guarded synthesis cache.
+    // structure is the mutex-guarded synthesis cache. The calling
+    // thread and up to jobs - 1 claim helpers take expressions one at
+    // a time, each writing its own slot.
     std::vector<ExprCompilation> compiled(n);
-    parallel_for(n, jobs, [&](int i) {
+    const auto compile_expr = [&](int i) {
         const KernelExpr &kernel = bench.exprs[i];
         // The stage's (possibly slot-space, hash-consed) expression;
         // pointer-identical to kernel.expr for flat benchmarks.
@@ -187,7 +189,8 @@ compile_benchmark(const Benchmark &bench, const CompileOptions &opts)
             sim::schedule(rake_code, opts.rake.target, opts.machine);
         ec.seconds = now_seconds() - e0;
         compiled[i] = std::move(ec);
-    });
+    };
+    parallel_claims(n, jobs, [&] { return compile_expr; });
 
     // Cross-stage layout negotiation (multi-stage benchmarks only):
     // pick one stored layout per producer edge by measured cycles,

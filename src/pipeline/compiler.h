@@ -144,10 +144,11 @@ struct CompileOptions {
     int validate_trials = 4;
 
     /**
-     * Worker threads compiling the benchmark's expressions
-     * concurrently. 0 = take the RAKE_JOBS environment variable
-     * (default 1). Results and statistics are identical for every
-     * job count; only wall_seconds changes.
+     * Threads compiling the benchmark's expressions concurrently: the
+     * caller and up to jobs - 1 claim helpers, at most one per usable
+     * CPU. 0 = take the RAKE_JOBS environment variable (default 1).
+     * Results and statistics are identical for every job count; only
+     * wall_seconds changes.
      */
     int jobs = 0;
 

@@ -1,11 +1,10 @@
 #include "serve/protocol.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <climits>
 #include <sstream>
-#include <vector>
 
 #include "support/error.h"
+#include "support/parse.h"
 #include "support/socket.h"
 
 namespace rake::serve {
@@ -14,89 +13,6 @@ namespace {
 
 constexpr const char *kReqMagic = "rake-req";
 constexpr const char *kRespMagic = "rake-resp";
-
-/**
- * Line-oriented payload walker, same discipline as the persistent
- * cache's EntryReader: required fields are consumed in order, any
- * structural problem throws UserError (the caller maps it to a
- * protocol_error), and the mandatory "end" trailer catches
- * truncation.
- */
-class PayloadReader
-{
-  public:
-    explicit PayloadReader(const std::string &text)
-    {
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line))
-            lines_.push_back(line);
-    }
-
-    std::string
-    take(const std::string &key)
-    {
-        RAKE_USER_CHECK(next_ < lines_.size(),
-                        "truncated payload at field: " << key);
-        const std::string &line = lines_[next_++];
-        RAKE_USER_CHECK(line.size() > key.size() &&
-                            line.compare(0, key.size(), key) == 0 &&
-                            line[key.size()] == ' ',
-                        "expected '" << key << " ...', got: " << line);
-        return line.substr(key.size() + 1);
-    }
-
-    bool
-    peek_is(const std::string &key) const
-    {
-        return next_ < lines_.size() &&
-               lines_[next_].compare(0, key.size(), key) == 0 &&
-               (lines_[next_].size() == key.size() ||
-                lines_[next_][key.size()] == ' ');
-    }
-
-    void
-    take_bare(const std::string &key)
-    {
-        RAKE_USER_CHECK(next_ < lines_.size(),
-                        "truncated payload at field: " << key);
-        RAKE_USER_CHECK(lines_[next_] == key,
-                        "expected '" << key
-                                     << "', got: " << lines_[next_]);
-        ++next_;
-    }
-
-    void
-    done() const
-    {
-        RAKE_USER_CHECK(next_ == lines_.size(),
-                        "trailing data after payload");
-    }
-
-  private:
-    std::vector<std::string> lines_;
-    size_t next_ = 0;
-};
-
-int64_t
-parse_i64(const std::string &s)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    RAKE_USER_CHECK(errno != ERANGE && end != s.c_str() && *end == '\0',
-                    "bad integer in payload: " << s);
-    return v;
-}
-
-/** Values are one line each; refuse to encode anything that would
- *  smuggle in extra protocol lines. */
-void
-check_line_safe(const std::string &s, const char *what)
-{
-    RAKE_USER_CHECK(s.find('\n') == std::string::npos,
-                    what << " must be single-line");
-}
 
 bool
 known_status(const std::string &s)
@@ -129,8 +45,10 @@ encode_request(const Request &request)
        << "id " << request.id << "\n"
        << "op " << to_string(request.op) << "\n";
     if (request.op == Op::Select) {
-        check_line_safe(request.backend, "backend");
-        check_line_safe(request.expr, "expr");
+        RAKE_USER_CHECK(is_single_line(request.backend),
+                        "backend must be single-line");
+        RAKE_USER_CHECK(is_single_line(request.expr),
+                        "expr must be single-line");
         RAKE_USER_CHECK(!request.expr.empty(),
                         "select request needs an expression");
         os << "backend " << request.backend << "\n";
@@ -142,25 +60,31 @@ encode_request(const Request &request)
     return os.str();
 }
 
+/**
+ * Payloads are line records read with the shared LineReader
+ * (support/parse.h): required fields in order, integers range-checked
+ * against their destination, the `end` trailer catching truncation.
+ * Every violation is a UserError, which the server answers with a
+ * protocol_error.
+ */
 Request
 parse_request(const std::string &payload)
 {
-    PayloadReader r(payload);
-    RAKE_USER_CHECK(parse_i64(r.take(kReqMagic)) == kProtocolVersion,
+    LineReader r(payload, "payload");
+    RAKE_USER_CHECK(parse_int_as<int>(r.take(kReqMagic),
+                                      "protocol version") ==
+                        kProtocolVersion,
                     "protocol version mismatch");
     Request req;
-    req.id = parse_i64(r.take("id"));
+    req.id = parse_int_as<int64_t>(r.take("id"), "request id");
     const std::string op = r.take("op");
     if (op == "select") {
         req.op = Op::Select;
         req.backend = r.take("backend");
         RAKE_USER_CHECK(!req.backend.empty(), "empty backend name");
-        if (r.peek_is("timeout-ms")) {
-            const int64_t t = parse_i64(r.take("timeout-ms"));
-            RAKE_USER_CHECK(t > 0 && t <= (1ll << 31),
-                            "bad timeout-ms: " << t);
-            req.timeout_ms = static_cast<int>(t);
-        }
+        if (r.peek_is("timeout-ms"))
+            req.timeout_ms = static_cast<int>(
+                parse_int(r.take("timeout-ms"), "timeout-ms", 1, INT_MAX));
         req.expr = r.take("expr");
         RAKE_USER_CHECK(!req.expr.empty(), "empty expression");
     } else if (op == "metrics") {
@@ -187,11 +111,13 @@ encode_response(const Response &response)
     if (response.degraded)
         os << "degraded 1\n";
     if (!response.tier.empty()) {
-        check_line_safe(response.tier, "tier");
+        RAKE_USER_CHECK(is_single_line(response.tier),
+                        "tier must be single-line");
         os << "tier " << response.tier << "\n";
     }
     if (!response.instr.empty()) {
-        check_line_safe(response.instr, "instr");
+        RAKE_USER_CHECK(is_single_line(response.instr),
+                        "instr must be single-line");
         os << "instr " << response.instr << "\n";
     }
     if (!response.error.empty()) {
@@ -204,7 +130,8 @@ encode_response(const Response &response)
         os << "error " << flat << "\n";
     }
     if (!response.metrics_json.empty()) {
-        check_line_safe(response.metrics_json, "metrics");
+        RAKE_USER_CHECK(is_single_line(response.metrics_json),
+                        "metrics must be single-line");
         os << "metrics " << response.metrics_json << "\n";
     }
     os << "end\n";
@@ -214,11 +141,13 @@ encode_response(const Response &response)
 Response
 parse_response(const std::string &payload)
 {
-    PayloadReader r(payload);
-    RAKE_USER_CHECK(parse_i64(r.take(kRespMagic)) == kProtocolVersion,
+    LineReader r(payload, "payload");
+    RAKE_USER_CHECK(parse_int_as<int>(r.take(kRespMagic),
+                                      "protocol version") ==
+                        kProtocolVersion,
                     "protocol version mismatch");
     Response resp;
-    resp.id = parse_i64(r.take("id"));
+    resp.id = parse_int_as<int64_t>(r.take("id"), "response id");
     resp.status = r.take("status");
     RAKE_USER_CHECK(known_status(resp.status),
                     "unknown response status: " << resp.status);

@@ -1,18 +1,21 @@
 /**
  * @file
- * A fixed-size worker pool with a simple FIFO task queue.
+ * A fixed-size worker pool with a simple FIFO task queue, and the one
+ * data-parallel primitive built on it.
  *
- * The compilation driver uses it to compile the independent kernel
- * expressions of a benchmark concurrently (each expression owns its
- * Verifier / ExamplePool / SwizzleSolver state, so tasks share
- * nothing but the immutable expression DAGs and the mutex-guarded
- * synthesis cache). The pool is intentionally minimal: submit
- * closures, then wait for the queue to drain; the first exception
- * thrown by any task is captured and rethrown from wait().
+ * ThreadPool is intentionally minimal: submit closures, then wait for
+ * the queue to drain; the first exception thrown by any task is
+ * captured and rethrown from wait(). The compile server queues its
+ * select work on one (serve/server.cc), whose destruction drops the
+ * tasks not yet started.
  *
- * parallel_claims shares one data-parallel pass (the executor's row
- * bands) between the calling thread and a process-wide pool of
- * helpers that sleep between passes.
+ * parallel_claims shares one data-parallel pass between the calling
+ * thread and a process-wide pool of helpers that sleep between
+ * passes. Every pass in the tree runs on it: compile_benchmark's
+ * expressions (each owns its Verifier / ExamplePool / SwizzleSolver
+ * state, so they share nothing but the immutable expression DAGs and
+ * the mutex-guarded synthesis cache), fuzz::run's programs and the
+ * executor's row bands.
  */
 #ifndef RAKE_SUPPORT_THREAD_POOL_H
 #define RAKE_SUPPORT_THREAD_POOL_H
@@ -58,7 +61,7 @@ class ThreadPool
      * Shutdown cancels: tasks still queued are dropped (they never
      * run) and the pool's CancelToken fires so deadline-aware tasks
      * already running wind down at their next poll. Drivers that want
-     * every task to run call wait() first — parallel_for does.
+     * every task to run call wait() first.
      */
     ~ThreadPool()
     {
@@ -192,28 +195,6 @@ resolve_jobs(int requested)
         return static_cast<int>(parse_int_knob(env, "RAKE_JOBS", 1,
                                                1 << 16));
     return 1;
-}
-
-/**
- * Run fn(0) .. fn(n-1) on up to `jobs` workers. Sequential (no pool,
- * no locking) when jobs <= 1 or n <= 1. Rethrows the first task
- * exception after all tasks have finished.
- */
-template <typename Fn>
-void
-parallel_for(int n, int jobs, Fn &&fn)
-{
-    if (n <= 0)
-        return;
-    if (jobs <= 1 || n == 1) {
-        for (int i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    ThreadPool pool(std::min(jobs, n));
-    for (int i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
 }
 
 /**

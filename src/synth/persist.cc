@@ -17,6 +17,7 @@
 
 #include "hir/printer.h"
 #include "support/error.h"
+#include "support/parse.h"
 
 namespace rake::synth {
 
@@ -87,79 +88,6 @@ proof_name(ProofResult p)
     return "unknown";
 }
 
-/**
- * Line-oriented entry parser. Any structural problem throws
- * UserError; load_backend() maps that to an `invalid` verdict (miss,
- * never a crash). Truncation is caught by the mandatory "end"
- * trailer: an interrupted write that somehow survived the
- * atomic-rename protocol parses as invalid, not as a shorter entry.
- */
-class EntryReader
-{
-  public:
-    explicit EntryReader(const std::string &text)
-    {
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line))
-            lines_.push_back(line);
-    }
-
-    /** Consume the next line, which must start with `key `; returns
-     *  the remainder of the line. */
-    std::string take(const std::string &key)
-    {
-        RAKE_USER_CHECK(next_ < lines_.size(),
-                        "truncated cache entry at field: " << key);
-        const std::string &line = lines_[next_++];
-        RAKE_USER_CHECK(line.size() > key.size() &&
-                            line.compare(0, key.size(), key) == 0 &&
-                            line[key.size()] == ' ',
-                        "expected '" << key << " ...', got: " << line);
-        return line.substr(key.size() + 1);
-    }
-
-    /** Like take(), but the line is exactly `key`. */
-    void take_bare(const std::string &key)
-    {
-        RAKE_USER_CHECK(next_ < lines_.size(),
-                        "truncated cache entry at field: " << key);
-        RAKE_USER_CHECK(lines_[next_] == key,
-                        "expected '" << key
-                                     << "', got: " << lines_[next_]);
-        ++next_;
-    }
-
-    bool peek_is(const std::string &key) const
-    {
-        return next_ < lines_.size() &&
-               lines_[next_].compare(0, key.size(), key) == 0 &&
-               (lines_[next_].size() == key.size() ||
-                lines_[next_][key.size()] == ' ');
-    }
-
-    void done() const
-    {
-        RAKE_USER_CHECK(next_ == lines_.size(),
-                        "trailing data after cache entry");
-    }
-
-  private:
-    std::vector<std::string> lines_;
-    size_t next_ = 0;
-};
-
-int64_t
-parse_i64(const std::string &s)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    RAKE_USER_CHECK(errno != ERANGE && end != s.c_str() && *end == '\0',
-                    "bad integer in cache entry: " << s);
-    return v;
-}
-
 double
 parse_d(const std::string &s)
 {
@@ -171,28 +99,17 @@ parse_d(const std::string &s)
     return v;
 }
 
-std::vector<std::string>
-split_ws(const std::string &s)
-{
-    std::istringstream is(s);
-    std::vector<std::string> out;
-    std::string tok;
-    while (is >> tok)
-        out.push_back(tok);
-    return out;
-}
-
 QueryStats
 parse_query(const std::string &s)
 {
     const auto t = split_ws(s);
     RAKE_USER_CHECK(t.size() == 6, "query stats want 6 fields: " << s);
     QueryStats q;
-    q.queries = static_cast<int>(parse_i64(t[0]));
-    q.accepted = static_cast<int>(parse_i64(t[1]));
-    q.counterexamples = static_cast<int>(parse_i64(t[2]));
-    q.dedup_skips = static_cast<int>(parse_i64(t[3]));
-    q.ref_cache_hits = static_cast<int>(parse_i64(t[4]));
+    q.queries = parse_int_as<int>(t[0], "query count");
+    q.accepted = parse_int_as<int>(t[1], "accepted count");
+    q.counterexamples = parse_int_as<int>(t[2], "counterexample count");
+    q.dedup_skips = parse_int_as<int>(t[3], "dedup-skip count");
+    q.ref_cache_hits = parse_int_as<int>(t[4], "ref-cache-hit count");
     q.seconds = parse_d(t[5]);
     return q;
 }
@@ -203,10 +120,10 @@ parse_swizzle(const std::string &s)
     const auto t = split_ws(s);
     RAKE_USER_CHECK(t.size() == 5, "swizzle stats want 5 fields: " << s);
     SwizzleStats w;
-    w.queries = static_cast<int>(parse_i64(t[0]));
-    w.solved = static_cast<int>(parse_i64(t[1]));
-    w.unsat = static_cast<int>(parse_i64(t[2]));
-    w.memo_hits = static_cast<int>(parse_i64(t[3]));
+    w.queries = parse_int_as<int>(t[0], "swizzle query count");
+    w.solved = parse_int_as<int>(t[1], "solved count");
+    w.unsat = parse_int_as<int>(t[2], "unsat count");
+    w.memo_hits = parse_int_as<int>(t[3], "memo-hit count");
     w.seconds = parse_d(t[4]);
     return w;
 }
@@ -249,15 +166,18 @@ write_header(std::ostringstream &os, const EntryHeader &h)
  * next store overwrite it.
  */
 void
-check_header(EntryReader &r, const EntryHeader &want)
+check_header(LineReader &r, const EntryHeader &want)
 {
-    RAKE_USER_CHECK(parse_i64(r.take(kMagic)) == kPersistFormatVersion,
+    RAKE_USER_CHECK(parse_int_as<int>(r.take(kMagic), "format version") ==
+                        kPersistFormatVersion,
                     "cache entry format version mismatch");
     RAKE_USER_CHECK(r.take("backend") == want.backend,
                     "cache entry backend mismatch");
-    RAKE_USER_CHECK(parse_i64(r.take("grammar")) == want.grammar,
+    RAKE_USER_CHECK(parse_int_as<int>(r.take("grammar"), "grammar") ==
+                        want.grammar,
                     "cache entry grammar version mismatch");
-    RAKE_USER_CHECK(parse_i64(r.take("cost-model")) == want.cost_model,
+    RAKE_USER_CHECK(parse_int_as<int>(r.take("cost-model"),
+                                      "cost model") == want.cost_model,
                     "cache entry cost-model version mismatch");
     RAKE_USER_CHECK(r.take("options") == want.options_hex,
                     "cache entry options fingerprint mismatch");
@@ -278,14 +198,14 @@ write_stats(std::ostringstream &os, const LiftStats &lift,
 }
 
 void
-read_stats(EntryReader &r, LiftStats &lift, LowerStats &lower)
+read_stats(LineReader &r, LiftStats &lift, LowerStats &lower)
 {
     lift.update = parse_query(r.take("lift-update"));
     lift.replace = parse_query(r.take("lift-replace"));
     lift.extend = parse_query(r.take("lift-extend"));
     lower.sketch = parse_query(r.take("sketch"));
     lower.swizzle = parse_swizzle(r.take("swizzle"));
-    lower.backtracks = static_cast<int>(parse_i64(r.take("backtracks")));
+    lower.backtracks = parse_int_as<int>(r.take("backtracks"), "backtracks");
 }
 
 /** True for outcomes that may land on disk: a verified Ok result or a
@@ -298,14 +218,6 @@ persistable(const std::optional<BackendRakeResult> &result)
         return true; // deterministic no-solution
     return result->status == SynthStatus::Ok && !result->degraded &&
            result->instr != nullptr;
-}
-
-/** S-expressions are single-line by construction; refuse to encode
- *  anything that would break the line-oriented format. */
-bool
-line_safe(const std::string &s)
-{
-    return s.find('\n') == std::string::npos && !s.empty();
 }
 
 /**
@@ -453,15 +365,12 @@ PersistentStore::load_backend(const hir::ExprPtr &normalized,
     if (!text)
         return out;
     try {
-        EntryReader r(*text);
+        LineReader r(*text, "cache entry");
         check_header(r, want);
         const std::string status = r.take("status");
         if (status == "ok") {
             BackendRakeResult res;
             res.instr = isa.instr_from_sexpr(r.take("instr"));
-            RAKE_USER_CHECK(res.instr != nullptr,
-                            "backend " << want.backend
-                                       << " cannot parse cache entry");
             read_stats(r, res.lift, res.lower);
             res.proof = parse_proof(r.take("proof"));
             r.take_bare("end");
@@ -494,14 +403,16 @@ PersistentStore::store_backend(const hir::ExprPtr &normalized,
     const EntryHeader header{isa.name(), isa.grammar_version(),
                              isa.cost_model_version(), hex64(options_fp),
                              hir::to_sexpr(normalized)};
-    if (!line_safe(header.expr))
+    // S-expressions are single-line by construction; refuse to encode
+    // anything that would break the line-record format.
+    if (!is_single_line(header.expr))
         return false;
     std::ostringstream os;
     write_header(os, header);
     if (result) {
         const std::string instr = isa.instr_to_sexpr(result->instr);
-        if (!line_safe(instr))
-            return false; // backend has no serialization support
+        if (!is_single_line(instr))
+            return false;
         os << "status ok\n"
            << "instr " << instr << "\n";
         write_stats(os, result->lift, result->lower);
@@ -565,15 +476,16 @@ scan_cache_dir(const std::string &dir)
         // and the solved pair; stats and proof lines are skipped, and
         // anything structurally off means the file is not an entry.
         try {
-            EntryReader r(*text);
+            LineReader r(*text, "cache entry");
             CacheEntryView view;
-            RAKE_USER_CHECK(parse_i64(r.take(kMagic)) ==
+            RAKE_USER_CHECK(parse_int_as<int>(r.take(kMagic),
+                                              "format version") ==
                                 kPersistFormatVersion,
                             "cache entry format version mismatch");
             view.backend = r.take("backend");
-            view.grammar = static_cast<int>(parse_i64(r.take("grammar")));
+            view.grammar = parse_int_as<int>(r.take("grammar"), "grammar");
             view.cost_model =
-                static_cast<int>(parse_i64(r.take("cost-model")));
+                parse_int_as<int>(r.take("cost-model"), "cost model");
             r.take("options");
             view.expr = r.take("expr");
             const std::string status = r.take("status");

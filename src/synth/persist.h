@@ -107,9 +107,10 @@ class PersistentStore
     /**
      * Look up a completed outcome. The instruction DAG round-trips
      * through TargetISA::instr_to_sexpr / instr_from_sexpr and the
-     * entry carries the backend's own version keys. A backend
-     * without serialization support (empty instr_to_sexpr) disables
-     * the disk tier: load misses, store declines.
+     * entry carries the backend's own version keys. The entry is read
+     * with the shared line-record reader (support/parse.h); any
+     * UserError it or the backend's parser throws makes the entry
+     * invalid, a miss.
      */
     DiskLookup load_backend(const hir::ExprPtr &normalized,
                             uint64_t options_fp,

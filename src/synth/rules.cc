@@ -12,7 +12,10 @@
 
 #include "hir/interp.h"
 #include "hir/printer.h"
+#include "hvx/sexpr.h"
+#include "neon/sexpr.h"
 #include "support/error.h"
+#include "support/parse.h"
 #include "synth/persist.h"
 #include "synth/spec.h"
 #include "synth/z3_verify.h"
@@ -65,24 +68,6 @@ is_typed_leaf(const hir::SExpr &s, std::string *head = nullptr)
     return true;
 }
 
-/** Element part of a type atom ("u16x128" -> "u16"). */
-std::string
-elem_of(const std::string &type_atom)
-{
-    const size_t x = type_atom.find('x');
-    return x == std::string::npos ? type_atom : type_atom.substr(0, x);
-}
-
-/** Lane count of a type atom ("u16x128" -> 128, "u16" -> 1). */
-int
-lanes_of(const std::string &type_atom)
-{
-    const size_t x = type_atom.find('x');
-    if (x == std::string::npos)
-        return 1;
-    return std::atoi(type_atom.c_str() + x + 1);
-}
-
 bool
 is_hole_atom(const std::string &atom)
 {
@@ -102,7 +87,7 @@ hole_atom(size_t index)
  */
 struct HoleSite {
     RuleHole::Kind kind;
-    std::string elem;
+    ScalarType elem;
     std::string atom;
 
     bool
@@ -111,7 +96,7 @@ struct HoleSite {
         const bool is_const = leaf.items[0].atom == "const";
         if ((kind == RuleHole::Kind::Const) != is_const)
             return false;
-        return elem == elem_of(leaf.items[1].atom) &&
+        return elem == vec_type_from_string(leaf.items[1].atom).elem &&
                atom == leaf.items[2].atom;
     }
 };
@@ -134,7 +119,8 @@ collect_sites(const hir::SExpr &t)
             if (is_typed_leaf(s, &head)) {
                 HoleSite site{head == "const" ? RuleHole::Kind::Const
                                               : RuleHole::Kind::Var,
-                              elem_of(s.items[1].atom), s.items[2].atom};
+                              vec_type_from_string(s.items[1].atom).elem,
+                              s.items[2].atom};
                 if (!seen(site))
                     out.push_back(std::move(site));
                 return;
@@ -210,13 +196,13 @@ symbolized(const hir::SExpr &t, const std::vector<HoleSite> &active)
                 out.items[2].atom = symbolic_name(i);
                 return out;
             }
-            const int lanes = lanes_of(out.items[1].atom);
+            const int lanes = vec_type_from_string(out.items[1].atom).lanes;
             hir::SExpr var;
             var.items.resize(3);
             var.items[0].is_atom = true;
             var.items[0].atom = "var";
             var.items[1].is_atom = true;
-            var.items[1].atom = active[i].elem;
+            var.items[1].atom = to_string(active[i].elem);
             var.items[2].is_atom = true;
             var.items[2].atom = symbolic_name(i);
             if (lanes == 1)
@@ -282,8 +268,6 @@ verify_candidate(const hir::SExpr &lhs_sym, const hir::SExpr &rhs_sym,
     } catch (const UserError &) {
         return std::nullopt;
     }
-    if (!ref || !impl)
-        return std::nullopt;
     Spec spec = Spec::from_expr(ref);
     Z3Options zopts;
     zopts.timeout_ms = opts.z3_timeout_ms;
@@ -299,86 +283,6 @@ verify_candidate(const hir::SExpr &lhs_sym, const hir::SExpr &rhs_sym,
     if (eval_equal(ref, isa, impl, opts.check_envs, opts.seed))
         return std::string("eval");
     return std::nullopt;
-}
-
-/** Line-oriented reader for the rule-table file; structural problems
- *  throw UserError, which load_rule_table maps to an invalid table. */
-class TableReader
-{
-  public:
-    explicit TableReader(const std::string &text)
-    {
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line))
-            lines_.push_back(line);
-    }
-
-    std::string
-    take(const std::string &key)
-    {
-        RAKE_USER_CHECK(next_ < lines_.size(),
-                        "truncated rule table at field: " << key);
-        const std::string &line = lines_[next_++];
-        RAKE_USER_CHECK(line.size() > key.size() &&
-                            line.compare(0, key.size(), key) == 0 &&
-                            line[key.size()] == ' ',
-                        "expected '" << key << " ...', got: " << line);
-        return line.substr(key.size() + 1);
-    }
-
-    void
-    take_bare(const std::string &key)
-    {
-        RAKE_USER_CHECK(next_ < lines_.size(),
-                        "truncated rule table at field: " << key);
-        RAKE_USER_CHECK(lines_[next_] == key,
-                        "expected '" << key
-                                     << "', got: " << lines_[next_]);
-        ++next_;
-    }
-
-    bool
-    peek_is(const std::string &key) const
-    {
-        return next_ < lines_.size() &&
-               lines_[next_].compare(0, key.size(), key) == 0 &&
-               (lines_[next_].size() == key.size() ||
-                lines_[next_][key.size()] == ' ');
-    }
-
-    void
-    done() const
-    {
-        RAKE_USER_CHECK(next_ == lines_.size(),
-                        "trailing data after rule table");
-    }
-
-  private:
-    std::vector<std::string> lines_;
-    size_t next_ = 0;
-};
-
-int64_t
-parse_i64(const std::string &s)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    RAKE_USER_CHECK(errno != ERANGE && end != s.c_str() && *end == '\0',
-                    "bad integer in rule table: " << s);
-    return v;
-}
-
-std::vector<std::string>
-split_ws(const std::string &s)
-{
-    std::istringstream is(s);
-    std::vector<std::string> out;
-    std::string tok;
-    while (is >> tok)
-        out.push_back(tok);
-    return out;
 }
 
 /** Deterministic shipping order: cheapest witness first, text as the
@@ -456,6 +360,34 @@ instantiate(const hir::SExpr &t,
     return true;
 }
 
+/**
+ * Parse both sides of a loaded rule with every hole bound (a const
+ * hole to 0, a var hole to its symbolic name): the lhs as HIR, the
+ * rhs with the parser of the backend its section names. A side that
+ * parser cannot read, say one whose lane count or buffer id does not
+ * fit an int, throws UserError, so the table loads as invalid rather
+ * than failing at every match. A section of a backend this build does
+ * not know is never looked up, so its rhs is not parsed.
+ */
+void
+check_rule(const std::string &backend, const Rule &rule)
+{
+    std::map<std::string, std::string> bindings;
+    for (size_t i = 0; i < rule.holes.size(); ++i)
+        bindings[hole_atom(i)] =
+            rule.holes[i].kind == RuleHole::Kind::Const ? "0"
+                                                        : symbolic_name(i);
+    hir::SExpr lhs, rhs;
+    RAKE_USER_CHECK(instantiate(rule.lhs_tree, bindings, lhs) &&
+                        instantiate(rule.rhs_tree, bindings, rhs),
+                    "rule uses an undeclared hole");
+    hir::expr_from_sexpr(lhs);
+    if (backend == "hvx")
+        hvx::parse_instr(tree_text(rhs));
+    else if (backend == "neon")
+        neon::parse_instr(tree_text(rhs));
+}
+
 } // namespace
 
 const std::vector<Rule> *
@@ -530,40 +462,40 @@ load_rule_table(const std::string &path)
     std::ostringstream buf;
     buf << is.rdbuf();
     try {
-        TableReader r(buf.str());
-        RAKE_USER_CHECK(parse_i64(r.take(kMagic)) == kRulesFormatVersion,
+        LineReader r(buf.str(), "rule table");
+        RAKE_USER_CHECK(parse_int_as<int>(r.take(kMagic), "format version") ==
+                            kRulesFormatVersion,
                         "rule table format version mismatch");
         while (r.peek_is("backend")) {
             RuleTable::Section section;
             section.backend = r.take("backend");
-            section.grammar =
-                static_cast<int>(parse_i64(r.take("grammar")));
+            section.grammar = parse_int_as<int>(r.take("grammar"), "grammar");
             section.cost_model =
-                static_cast<int>(parse_i64(r.take("cost-model")));
-            const int64_t count = parse_i64(r.take("rules"));
-            RAKE_USER_CHECK(count >= 0, "negative rule count");
+                parse_int_as<int>(r.take("cost-model"), "cost model");
+            const int64_t count =
+                parse_int(r.take("rules"), "rule count", 0, INT64_MAX);
             for (int64_t i = 0; i < count; ++i) {
                 r.take_bare("rule");
                 Rule rule;
                 const auto cost = split_ws(r.take("cost"));
                 RAKE_USER_CHECK(cost.size() == 3,
                                 "rule cost wants 3 fields");
-                rule.cost.scalar =
-                    static_cast<int>(parse_i64(cost[0]));
+                rule.cost.scalar = parse_int_as<int>(cost[0], "rule cost");
                 rule.cost.total_instructions =
-                    static_cast<int>(parse_i64(cost[1]));
+                    parse_int_as<int>(cost[1], "rule instructions");
                 rule.cost.total_latency =
-                    static_cast<int>(parse_i64(cost[2]));
+                    parse_int_as<int>(cost[2], "rule latency");
                 rule.proof = r.take("proof");
                 RAKE_USER_CHECK(rule.proof == "z3" ||
                                     rule.proof == "eval",
                                 "bad rule proof: " << rule.proof);
-                const int64_t holes = parse_i64(r.take("holes"));
-                RAKE_USER_CHECK(holes >= 0, "negative hole count");
+                const int64_t holes =
+                    parse_int(r.take("holes"), "hole count", 0, INT64_MAX);
                 for (int64_t h = 0; h < holes; ++h) {
                     const auto f = split_ws(r.take("hole"));
                     RAKE_USER_CHECK(f.size() == 3 &&
-                                        parse_i64(f[0]) == h,
+                                        parse_int_as<int64_t>(
+                                            f[0], "hole index") == h,
                                     "bad hole record");
                     RuleHole hole;
                     RAKE_USER_CHECK(f[1] == "const" || f[1] == "var",
@@ -577,6 +509,7 @@ load_rule_table(const std::string &path)
                 rule.rhs = r.take("rhs");
                 rule.lhs_tree = hir::parse_sexpr(rule.lhs);
                 rule.rhs_tree = hir::parse_sexpr(rule.rhs);
+                check_rule(section.backend, rule);
                 r.take_bare("end");
                 section.rules.push_back(std::move(rule));
             }
@@ -664,8 +597,6 @@ apply_rules(const std::vector<Rule> &rules,
         } catch (const UserError &) {
             continue;
         }
-        if (!instr)
-            continue;
         candidates.push_back({isa.cost_of(instr), i, std::move(instr)});
     }
     if (candidates.empty())
@@ -740,14 +671,13 @@ mine_rules(const backend::TargetISA &isa, int grammar, int cost_model,
         hir::SExpr lhs_tree, rhs_tree;
         backend::InstrHandle witness;
         try {
+            // Both parses also vouch for every type atom the
+            // anti-unification below reads.
             lhs_tree = hir::parse_sexpr(pair.expr);
+            hir::expr_from_sexpr(lhs_tree);
             rhs_tree = hir::parse_sexpr(pair.instr);
             witness = isa.instr_from_sexpr(pair.instr);
         } catch (const UserError &) {
-            ++st.skipped;
-            continue;
-        }
-        if (!witness) {
             ++st.skipped;
             continue;
         }
@@ -802,7 +732,7 @@ mine_rules(const backend::TargetISA &isa, int grammar, int cost_model,
             continue;
         }
         for (const HoleSite &site : active)
-            rule.holes.push_back(RuleHole{site.kind, site.elem});
+            rule.holes.push_back(RuleHole{site.kind, to_string(site.elem)});
         rule.cost = isa.cost_of(witness);
         rule.proof = *proof;
         rule.lhs_tree = hir::parse_sexpr(rule.lhs);

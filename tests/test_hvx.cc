@@ -531,7 +531,6 @@ TEST(HvxSexpr, RejectsMalformedInput)
     EXPECT_THROW(parse_instr("(bogus u8x8)"), UserError);
     EXPECT_THROW(parse_instr("(vadd u8x8 (vmem u8x8 0 0 0))"),
                  UserError);
-    EXPECT_THROW(parse_instr("(vmem u8 0 0 0)"), UserError);
     // Declared/inferred type mismatch.
     EXPECT_THROW(
         parse_instr("(vadd u16x8 (vmem u8x8 0 0 0) (vmem u8x8 0 1 0))"),

@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,6 @@
 #include "pipeline/dag.h"
 #include "pipeline/executor.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "synth/rake.h"
 #include "test_util.h"
 
@@ -676,7 +676,7 @@ TEST(Jit, RunnersOfOneProgramRunConcurrently)
     const auto compiled = jit::Program::compile(prog);
     const Image img = random_image(i16, 32, 16, 3);
     std::vector<Value> got(8), want(8);
-    parallel_for(8, 4, [&](int t) {
+    const auto run_one = [&](int t) {
         Env env;
         env.buffers.emplace(0, Buffer::view_of(i16, img.width, img.height,
                                                img.pixels.data()));
@@ -690,7 +690,12 @@ TEST(Jit, RunnersOfOneProgramRunConcurrently)
         env.x = img.width - 8;
         env.y = img.height - 1;
         want[t] = hvx::evaluate(prog, env);
-    });
+    };
+    std::vector<std::thread> runners;
+    for (int t = 0; t < 8; ++t)
+        runners.emplace_back(run_one, t);
+    for (std::thread &r : runners)
+        r.join();
     for (int t = 0; t < 8; ++t)
         EXPECT_EQ(got[t], want[t]) << "runner " << t;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the support layer: the deterministic RNG (including the
- * UB-prone extreme-bound spans) and the worker pool the parallel
- * compilation driver runs on.
+ * UB-prone extreme-bound spans), the worker pool and the claim passes
+ * every parallel pass runs on, and the checked integer parser behind
+ * every flag and knob.
  */
 #include <gtest/gtest.h>
 
@@ -156,26 +157,6 @@ TEST(ThreadPool, CancelPendingDropsQueueAndFiresToken)
         Deadline().with_token(pool.cancel_token().child());
     EXPECT_TRUE(d.expired());
     EXPECT_THROW(d.check("a cancelled pool task"), TimeoutError);
-}
-
-TEST(ParallelFor, CoversEveryIndexAtAnyJobCount)
-{
-    for (int jobs : {1, 2, 4, 9}) {
-        std::vector<std::atomic<int>> hits(23);
-        parallel_for(23, jobs, [&](int i) { ++hits[i]; });
-        for (int i = 0; i < 23; ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "jobs=" << jobs;
-    }
-}
-
-TEST(ParallelFor, RethrowsTaskException)
-{
-    EXPECT_THROW(parallel_for(8, 4,
-                              [](int i) {
-                                  if (i == 5)
-                                      throw std::runtime_error("boom");
-                              }),
-                 std::runtime_error);
 }
 
 /** A claim worker that counts itself live and records its items. */
