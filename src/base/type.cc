@@ -1,7 +1,5 @@
 #include "base/type.h"
 
-#include <climits>
-
 #include "support/parse.h"
 
 namespace rake {
@@ -68,7 +66,7 @@ vec_type_from_string(const std::string &s)
         return VecType(scalar_type_from_string(s), 1);
     return VecType(scalar_type_from_string(s.substr(0, x)),
                    static_cast<int>(parse_int(s.substr(x + 1),
-                                              "lane count", 1, INT_MAX)));
+                                              "lane count", 1, kMaxLanes)));
 }
 
 } // namespace rake

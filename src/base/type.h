@@ -207,6 +207,15 @@ std::string to_string(ScalarType t);
 ScalarType scalar_type_from_string(const std::string &s);
 
 /**
+ * The most lanes a vector type may have. The suite's widest types
+ * have a few hundred lanes; at this ceiling no lane arithmetic in the
+ * typing rules (twice the lanes of a pair, bytes times lanes of a
+ * bitcast) can overflow an int. Parsers reject a longer type, and the
+ * instruction factories a result past it.
+ */
+constexpr int kMaxLanes = 1 << 16;
+
+/**
  * A vector type: an element type plus a lane count.
  *
  * Lane count 1 denotes a scalar. HVX native vectors are 128 bytes wide

@@ -168,6 +168,9 @@ Expr::make_broadcast(ExprPtr a, int lanes)
     RAKE_USER_CHECK(a != nullptr, "broadcast of null expression");
     RAKE_USER_CHECK(a->type().lanes == 1, "broadcast input must be scalar");
     RAKE_USER_CHECK(lanes > 1, "broadcast lane count must exceed 1");
+    RAKE_USER_CHECK(lanes <= kMaxLanes, "broadcast of " << lanes
+                                                        << " lanes exceeds "
+                                                        << kMaxLanes);
     VecType t = a->type().with_lanes(lanes);
     return ExprPtr(new Expr(Op::Broadcast, t, {std::move(a)}, 0, LoadRef{},
                             std::string()));

@@ -17,11 +17,14 @@ class Reader
     explicit Reader(const std::string &text) : text_(text) {}
 
     SExpr
-    read()
+    read(int depth = 1)
     {
         skip_ws();
         RAKE_USER_CHECK(pos_ < text_.size(), "unexpected end of input");
         if (text_[pos_] == '(') {
+            RAKE_USER_CHECK(depth <= kMaxSexprDepth,
+                            "s-expression nests deeper than "
+                                << kMaxSexprDepth << " levels");
             ++pos_;
             SExpr list;
             while (true) {
@@ -32,7 +35,7 @@ class Reader
                     ++pos_;
                     return list;
                 }
-                list.items.push_back(read());
+                list.items.push_back(read(depth + 1));
             }
         }
         RAKE_USER_CHECK(text_[pos_] != ')', "unexpected ')' at position "

@@ -25,7 +25,19 @@ struct SExpr {
     std::vector<SExpr> items;
 };
 
-/** Parse one s-expression from text; throws UserError on bad syntax. */
+/**
+ * The deepest list nesting parse_sexpr accepts. The suite's and the
+ * fuzzer's expressions and selections nest a few dozen levels at most;
+ * the reader recurses once per level, so deeper text (a served
+ * request can carry a megabyte of parentheses) is refused before it
+ * can exhaust the stack.
+ */
+constexpr int kMaxSexprDepth = 1000;
+
+/**
+ * Parse one s-expression from text; throws UserError on bad syntax or
+ * nesting deeper than kMaxSexprDepth.
+ */
 SExpr parse_sexpr(const std::string &text);
 
 /** Parse an HIR expression from its s-expression rendering. */

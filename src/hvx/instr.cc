@@ -30,7 +30,8 @@ Instr::Instr(Opcode op, VecType type, std::vector<InstrPtr> args,
 InstrPtr
 Instr::make_read(hir::LoadRef ref, VecType type)
 {
-    RAKE_USER_CHECK(type.lanes >= 1, "vmem must load >= 1 lane");
+    RAKE_USER_CHECK(type.lanes >= 1 && type.lanes <= kMaxLanes,
+                    "vmem must load 1 to " << kMaxLanes << " lanes");
     return InstrPtr(
         new Instr(Opcode::VRead, type, {}, {}, ref, nullptr));
 }
@@ -41,6 +42,8 @@ Instr::make_splat(hir::ExprPtr scalar, int lanes)
     RAKE_USER_CHECK(scalar != nullptr, "null splat payload");
     RAKE_USER_CHECK(scalar->type().lanes == 1,
                     "vsplat payload must be scalar");
+    RAKE_USER_CHECK(lanes >= 1 && lanes <= kMaxLanes,
+                    "vsplat must have 1 to " << kMaxLanes << " lanes");
     VecType t(scalar->type().elem, lanes);
     return InstrPtr(new Instr(Opcode::VSplat, t, {}, {}, hir::LoadRef{},
                               std::move(scalar)));
@@ -311,6 +314,12 @@ Instr::make(Opcode op, std::vector<InstrPtr> args,
       case Opcode::Hole:
         RAKE_UNREACHABLE("handled above");
     }
+    // Operands are within the ceiling, so computing `result` could not
+    // overflow; a result past it is refused before anything grows it.
+    require(result.lanes <= kMaxLanes, op,
+            "result of " + std::to_string(result.lanes) +
+                " lanes exceeds the ceiling of " +
+                std::to_string(kMaxLanes));
 
     return InstrPtr(new Instr(op, result, std::move(args),
                               std::move(imms), hir::LoadRef{}, nullptr));

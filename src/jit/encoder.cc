@@ -1,5 +1,7 @@
 #include "jit/encoder.h"
 
+#include <climits>
+
 #include "support/error.h"
 
 namespace rake::jit {
@@ -142,6 +144,14 @@ Assembler::load_index8(Reg dst, Reg base, Reg index, int32_t disp)
 }
 
 void
+Assembler::store_index8(Reg base, Reg index, int32_t disp, Reg src)
+{
+    rex(true, num(src), num(index), num(base));
+    byte(0x89);
+    modrm_sib8(num(src), base, index, disp);
+}
+
+void
 Assembler::lea(Reg dst, Reg base, int32_t disp)
 {
     rex(true, num(dst), 0, num(base));
@@ -248,6 +258,15 @@ Assembler::add_imm32(Reg dst, int32_t imm)
 }
 
 void
+Assembler::cmp_imm32(Reg a, int32_t imm)
+{
+    rex(true, 0, 0, num(a));
+    byte(0x81);
+    modrm_reg(7, num(a));
+    dword(imm);
+}
+
+void
 Assembler::shl_imm(Reg r, int n)
 {
     RAKE_CHECK(n > 0 && n < 64, "bad shift " << n);
@@ -287,96 +306,240 @@ Assembler::cmov(Cond cc, Reg dst, Reg src)
 }
 
 void
-Assembler::setcc_al(Cond cc)
+Assembler::setcc(Cond cc, Reg r)
 {
+    // A REX prefix selects spl/bpl/sil/dil (and r8b-r15b) instead of
+    // ah/ch/dh/bh.
+    if (num(r) >= 4)
+        byte(0x40 | ((num(r) & 8) ? 0x01 : 0));
     byte(0x0F);
     byte(0x90 | static_cast<uint8_t>(cc));
-    byte(0xC0); // mod=11, rm=rax -> al
+    modrm_reg(0, num(r));
 }
 
-void
-Assembler::movdqu_load(Vreg dst, Reg base, int32_t disp)
+size_t
+Assembler::jcc_forward(Cond cc)
 {
-    byte(0xF3);
-    rex(false, num(dst), 0, num(base));
     byte(0x0F);
-    byte(0x6F);
-    modrm_mem(num(dst), base, disp);
+    byte(0x80 | static_cast<uint8_t>(cc));
+    const size_t at = size();
+    dword(0);
+    return at;
 }
 
-void
-Assembler::movdqu_store(Reg base, int32_t disp, Vreg src)
+size_t
+Assembler::jmp_forward()
 {
-    byte(0xF3);
-    rex(false, num(src), 0, num(base));
-    byte(0x0F);
-    byte(0x7F);
-    modrm_mem(num(src), base, disp);
+    byte(0xE9);
+    const size_t at = size();
+    dword(0);
+    return at;
 }
 
 void
-Assembler::sse_op(VecOp op, Vreg dst, Vreg src)
+Assembler::land(size_t patch)
 {
-    byte(0x66);
-    byte(0x0F);
-    byte(static_cast<uint8_t>(op));
-    modrm_reg(num(dst), num(src));
+    RAKE_CHECK(patch + 4 <= size(), "jump patched past the code");
+    const int64_t rel = static_cast<int64_t>(size()) -
+                        static_cast<int64_t>(patch + 4);
+    RAKE_CHECK(rel >= 0 && rel <= INT32_MAX, "jump out of rel32 range");
+    const uint32_t u = static_cast<uint32_t>(rel);
+    for (int i = 0; i < 4; ++i)
+        code_[patch + i] = static_cast<uint8_t>(u >> (8 * i));
 }
 
 void
-Assembler::sse_op_mem(VecOp op, Vreg dst, Reg base, int32_t disp)
+Assembler::jcc_back(Cond cc, size_t target)
 {
-    byte(0x66);
-    rex(false, num(dst), 0, num(base));
+    RAKE_CHECK(target <= size(), "backward jump to a later position");
     byte(0x0F);
-    byte(static_cast<uint8_t>(op));
-    modrm_mem(num(dst), base, disp);
+    byte(0x80 | static_cast<uint8_t>(cc));
+    const int64_t rel = static_cast<int64_t>(target) -
+                        static_cast<int64_t>(size() + 4);
+    RAKE_CHECK(rel >= INT32_MIN, "jump out of rel32 range");
+    dword(static_cast<int32_t>(rel));
 }
 
 void
-Assembler::vex3(uint8_t reg, uint8_t base_rm, uint8_t vvvv, bool l256,
-                uint8_t pp)
+Assembler::modrm(uint8_t reg, const Mem &m)
+{
+    if (m.index == Reg::rsp)
+        modrm_mem(reg, m.base, m.disp);
+    else
+        modrm_sib8(reg, m.base, m.index, m.disp);
+}
+
+void
+Assembler::vex(uint8_t map, uint8_t pp, bool w, bool l256, uint8_t reg,
+               uint8_t vvvv, uint8_t index, uint8_t rm)
 {
     byte(0xC4);
-    // Inverted R/X/B; mmmmm = 00001 (0F map). X is never used here.
-    byte(((reg & 8) ? 0 : 0x80) | 0x40 | ((base_rm & 8) ? 0 : 0x20) |
-         0x01);
-    // W=0, inverted vvvv, L, pp.
-    byte(static_cast<uint8_t>(((~vvvv & 0xF) << 3) | (l256 ? 4 : 0) |
-                              pp));
+    // Inverted R/X/B, then the opcode map.
+    byte(static_cast<uint8_t>(((reg & 8) ? 0 : 0x80) |
+                              ((index & 8) ? 0 : 0x40) |
+                              ((rm & 8) ? 0 : 0x20) | map));
+    // W, inverted vvvv, L, pp.
+    byte(static_cast<uint8_t>((w ? 0x80 : 0) | ((~vvvv & 0xF) << 3) |
+                              (l256 ? 4 : 0) | pp));
 }
 
 void
-Assembler::vmovdqu_load(Vreg dst, Reg base, int32_t disp)
+Assembler::vex_rr(uint8_t map, uint8_t pp, bool w, bool l256, uint8_t op,
+                  uint8_t reg, uint8_t vvvv, uint8_t rm)
 {
-    vex3(num(dst), num(base), 0, /*l256=*/true, /*pp=F3*/ 2);
-    byte(0x6F);
-    modrm_mem(num(dst), base, disp);
+    vex(map, pp, w, l256, reg, vvvv, 0, rm);
+    byte(op);
+    modrm_reg(reg, rm);
 }
 
 void
-Assembler::vmovdqu_store(Reg base, int32_t disp, Vreg src)
+Assembler::vex_rm(uint8_t map, uint8_t pp, bool w, bool l256, uint8_t op,
+                  uint8_t reg, uint8_t vvvv, const Mem &m)
 {
-    vex3(num(src), num(base), 0, /*l256=*/true, /*pp=F3*/ 2);
-    byte(0x7F);
-    modrm_mem(num(src), base, disp);
+    const uint8_t index = m.index == Reg::rsp ? 0 : num(m.index);
+    vex(map, pp, w, l256, reg, vvvv, index, num(m.base));
+    byte(op);
+    modrm(reg, m);
+}
+
+namespace {
+
+// VEX prefixes: pp (implied 66/F3) and opcode maps.
+constexpr uint8_t k66 = 1, kF3 = 2;
+constexpr uint8_t k0F = 1, k0F38 = 2, k0F3A = 3;
+
+struct VecOpCode {
+    uint8_t map;
+    uint8_t op;
+    bool w;
+};
+
+VecOpCode
+code_of(VecOp op)
+{
+    switch (op) {
+      case VecOp::paddq:
+        return {k0F, 0xD4, false};
+      case VecOp::psubq:
+        return {k0F, 0xFB, false};
+      case VecOp::pand:
+        return {k0F, 0xDB, false};
+      case VecOp::por:
+        return {k0F, 0xEB, false};
+      case VecOp::pxor:
+        return {k0F, 0xEF, false};
+      case VecOp::pmuludq:
+        return {k0F, 0xF4, false};
+      case VecOp::pcmpgtq:
+        return {k0F38, 0x37, false};
+      case VecOp::pcmpeqq:
+        return {k0F38, 0x29, false};
+      case VecOp::psllvq:
+        return {k0F38, 0x47, true};
+      case VecOp::psrlvq:
+        return {k0F38, 0x45, true};
+    }
+    RAKE_UNREACHABLE("bad VecOp");
+}
+
+} // namespace
+
+void
+Assembler::vmovdqu(Vreg dst, const Mem &src)
+{
+    vex_rm(k0F, kF3, false, true, 0x6F, num(dst), 0, src);
 }
 
 void
-Assembler::avx_op(VecOp op, Vreg dst, Vreg src1, Vreg src2)
+Assembler::vmovdqu(const Mem &dst, Vreg src)
 {
-    vex3(num(dst), num(src2), num(src1), /*l256=*/true, /*pp=66*/ 1);
-    byte(static_cast<uint8_t>(op));
-    modrm_reg(num(dst), num(src2));
+    vex_rm(k0F, kF3, false, true, 0x7F, num(src), 0, dst);
 }
 
 void
-Assembler::avx_op_mem(VecOp op, Vreg dst, Vreg src1, Reg base,
-                      int32_t disp)
+Assembler::vmovdqa(Vreg dst, Vreg src)
 {
-    vex3(num(dst), num(base), num(src1), /*l256=*/true, /*pp=66*/ 1);
-    byte(static_cast<uint8_t>(op));
-    modrm_mem(num(dst), base, disp);
+    vex_rr(k0F, k66, false, true, 0x6F, num(dst), 0, num(src));
+}
+
+void
+Assembler::vop(VecOp op, Vreg dst, Vreg src1, Vreg src2)
+{
+    const VecOpCode c = code_of(op);
+    vex_rr(c.map, k66, c.w, true, c.op, num(dst), num(src1), num(src2));
+}
+
+void
+Assembler::vop(VecOp op, Vreg dst, Vreg src1, const Mem &src2)
+{
+    const VecOpCode c = code_of(op);
+    vex_rm(c.map, k66, c.w, true, c.op, num(dst), num(src1), src2);
+}
+
+void
+Assembler::vpsllq(Vreg dst, Vreg src, int n)
+{
+    RAKE_CHECK(n > 0 && n < 64, "bad shift " << n);
+    vex_rr(k0F, k66, false, true, 0x73, 6, num(dst), num(src));
+    byte(static_cast<uint8_t>(n));
+}
+
+void
+Assembler::vpsrlq(Vreg dst, Vreg src, int n)
+{
+    RAKE_CHECK(n > 0 && n < 64, "bad shift " << n);
+    vex_rr(k0F, k66, false, true, 0x73, 2, num(dst), num(src));
+    byte(static_cast<uint8_t>(n));
+}
+
+void
+Assembler::vpblendvb(Vreg dst, Vreg src1, Vreg src2, Vreg mask)
+{
+    vex_rr(k0F3A, k66, false, true, 0x4C, num(dst), num(src1), num(src2));
+    byte(static_cast<uint8_t>(num(mask) << 4));
+}
+
+void
+Assembler::vpblendvb(Vreg dst, Vreg src1, const Mem &src2, Vreg mask)
+{
+    vex_rm(k0F3A, k66, false, true, 0x4C, num(dst), num(src1), src2);
+    byte(static_cast<uint8_t>(num(mask) << 4));
+}
+
+void
+Assembler::vpermq(Vreg dst, const Mem &src, uint8_t imm)
+{
+    vex_rm(k0F3A, k66, true, true, 0x00, num(dst), 0, src);
+    byte(imm);
+}
+
+void
+Assembler::vpblendd(Vreg dst, Vreg src1, Vreg src2, uint8_t imm)
+{
+    vex_rr(k0F3A, k66, false, true, 0x02, num(dst), num(src1), num(src2));
+    byte(imm);
+}
+
+void
+Assembler::vinserti128(Vreg dst, Vreg src1, Vreg src, int half)
+{
+    RAKE_CHECK(half == 0 || half == 1, "bad half " << half);
+    vex_rr(k0F3A, k66, false, true, 0x38, num(dst), num(src1), num(src));
+    byte(static_cast<uint8_t>(half));
+}
+
+void
+Assembler::vmovq(Vreg dst, const Mem &src)
+{
+    vex_rm(k0F, kF3, false, false, 0x7E, num(dst), 0, src);
+}
+
+void
+Assembler::vpinsrq(Vreg dst, Vreg src1, const Mem &src, int lane)
+{
+    RAKE_CHECK(lane == 0 || lane == 1, "bad lane " << lane);
+    vex_rm(k0F3A, k66, true, false, 0x22, num(dst), num(src1), src);
+    byte(static_cast<uint8_t>(lane));
 }
 
 void

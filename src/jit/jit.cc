@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "base/arith.h"
 #include "hir/interp.h"
@@ -30,8 +29,6 @@ to_string(SimdLevel level)
     switch (level) {
       case SimdLevel::Scalar:
         return "scalar";
-      case SimdLevel::Sse2:
-        return "sse2";
       case SimdLevel::Avx2:
         return "avx2";
     }
@@ -70,20 +67,17 @@ resolve_simd_level()
     static const bool has_avx2 = cpu_has_avx2();
     const char *env = std::getenv("RAKE_JIT_SIMD");
     if (env == nullptr || *env == '\0')
-        return has_avx2 ? SimdLevel::Avx2 : SimdLevel::Sse2;
+        return has_avx2 ? SimdLevel::Avx2 : SimdLevel::Scalar;
     const std::string want(env);
     if (want == "scalar")
         return SimdLevel::Scalar;
-    if (want == "sse2")
-        return SimdLevel::Sse2; // baseline on every x86-64
     if (want == "avx2") {
         RAKE_USER_CHECK(has_avx2,
                         "RAKE_JIT_SIMD=avx2 but this CPU/OS does not "
                         "support AVX2");
         return SimdLevel::Avx2;
     }
-    RAKE_USER_CHECK(false, "RAKE_JIT_SIMD must be scalar, sse2, or "
-                           "avx2; got \""
+    RAKE_USER_CHECK(false, "RAKE_JIT_SIMD must be scalar|avx2; got \""
                                << want << "\"");
 }
 
@@ -141,10 +135,8 @@ Runner::run(int x, int y, int64_t *dst)
     frame.y = y;
     frame.bufs = bufs_.data();
     frame.arena = arena_.data();
+    frame.dst = dst;
     program_->fn_(&frame);
-    std::memcpy(dst, arena_.data() + program_->out_slot_,
-                static_cast<size_t>(program_->out_type_.lanes) *
-                    sizeof(int64_t));
 }
 
 void

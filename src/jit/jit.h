@@ -4,20 +4,23 @@
  *
  * jit::Program::compile lowers a selected program to host machine
  * code: every node's value lives in a per-lane int64 arena (the same
- * carrier representation the interpreters use), lane counts and
+ * carrier representation the interpreters use), and lane counts and
  * immediates are compile-time constants, so every HVX index map
  * (deinterleave, interleave, concat, align, rotate) becomes a
- * constant displacement and the emitted code is fully unrolled,
- * relocation-free straight-line x86-64. Element-wise ops take an
- * SSE2 or AVX2 packed fast path where one exists; everything else is
- * exact scalar code reproducing base/arith.h bit for bit.
+ * constant slot and the emitted code is fully unrolled, relocation-
+ * free x86-64 whose only branches are each load's interior/edge test.
+ * Every computing node's code is generated from its lane function in
+ * hvx/semantics.h (jit/lower.cc), four lanes per AVX2 instruction, or
+ * one lane per general-purpose instruction at the scalar tier; both
+ * reproduce base/arith.h bit for bit.
  *
  * The compiled function has C ABI `void fn(Frame *)`: the frame
  * carries the tile origin (x, y), the bound input-buffer
- * descriptors, and the arena pointer. Splat values are loop
- * invariant and are evaluated host-side when a Runner binds, straight
- * into the slots of its own arena copy; so one compiled program runs
- * on several threads at once, one Runner each.
+ * descriptors, the arena pointer and the row the tile's lanes are
+ * stored to. Splat values are loop invariant and are evaluated
+ * host-side when a Runner binds, straight into the slots of its own
+ * arena copy; so one compiled program runs on several threads at
+ * once, one Runner each.
  *
  * Only meaningful on x86-64 hosts: available() is false elsewhere
  * and compile() throws UserError, so callers can gate cleanly.
@@ -27,6 +30,7 @@
 
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,16 +44,20 @@ namespace rake::jit {
 /** True when this host can execute jit-compiled programs. */
 bool available();
 
-/** Packed-lane tiers the lowerer can emit. */
-enum class SimdLevel { Scalar, Sse2, Avx2 };
+/**
+ * The tiers the lowerer can emit: one lane per general-purpose
+ * instruction, or four int64 lanes per AVX2 instruction.
+ */
+enum class SimdLevel { Scalar, Avx2 };
 
 std::string to_string(SimdLevel level);
 
 /**
- * The tier the lowerer will use: the best the CPU supports, unless
- * RAKE_JIT_SIMD=scalar|sse2|avx2 forces one (forcing a tier the CPU
- * lacks throws UserError; forcing below is always allowed and is how
- * tests cover every tier on one machine).
+ * The tier the lowerer will use: AVX2 when the CPU and OS support it,
+ * scalar otherwise, unless RAKE_JIT_SIMD=scalar|avx2 forces one
+ * (forcing AVX2 where it is missing, or any other value, throws
+ * UserError; forcing scalar is always allowed and is how tests cover
+ * both tiers on one machine).
  */
 SimdLevel simd_level();
 
@@ -68,7 +76,37 @@ struct Frame {
     int64_t y = 0;
     const BufferDesc *bufs = nullptr;
     int64_t *arena = nullptr;
+    int64_t *dst = nullptr; ///< the tile's output lanes
 };
+
+/** std::allocator with the cache-line alignment the arena needs. */
+template <typename T>
+struct LineAligned {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    LineAligned() = default;
+    template <typename U>
+    LineAligned(const LineAligned<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+
+    void deallocate(T *p, size_t) { ::operator delete(p, kAlign); }
+
+    bool operator==(const LineAligned &) const { return true; }
+};
+
+/**
+ * Per-lane int64 slots, 64-byte aligned: node runs and constants sit
+ * in 4-lane groups, so no group access straddles a cache line.
+ */
+using Arena = std::vector<int64_t, LineAligned<int64_t>>;
 
 class Program;
 
@@ -91,13 +129,16 @@ class Runner
      */
     void bind(const Env &env);
 
-    /** Execute the tile at (x, y) and store its lanes to dst. */
+    /**
+     * Execute the tile at (x, y); the compiled code stores its lanes
+     * straight to dst.
+     */
     void run(int x, int y, int64_t *dst);
 
   private:
     const Program *program_;
     std::vector<BufferDesc> bufs_;
-    std::vector<int64_t> arena_;
+    Arena arena_;
 };
 
 /**
@@ -166,12 +207,11 @@ class Program
 
     ExecBuffer code_;
     void (*fn_)(Frame *) = nullptr;
-    std::vector<int64_t> arena_; ///< zeroed slots, then the constant pool
-    std::vector<int> buf_ids_;   ///< buffer id per descriptor index
+    Arena arena_;              ///< zeroed slots, constant pool, padding
+    std::vector<int> buf_ids_; ///< buffer id per descriptor index
     std::vector<SplatSite> splats_;
     std::map<int, ScalarType> load_elems_;
     VecType out_type_;
-    int64_t out_slot_ = 0;
     SimdLevel simd_ = SimdLevel::Scalar;
 
     std::optional<Runner> bound_;

@@ -5,25 +5,43 @@
  * The machine-IR layer of the JIT: walks the selected instruction DAG
  * in topological order, gives every structurally distinct node a run
  * of int64 arena slots (one per lane, the interpreters' carrier
- * representation), and emits straight-line code computing each
- * node's lanes from its operands' slots. Lane counts and immediates are compile-time constants, so
- * every HVX index map (deint/ileave/cat/align/ror) reduces to a
- * constant displacement — no loops, no tables, no relocations.
+ * representation, each run starting on a 4-lane boundary), and emits
+ * straight-line code computing each node's lanes from its operands'
+ * slots. Lane counts and immediates are compile-time constants, so
+ * every HVX index map (deinterleave, interleave, concat, align,
+ * rotate) is a constant slot.
  *
- * Scalar lowering mirrors base/arith.h operation by operation (the
- * bit-identity contract the differential tests and the fuzz oracle
- * pin down). Element-wise wrap ops additionally take an SSE2/AVX2
- * packed path over 2/4 int64 lanes per instruction, with a scalar
- * tail; width masking uses the ((v & mask) ^ sign) - sign identity.
+ * There is no per-opcode code here. A computing node's lanes come
+ * from its lane function in hvx/semantics.h, the one the interpreter
+ * and the z3 prover run, instantiated over the recording algebra of
+ * jit/lanes.h. Lanes are emitted in groups of W: four at the AVX2
+ * tier, one at the scalar tier. A group whose lanes record one shape
+ * is emitted once; its operand reads become gathers (one load for a
+ * contiguous run, two permuted loads and a blend for stride-2 or
+ * alternating reads, lane by lane otherwise) and its literals become
+ * pool constants. A group that does not, and the L mod 4 tail, is
+ * emitted lane by lane with the scalar tier's forms. Every primitive
+ * has one general-purpose-register form and one AVX2 form, both
+ * bit-exact to base/arith.h's Int64Lanes.
+ *
+ * Only the leaves have their own code: VRead (a packed load when the
+ * tile's lanes all lie inside the row, otherwise a loop that clamps
+ * each lane's column) and VSplat (filled host-side at bind). The root's lanes
+ * are stored straight into the output row the frame points at.
  */
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "base/arith.h"
+#include "hvx/semantics.h"
 #include "jit/encoder.h"
 #include "jit/jit.h"
+#include "jit/lanes.h"
 #include "support/error.h"
 #include "support/structural.h"
 
@@ -33,6 +51,7 @@ static_assert(offsetof(Frame, x) == 0, "Frame layout");
 static_assert(offsetof(Frame, y) == 8, "Frame layout");
 static_assert(offsetof(Frame, bufs) == 16, "Frame layout");
 static_assert(offsetof(Frame, arena) == 24, "Frame layout");
+static_assert(offsetof(Frame, dst) == 32, "Frame layout");
 static_assert(offsetof(BufferDesc, data) == 0, "BufferDesc layout");
 static_assert(offsetof(BufferDesc, width) == 8, "BufferDesc layout");
 static_assert(offsetof(BufferDesc, height) == 16, "BufferDesc layout");
@@ -45,25 +64,81 @@ namespace {
 // Pinned registers for the whole function body.
 constexpr Reg kArena = Reg::rbx;
 constexpr Reg kBufs = Reg::r12;
+constexpr Reg kDst = Reg::r13;
 constexpr Reg kX = Reg::r14;
 constexpr Reg kY = Reg::r15;
 
-/** Output lane -> input lane of a deinterleaved register pair. */
-int
-deint(int i, int L)
+/** int64 lanes per AVX2 register. */
+constexpr int kChunk = 4;
+
+/** Bit masks of the registers a lane group may allocate. */
+constexpr uint32_t kScratchGprs =
+    (1u << 0) | (1u << 1) | (1u << 2) | (1u << 6) | (1u << 7) | (1u << 8) |
+    (1u << 9) | (1u << 10) | (1u << 11); // rax rcx rdx rsi rdi r8-r11
+constexpr uint32_t kAllYmms = 0xFFFF;
+
+/** A free list over one register file (bit r set = register r free). */
+class RegPool
 {
-    if (L % 2 != 0)
-        return i; // degenerate width; no pair structure
-    const int h = L / 2;
-    return i < h ? 2 * i : 2 * (i - h) + 1;
-}
+  public:
+    explicit RegPool(uint32_t free = 0) : free_(free) {}
+
+    int
+    take()
+    {
+        RAKE_CHECK(free_ != 0, "jit: a lane group ran out of registers");
+        const int r = std::countr_zero(free_);
+        free_ &= free_ - 1;
+        return r;
+    }
+
+    void give(int r) { free_ |= 1u << r; }
+
+  private:
+    uint32_t free_;
+};
+
+/** Where a node's lanes go: its arena run, or the output row. */
+struct Dest {
+    Reg base = kArena;
+    int32_t disp = 0;
+
+    Mem lane(int i) const { return Mem{base, disp + 8 * i}; }
+};
+
+/** An operand at emission: a register, or one literal per lane. */
+struct Opnd {
+    int reg = -1; ///< register number; -1 for literals
+    std::array<int64_t, kChunk> lit{};
+
+    bool is_reg() const { return reg >= 0; }
+};
+
+/** Hash of a pool constant's lanes. */
+struct LanesHash {
+    size_t
+    operator()(const std::array<int64_t, kChunk> &v) const
+    {
+        size_t h = 0;
+        for (int64_t x : v)
+            h = hash_mix(h, static_cast<size_t>(x));
+        return h;
+    }
+};
+
+Reg gpr(int r) { return static_cast<Reg>(r); }
+Vreg ymm(int r) { return static_cast<Vreg>(r); }
 
 } // namespace
 
 class Lowerer
 {
   public:
-    explicit Lowerer(SimdLevel simd) : simd_(simd) {}
+    explicit Lowerer(SimdLevel simd)
+        : simd_(simd), width_(simd == SimdLevel::Avx2 ? kChunk : 1)
+    {
+        alg_.tape = &cur_;
+    }
 
     std::unique_ptr<Program> lower(const hvx::InstrPtr &root);
 
@@ -71,21 +146,44 @@ class Lowerer
     using Instr = hvx::Instr;
 
     void collect(const hvx::InstrPtr &n);
-    void emit_node(const Instr &n);
-    void emit_vread(const Instr &n);
-    void emit_vbitcast(const Instr &n);
+    void emit_vread(const Instr &n, Dest dest);
+    void emit_node(const Instr &n, Dest dest, int64_t *alias);
+    template <typename Lane>
+    void emit_lanes(const Lane &lane, int lanes, Dest dest, int64_t *alias);
+    void emit_group(int w, const Tape *tapes, const Val *results, int lane0,
+                    Dest dest);
 
-    // --- slot addressing ---
-    int32_t
-    disp(const Instr *node, int lane)
+    // --- the two forms of every primitive ---
+    int gpr_form(const Step &s, const Opnd &a, const Opnd &b,
+                 const Opnd &c);
+    int avx_form(const Step &s, const Opnd &a, const Opnd &b,
+                 const Opnd &c);
+    int gather(int w, const int64_t *slots);
+
+    // scalar-tier helpers (one lane in a general-purpose register)
+    Reg as_gpr(const Opnd &o);
+    void wrap_gpr(Reg r, ScalarType t);
+    void sat_gpr(Reg r, ScalarType t);
+
+    // AVX2-tier helpers (four lanes in a ymm register)
+    Vreg as_ymm(const Opnd &o);
+    Mem pool(const std::array<int64_t, kChunk> &lanes);
+    Mem splat(int64_t c) { return pool({c, c, c, c}); }
+    void vop_any(VecOp op, Vreg dst, Vreg src1, const Opnd &src2);
+    void wrap_avx(Vreg dst, Vreg src, ScalarType t);
+    void sat_avx(Vreg dst, Vreg src, ScalarType t);
+    void mul_avx(Vreg dst, Opnd a, Opnd b);
+    void shift_avx(const Step &s, Vreg dst, const Opnd &v,
+                   const Opnd &amount);
+
+    int
+    temp()
     {
-        auto it = slot_.find(node);
-        RAKE_CHECK(it != slot_.end(), "operand emitted after use");
-        RAKE_CHECK(lane >= 0 && lane < node->type().lanes,
-                   "jit: lane " << lane << " out of range for "
-                                << to_string(node->type()));
-        return slot_disp(it->second + lane);
+        const int r = regs_.take();
+        temps_.push_back(r);
+        return r;
     }
+
     int32_t
     slot_disp(int64_t slot) const
     {
@@ -93,167 +191,56 @@ class Lowerer
         RAKE_CHECK(d >= 0 && d <= INT32_MAX, "arena exceeds disp32");
         return static_cast<int32_t>(d);
     }
-    int32_t
-    adisp(const Instr &n, int ai, int lane)
-    {
-        return disp(n.arg(ai).get(), lane);
-    }
-    /** Lane j of concat(arg a0, arg a1). */
-    int32_t
-    cat_disp(const Instr &n, int a0, int a1, int j)
-    {
-        const int l0 = n.arg(a0)->type().lanes;
-        if (j < l0)
-            return adisp(n, a0, j);
-        return adisp(n, a1, j - l0);
-    }
-    /** Lane i of interleave(arg 0, arg 1). */
-    int32_t
-    ileave_disp(const Instr &n, int i)
-    {
-        return adisp(n, i % 2 == 0 ? 0 : 1, i / 2);
-    }
-    void
-    ld(Reg r, const Instr &n, int ai, int lane)
-    {
-        a_.load(r, kArena, adisp(n, ai, lane));
-    }
-    void
-    st(const Instr &n, int lane, Reg r)
-    {
-        a_.store(kArena, disp(&n, lane), r);
-    }
-
-    /** Arena slot of a broadcast constant (deduplicated). */
-    int64_t
-    const_slot(int64_t value, int lanes)
-    {
-        auto key = std::make_pair(value, lanes);
-        auto it = const_map_.find(key);
-        if (it != const_map_.end())
-            return it->second;
-        const int64_t slot =
-            num_slots_ + static_cast<int64_t>(pool_.size());
-        for (int i = 0; i < lanes; ++i)
-            pool_.push_back(value);
-        const_map_.emplace(key, slot);
-        return slot;
-    }
-
-    // --- arith.h helpers, emitted ---
-    void
-    wrap_reg(Reg r, ScalarType s)
-    {
-        const int b = bits(s);
-        if (b == 64)
-            return;
-        a_.shl_imm(r, 64 - b);
-        if (is_signed(s))
-            a_.sar_imm(r, 64 - b);
-        else
-            a_.shr_imm(r, 64 - b);
-    }
-    void
-    saturate_reg(Reg r, ScalarType s, Reg tmp)
-    {
-        a_.mov_imm64(tmp, min_value(s));
-        a_.cmp(r, tmp);
-        a_.cmov(Cond::l, r, tmp);
-        a_.mov_imm64(tmp, max_value(s));
-        a_.cmp(r, tmp);
-        a_.cmov(Cond::g, r, tmp);
-    }
-    void
-    shift_right_reg(Reg r, int n, bool round, Reg tmp)
-    {
-        if (n <= 0)
-            return;
-        if (n >= 63) {
-            a_.sar_imm(r, 63); // collapses to the sign, as arith.h
-            return;
-        }
-        if (round) {
-            // The rounding add wraps like the uint64_t carrier trick.
-            a_.mov_imm64(tmp,
-                         static_cast<int64_t>(uint64_t{1} << (n - 1)));
-            a_.add(r, tmp);
-        }
-        a_.sar_imm(r, n);
-    }
-    void
-    shift_left_reg(Reg r, ScalarType s, int n)
-    {
-        if (n <= 0) {
-            wrap_reg(r, s);
-            return;
-        }
-        if (n >= 64) {
-            a_.xor_(r, r);
-            return;
-        }
-        a_.shl_imm(r, n);
-        wrap_reg(r, s);
-    }
-    void
-    lsr_reg(Reg r, ScalarType s, int n)
-    {
-        if (n <= 0) {
-            wrap_reg(r, s);
-            return;
-        }
-        const int b = bits(s);
-        if (n >= b) {
-            a_.xor_(r, r);
-            return;
-        }
-        if (b < 64) { // zero-fill down to the type's width first
-            a_.shl_imm(r, 64 - b);
-            a_.shr_imm(r, 64 - b);
-        }
-        a_.shr_imm(r, n);
-        wrap_reg(r, s);
-    }
-    void
-    mul_imm(Reg r, int64_t imm, Reg tmp)
-    {
-        a_.mov_imm64(tmp, imm);
-        a_.imul(r, tmp);
-    }
-
-    // --- packed fast path ---
-    int simd_chunk() const { return simd_ == SimdLevel::Avx2 ? 4 : 2; }
-    /**
-     * Packed `vop` over identity-indexed lanes of args 0 and 1, with
-     * the wrap-to-elem fixup. Covers lanes [0, r); the caller emits
-     * the scalar tail from r. Returns 0 (nothing emitted) at
-     * SimdLevel::Scalar.
-     */
-    int emit_simd_bin(const Instr &n, VecOp vop);
-    /** Same for VNot (pxor with all-ones, then wrap). */
-    int emit_simd_not(const Instr &n);
-    void emit_simd_wrap(ScalarType s, int chunk);
 
     Assembler a_;
     SimdLevel simd_;
+    int width_; ///< lanes per group: kChunk at AVX2, 1 at scalar
     bool used_avx_ = false;
 
     /**
-     * Arena slot of each node's lane 0. Keyed by structure, so nodes
-     * an s-expression parse rebuilt unshared get one slot run and are
+     * Each node's arena run (lane 0's slot) and the offset of its
+     * lanes in lane_slots_. Keyed by structure, so nodes an
+     * s-expression parse rebuilt unshared get one slot run and are
      * emitted once, as they are counted once by the cost model.
      */
-    std::unordered_map<const Instr *, int64_t, StructuralHash,
+    struct Slots {
+        int64_t run = 0;
+        size_t lanes = 0;
+    };
+    std::unordered_map<const Instr *, Slots, StructuralHash,
                        StructuralEqual>
         slot_;
+    /**
+     * The slot holding each node's lane i: run + i, or for a swizzle
+     * (every lane one operand lane) the operand slot it aliases.
+     */
+    std::vector<int64_t> lane_slots_;
+    std::vector<int64_t> copies_;
     std::vector<const Instr *> order_;
     int64_t num_slots_ = 0;
-    std::vector<int64_t> pool_;
-    std::map<std::pair<int64_t, int>, int64_t> const_map_;
+    std::vector<int64_t> pool_; ///< constants, in kChunk-lane groups
+    std::unordered_map<std::array<int64_t, kChunk>, int64_t, LanesHash>
+        pool_slot_;
+    struct PoolEntry {
+        std::array<int64_t, kChunk> lanes{};
+        int64_t slot = -1;
+    };
+    std::array<PoolEntry, 32> pool_cache_{};
 
-    std::map<int, int> buf_index_;           ///< buffer id -> desc index
+    std::map<int, int> buf_index_; ///< buffer id -> desc index
     std::vector<int> buf_ids_;
     std::map<int, ScalarType> load_elems_;
     std::vector<Program::SplatSite> splats_;
+
+    // Recording and emitting one lane group.
+    Tape *cur_ = nullptr; ///< the tape alg_ records to
+    TapeLanes alg_;
+    std::array<Tape, kChunk> tapes_{};
+    std::array<Val, kChunk> results_{};
+    std::array<int, Tape::kMax> uses_{}; ///< reads left of each step's value
+    std::array<int, Tape::kMax> loc_{};  ///< register holding each value
+    RegPool regs_;
+    std::vector<int> temps_;
 };
 
 void
@@ -265,7 +252,12 @@ Lowerer::collect(const hvx::InstrPtr &n)
         collect(arg);
     RAKE_USER_CHECK(n->op() != hvx::Opcode::Hole,
                     "jit: sketch holes cannot be compiled");
-    slot_.emplace(n.get(), num_slots_);
+    // Runs start on a group boundary: with the arena 64-byte aligned,
+    // no group access straddles a cache line.
+    num_slots_ = (num_slots_ + kChunk - 1) / kChunk * kChunk;
+    slot_.emplace(n.get(), Slots{num_slots_, lane_slots_.size()});
+    for (int i = 0; i < n->type().lanes; ++i)
+        lane_slots_.push_back(num_slots_ + i);
     num_slots_ += n->type().lanes;
     order_.push_back(n.get());
     if (n->op() == hvx::Opcode::VRead) {
@@ -287,105 +279,716 @@ Lowerer::collect(const hvx::InstrPtr &n)
     if (n->op() == hvx::Opcode::VSplat) {
         Program::SplatSite sp;
         sp.expr = n->splat_value();
-        sp.slot = slot_.at(n.get());
+        sp.slot = slot_.at(n.get()).run;
         sp.lanes = n->type().lanes;
         sp.elem = n->type().elem;
         splats_.push_back(std::move(sp));
     }
 }
 
-void
-Lowerer::emit_simd_wrap(ScalarType s, int chunk)
+// ------------------------------------------------------------------
+// Scalar-tier forms
+// ------------------------------------------------------------------
+
+Reg
+Lowerer::as_gpr(const Opnd &o)
 {
-    const int b = bits(s);
+    if (o.is_reg())
+        return gpr(o.reg);
+    const Reg r = gpr(temp());
+    a_.mov_imm64(r, o.lit[0]);
+    return r;
+}
+
+void
+Lowerer::wrap_gpr(Reg r, ScalarType t)
+{
+    const int b = bits(t);
     if (b == 64)
         return;
-    const int64_t mask =
-        static_cast<int64_t>((uint64_t{1} << b) - 1);
-    const int32_t mask_d = slot_disp(const_slot(mask, chunk));
-    if (simd_ == SimdLevel::Avx2) {
-        a_.avx_op_mem(VecOp::pand, Vreg::xmm0, Vreg::xmm0, kArena,
-                      mask_d);
-        if (is_signed(s)) {
-            const int64_t sign =
-                static_cast<int64_t>(uint64_t{1} << (b - 1));
-            const int32_t sign_d = slot_disp(const_slot(sign, chunk));
-            a_.avx_op_mem(VecOp::pxor, Vreg::xmm0, Vreg::xmm0, kArena,
-                          sign_d);
-            a_.avx_op_mem(VecOp::psubq, Vreg::xmm0, Vreg::xmm0, kArena,
-                          sign_d);
-        }
-    } else {
-        a_.sse_op_mem(VecOp::pand, Vreg::xmm0, kArena, mask_d);
-        if (is_signed(s)) {
-            const int64_t sign =
-                static_cast<int64_t>(uint64_t{1} << (b - 1));
-            const int32_t sign_d = slot_disp(const_slot(sign, chunk));
-            a_.sse_op_mem(VecOp::pxor, Vreg::xmm0, kArena, sign_d);
-            a_.sse_op_mem(VecOp::psubq, Vreg::xmm0, kArena, sign_d);
-        }
-    }
-}
-
-int
-Lowerer::emit_simd_bin(const Instr &n, VecOp vop)
-{
-    if (simd_ == SimdLevel::Scalar)
-        return 0;
-    const ScalarType s = n.type().elem;
-    const int L = n.type().lanes;
-    const int chunk = simd_chunk();
-    int i = 0;
-    for (; i + chunk <= L; i += chunk) {
-        if (simd_ == SimdLevel::Avx2) {
-            used_avx_ = true;
-            a_.vmovdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.avx_op_mem(vop, Vreg::xmm0, Vreg::xmm0, kArena,
-                          adisp(n, 1, i));
-        } else {
-            a_.movdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.sse_op_mem(vop, Vreg::xmm0, kArena, adisp(n, 1, i));
-        }
-        emit_simd_wrap(s, chunk);
-        if (simd_ == SimdLevel::Avx2)
-            a_.vmovdqu_store(kArena, disp(&n, i), Vreg::xmm0);
-        else
-            a_.movdqu_store(kArena, disp(&n, i), Vreg::xmm0);
-    }
-    return i;
-}
-
-int
-Lowerer::emit_simd_not(const Instr &n)
-{
-    if (simd_ == SimdLevel::Scalar)
-        return 0;
-    const ScalarType s = n.type().elem;
-    const int L = n.type().lanes;
-    const int chunk = simd_chunk();
-    const int32_t ones_d = slot_disp(const_slot(-1, chunk));
-    int i = 0;
-    for (; i + chunk <= L; i += chunk) {
-        if (simd_ == SimdLevel::Avx2) {
-            used_avx_ = true;
-            a_.vmovdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.avx_op_mem(VecOp::pxor, Vreg::xmm0, Vreg::xmm0, kArena,
-                          ones_d);
-        } else {
-            a_.movdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.sse_op_mem(VecOp::pxor, Vreg::xmm0, kArena, ones_d);
-        }
-        emit_simd_wrap(s, chunk);
-        if (simd_ == SimdLevel::Avx2)
-            a_.vmovdqu_store(kArena, disp(&n, i), Vreg::xmm0);
-        else
-            a_.movdqu_store(kArena, disp(&n, i), Vreg::xmm0);
-    }
-    return i;
+    a_.shl_imm(r, 64 - b);
+    if (is_signed(t))
+        a_.sar_imm(r, 64 - b);
+    else
+        a_.shr_imm(r, 64 - b);
 }
 
 void
-Lowerer::emit_vread(const Instr &n)
+Lowerer::sat_gpr(Reg r, ScalarType t)
+{
+    const Reg tmp = gpr(temp());
+    a_.mov_imm64(tmp, min_value(t));
+    a_.cmp(r, tmp);
+    a_.cmov(Cond::l, r, tmp);
+    a_.mov_imm64(tmp, max_value(t));
+    a_.cmp(r, tmp);
+    a_.cmov(Cond::g, r, tmp);
+}
+
+int
+Lowerer::gpr_form(const Step &s, const Opnd &a, const Opnd &b,
+                  const Opnd &c)
+{
+    const int d = regs_.take();
+    const Reg dst = gpr(d);
+    // Shift amounts are literals (HVX immediates), so arith.h's
+    // out-of-range rules are settled here, at compile time.
+    const int64_t n = b.lit[0];
+    auto binary = [&](void (Assembler::*op)(Reg, Reg)) {
+        const Reg rb = as_gpr(b);
+        a_.mov(dst, as_gpr(a));
+        (a_.*op)(dst, rb);
+    };
+    auto compare = [&](Cond cc, const Opnd &x, const Opnd &y) {
+        const Reg rx = as_gpr(x);
+        const Reg ry = as_gpr(y);
+        a_.xor_(dst, dst);
+        a_.cmp(rx, ry);
+        a_.setcc(cc, dst);
+    };
+    switch (s.prim) {
+      case Prim::Arg:
+        break;
+      case Prim::Wrap:
+        a_.mov(dst, as_gpr(a));
+        wrap_gpr(dst, s.type);
+        return d;
+      case Prim::Sat:
+        a_.mov(dst, as_gpr(a));
+        sat_gpr(dst, s.type);
+        return d;
+      case Prim::Add:
+        binary(&Assembler::add);
+        return d;
+      case Prim::Sub:
+        binary(&Assembler::sub);
+        return d;
+      case Prim::Mul:
+        binary(&Assembler::imul);
+        return d;
+      case Prim::And:
+        binary(&Assembler::and_);
+        return d;
+      case Prim::Or:
+        binary(&Assembler::or_);
+        return d;
+      case Prim::Xor:
+        binary(&Assembler::xor_);
+        return d;
+      case Prim::Avg:
+      case Prim::Navg:
+        binary(s.prim == Prim::Avg ? &Assembler::add : &Assembler::sub);
+        if (s.round)
+            a_.add_imm32(dst, 1);
+        a_.sar_imm(dst, 1);
+        wrap_gpr(dst, s.type);
+        return d;
+      case Prim::Absd: {
+        const Reg ra = as_gpr(a);
+        const Reg rb = as_gpr(b);
+        const Reg t = gpr(temp());
+        a_.mov(dst, ra);
+        a_.sub(dst, rb); // a - b
+        a_.mov(t, rb);
+        a_.sub(t, ra); // b - a
+        a_.cmp(ra, rb);
+        a_.cmov(Cond::le, dst, t);
+        return d;
+      }
+      case Prim::Min:
+      case Prim::Max: {
+        const Reg rb = as_gpr(b);
+        a_.mov(dst, as_gpr(a));
+        a_.cmp(dst, rb);
+        a_.cmov(s.prim == Prim::Min ? Cond::g : Cond::l, dst, rb);
+        return d;
+      }
+      case Prim::Gt:
+        compare(Cond::g, a, b);
+        return d;
+      case Prim::Eq:
+        compare(Cond::e, a, b);
+        return d;
+      case Prim::Select: {
+        const Reg rc = as_gpr(a);
+        const Reg rt = as_gpr(b);
+        a_.mov(dst, as_gpr(c));
+        a_.test(rc, rc);
+        a_.cmov(Cond::ne, dst, rt);
+        return d;
+      }
+      case Prim::Not:
+        a_.mov(dst, as_gpr(a));
+        a_.not_(dst);
+        return d;
+      case Prim::Shl:
+        RAKE_CHECK(!b.is_reg(), "jit: shift amounts must be literals");
+        a_.mov(dst, as_gpr(a));
+        if (n >= 64) {
+            a_.xor_(dst, dst);
+            return d;
+        }
+        if (n > 0)
+            a_.shl_imm(dst, static_cast<int>(n));
+        wrap_gpr(dst, s.type);
+        return d;
+      case Prim::Asr:
+        RAKE_CHECK(!b.is_reg(), "jit: shift amounts must be literals");
+        a_.mov(dst, as_gpr(a));
+        if (n <= 0)
+            return d;
+        if (n >= 63) {
+            a_.sar_imm(dst, 63); // collapses to the sign, no rounding
+            return d;
+        }
+        if (s.round) {
+            // The rounding add wraps like arith.h's uint64_t carrier.
+            const Reg t = gpr(temp());
+            a_.mov_imm64(t, static_cast<int64_t>(uint64_t{1} << (n - 1)));
+            a_.add(dst, t);
+        }
+        a_.sar_imm(dst, static_cast<int>(n));
+        return d;
+      case Prim::Lsr: {
+        RAKE_CHECK(!b.is_reg(), "jit: shift amounts must be literals");
+        const int w = bits(s.type);
+        a_.mov(dst, as_gpr(a));
+        if (n >= w) {
+            a_.xor_(dst, dst);
+            return d;
+        }
+        if (n > 0) {
+            if (w < 64) { // zero-fill down to the type's width first
+                a_.shl_imm(dst, 64 - w);
+                a_.shr_imm(dst, 64 - w);
+            }
+            a_.shr_imm(dst, static_cast<int>(n));
+        }
+        wrap_gpr(dst, s.type);
+        return d;
+      }
+    }
+    RAKE_UNREACHABLE("bad primitive");
+}
+
+// ------------------------------------------------------------------
+// AVX2-tier forms
+// ------------------------------------------------------------------
+
+Mem
+Lowerer::pool(const std::array<int64_t, kChunk> &lanes)
+{
+    // A direct-mapped cache in front of the map: a node's groups reuse
+    // a handful of constants.
+    PoolEntry &hit = pool_cache_[LanesHash{}(lanes) % pool_cache_.size()];
+    if (hit.slot < 0 || hit.lanes != lanes) {
+        auto it = pool_slot_.find(lanes);
+        if (it == pool_slot_.end()) {
+            const int64_t slot =
+                num_slots_ + static_cast<int64_t>(pool_.size());
+            pool_.insert(pool_.end(), lanes.begin(), lanes.end());
+            it = pool_slot_.emplace(lanes, slot).first;
+        }
+        hit = PoolEntry{lanes, it->second};
+    }
+    return Mem{kArena, slot_disp(hit.slot)};
+}
+
+Vreg
+Lowerer::as_ymm(const Opnd &o)
+{
+    if (o.is_reg())
+        return ymm(o.reg);
+    const Vreg r = ymm(temp());
+    a_.vmovdqu(r, pool(o.lit));
+    return r;
+}
+
+void
+Lowerer::vop_any(VecOp op, Vreg dst, Vreg src1, const Opnd &src2)
+{
+    if (src2.is_reg())
+        a_.vop(op, dst, src1, ymm(src2.reg));
+    else
+        a_.vop(op, dst, src1, pool(src2.lit));
+}
+
+void
+Lowerer::wrap_avx(Vreg dst, Vreg src, ScalarType t)
+{
+    // ((v & mask) ^ sign) - sign sign-extends the low bits(t) bits.
+    const int b = bits(t);
+    if (b == 64) {
+        if (dst != src)
+            a_.vmovdqa(dst, src);
+        return;
+    }
+    a_.vop(VecOp::pand, dst, src,
+           splat(static_cast<int64_t>((uint64_t{1} << b) - 1)));
+    if (is_signed(t)) {
+        const Mem sign = splat(static_cast<int64_t>(uint64_t{1} << (b - 1)));
+        a_.vop(VecOp::pxor, dst, dst, sign);
+        a_.vop(VecOp::psubq, dst, dst, sign);
+    }
+}
+
+void
+Lowerer::sat_avx(Vreg dst, Vreg src, ScalarType t)
+{
+    if (t == ScalarType::Int64) {
+        if (dst != src)
+            a_.vmovdqa(dst, src);
+        return;
+    }
+    // v < lo ? lo : v, then > hi ? hi : v, as saturate() tests them.
+    const Vreg lo = ymm(temp());
+    const Vreg mask = ymm(temp());
+    a_.vmovdqu(lo, splat(min_value(t)));
+    a_.vop(VecOp::pcmpgtq, mask, lo, src);
+    a_.vpblendvb(dst, src, lo, mask);
+    const Mem hi = splat(max_value(t));
+    a_.vop(VecOp::pcmpgtq, mask, dst, hi);
+    a_.vpblendvb(dst, dst, hi, mask);
+}
+
+void
+Lowerer::mul_avx(Vreg dst, Opnd a, Opnd b)
+{
+    // The low 64 bits of a * b from 32 x 32 -> 64 products:
+    // lo(a) lo(b) + ((hi(a) lo(b) + lo(a) hi(b)) << 32).
+    if (!a.is_reg() && b.is_reg())
+        std::swap(a, b);
+    const Vreg va = as_ymm(a);
+    const Vreg cross = ymm(temp());
+    vop_any(VecOp::pmuludq, dst, va, b);
+    a_.vpsrlq(cross, va, 32);
+    vop_any(VecOp::pmuludq, cross, cross, b);
+    const Vreg t = ymm(temp());
+    if (b.is_reg()) {
+        a_.vpsrlq(t, ymm(b.reg), 32);
+        a_.vop(VecOp::pmuludq, t, t, va);
+        a_.vop(VecOp::paddq, cross, cross, t);
+    } else {
+        std::array<int64_t, kChunk> hi;
+        for (int l = 0; l < kChunk; ++l)
+            hi[l] = static_cast<int64_t>(static_cast<uint64_t>(b.lit[l]) >>
+                                         32);
+        if (hi != std::array<int64_t, kChunk>{}) {
+            a_.vop(VecOp::pmuludq, t, va, pool(hi));
+            a_.vop(VecOp::paddq, cross, cross, t);
+        }
+    }
+    a_.vpsllq(cross, cross, 32);
+    a_.vop(VecOp::paddq, dst, dst, cross);
+}
+
+void
+Lowerer::shift_avx(const Step &s, Vreg dst, const Opnd &v,
+                   const Opnd &amount)
+{
+    RAKE_CHECK(!amount.is_reg(), "jit: shift amounts must be literals");
+    // arith.h's out-of-range rules, settled per lane at compile time:
+    // every amount becomes a count in [0, 64) for one shift form.
+    const std::array<int64_t, kChunk> &n = amount.lit;
+    const int w = s.prim == Prim::Lsr ? bits(s.type) : 64;
+    const bool none = std::all_of(n.begin(), n.end(),
+                                  [](int64_t k) { return k <= 0; });
+    const bool all = std::all_of(n.begin(), n.end(), [&](int64_t k) {
+        return k >= (s.prim == Prim::Asr ? 64 : w);
+    });
+    const Vreg src = as_ymm(v);
+    if (none) {
+        if (s.prim == Prim::Asr)
+            a_.vmovdqa(dst, src);
+        else
+            wrap_avx(dst, src, s.type);
+        return;
+    }
+    if (all && s.prim != Prim::Asr) {
+        a_.vop(VecOp::pxor, dst, dst, dst);
+        return;
+    }
+    std::array<int64_t, kChunk> count;
+    for (int l = 0; l < kChunk; ++l)
+        count[l] = std::clamp<int64_t>(n[l], 0, s.prim == Prim::Asr ? 63 : 64);
+    const bool uniform =
+        std::all_of(count.begin(), count.end(),
+                    [&](int64_t k) { return k == count[0]; });
+    // dst = from shifted by the counts.
+    auto shift = [&](bool left, Vreg from) {
+        if (uniform && count[0] == 0) {
+            if (dst != from)
+                a_.vmovdqa(dst, from);
+        } else if (uniform) {
+            const int k = static_cast<int>(count[0]);
+            left ? a_.vpsllq(dst, from, k) : a_.vpsrlq(dst, from, k);
+        } else {
+            a_.vop(left ? VecOp::psllvq : VecOp::psrlvq, dst, from,
+                   pool(count));
+        }
+    };
+    if (s.prim == Prim::Shl) {
+        shift(true, src);
+        wrap_avx(dst, dst, s.type);
+        return;
+    }
+    if (s.prim == Prim::Lsr) {
+        // Zero-fill down to the type's width, shift, rewrap.
+        Vreg from = src;
+        if (w < 64) {
+            a_.vop(VecOp::pand, dst, src,
+                   splat(static_cast<int64_t>((uint64_t{1} << w) - 1)));
+            from = dst;
+        }
+        shift(false, from);
+        wrap_avx(dst, dst, s.type);
+        return;
+    }
+    // Arithmetic shift right, which AVX2 lacks for 64-bit lanes:
+    // srl(v ^ m, n) - (m >> n) with m = 2^63. A count of 63 collapses
+    // to the sign; rounding adds 1 << (n - 1) for 0 < n < 63 only.
+    std::array<int64_t, kChunk> rnd{}, bias;
+    const uint64_t m = uint64_t{1} << 63;
+    for (int l = 0; l < kChunk; ++l) {
+        if (s.round && n[l] > 0 && n[l] < 63)
+            rnd[l] = static_cast<int64_t>(uint64_t{1} << (n[l] - 1));
+        bias[l] = static_cast<int64_t>(m >> count[l]);
+    }
+    Vreg cur = src;
+    if (rnd != std::array<int64_t, kChunk>{}) {
+        a_.vop(VecOp::paddq, dst, cur, pool(rnd));
+        cur = dst;
+    }
+    a_.vop(VecOp::pxor, dst, cur, splat(static_cast<int64_t>(m)));
+    shift(false, dst);
+    a_.vop(VecOp::psubq, dst, dst, pool(bias));
+}
+
+int
+Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
+                  const Opnd &c)
+{
+    const int d = regs_.take();
+    const Vreg dst = ymm(d);
+    switch (s.prim) {
+      case Prim::Arg:
+        break;
+      case Prim::Wrap:
+        wrap_avx(dst, as_ymm(a), s.type);
+        return d;
+      case Prim::Sat:
+        sat_avx(dst, as_ymm(a), s.type);
+        return d;
+      case Prim::Add:
+        vop_any(VecOp::paddq, dst, as_ymm(a), b);
+        return d;
+      case Prim::Sub:
+        vop_any(VecOp::psubq, dst, as_ymm(a), b);
+        return d;
+      case Prim::Mul:
+        mul_avx(dst, a, b);
+        return d;
+      case Prim::And:
+        vop_any(VecOp::pand, dst, as_ymm(a), b);
+        return d;
+      case Prim::Or:
+        vop_any(VecOp::por, dst, as_ymm(a), b);
+        return d;
+      case Prim::Xor:
+        vop_any(VecOp::pxor, dst, as_ymm(a), b);
+        return d;
+      case Prim::Avg:
+      case Prim::Navg: {
+        // (a +- b (+ 1)) >> 1, arithmetic, then wrap.
+        vop_any(s.prim == Prim::Avg ? VecOp::paddq : VecOp::psubq, dst,
+                as_ymm(a), b);
+        if (s.round)
+            a_.vop(VecOp::paddq, dst, dst, splat(1));
+        const uint64_t m = uint64_t{1} << 63;
+        a_.vop(VecOp::pxor, dst, dst, splat(static_cast<int64_t>(m)));
+        a_.vpsrlq(dst, dst, 1);
+        a_.vop(VecOp::psubq, dst, dst, splat(static_cast<int64_t>(m >> 1)));
+        wrap_avx(dst, dst, s.type);
+        return d;
+      }
+      case Prim::Absd: {
+        const Vreg va = as_ymm(a);
+        const Vreg vb = as_ymm(b);
+        const Vreg gt = ymm(temp());
+        const Vreg diff = ymm(temp());
+        a_.vop(VecOp::pcmpgtq, gt, va, vb);
+        a_.vop(VecOp::psubq, diff, va, vb);
+        a_.vop(VecOp::psubq, dst, vb, va);
+        a_.vpblendvb(dst, dst, diff, gt);
+        return d;
+      }
+      case Prim::Min: {
+        // a > b ? b : a
+        const Vreg va = as_ymm(a);
+        const Vreg gt = ymm(temp());
+        vop_any(VecOp::pcmpgtq, gt, va, b);
+        if (b.is_reg())
+            a_.vpblendvb(dst, va, ymm(b.reg), gt);
+        else
+            a_.vpblendvb(dst, va, pool(b.lit), gt);
+        return d;
+      }
+      case Prim::Max: {
+        // a > b ? a : b
+        const Vreg va = as_ymm(a);
+        const Vreg vb = as_ymm(b);
+        const Vreg gt = ymm(temp());
+        a_.vop(VecOp::pcmpgtq, gt, va, vb);
+        a_.vpblendvb(dst, vb, va, gt);
+        return d;
+      }
+      case Prim::Gt:
+      case Prim::Eq:
+        // All-ones/zero masks become 1/0.
+        vop_any(s.prim == Prim::Gt ? VecOp::pcmpgtq : VecOp::pcmpeqq, dst,
+                as_ymm(a), b);
+        a_.vpsrlq(dst, dst, 63);
+        return d;
+      case Prim::Select: {
+        // cond == 0 ? else : then
+        const Vreg zero = ymm(temp());
+        a_.vop(VecOp::pcmpeqq, zero, as_ymm(a), splat(0));
+        if (c.is_reg())
+            a_.vpblendvb(dst, as_ymm(b), ymm(c.reg), zero);
+        else
+            a_.vpblendvb(dst, as_ymm(b), pool(c.lit), zero);
+        return d;
+      }
+      case Prim::Not:
+        a_.vop(VecOp::pxor, dst, as_ymm(a), splat(-1));
+        return d;
+      case Prim::Shl:
+      case Prim::Asr:
+      case Prim::Lsr:
+        shift_avx(s, dst, a, b);
+        return d;
+    }
+    RAKE_UNREACHABLE("bad primitive");
+}
+
+// ------------------------------------------------------------------
+// Gathers, lane groups, leaves
+// ------------------------------------------------------------------
+
+int
+Lowerer::gather(int w, const int64_t *slots)
+{
+    const int d = regs_.take();
+    if (w == 1) {
+        a_.load(gpr(d), kArena, slot_disp(slots[0]));
+        return d;
+    }
+    const Vreg dst = ymm(d);
+    if (slots[1] == slots[0] + 1 && slots[2] == slots[0] + 2 &&
+        slots[3] == slots[0] + 3) {
+        a_.vmovdqu(dst, Mem{kArena, slot_disp(slots[0])});
+        return d;
+    }
+    // Cover the lanes with 4-slot windows, each starting at the lowest
+    // slot not yet covered. The arena's last group of padding keeps
+    // every window inside it.
+    struct Window {
+        int64_t base;
+        uint8_t perm = 0;  ///< vpermq fields for the lanes it covers
+        uint8_t lanes = 0; ///< bit l: lane l comes from this window
+    };
+    Window windows[kChunk];
+    int num_windows = 0;
+    uint8_t covered = 0;
+    while (covered != (1u << kChunk) - 1) {
+        int64_t base = INT64_MAX;
+        for (int l = 0; l < kChunk; ++l)
+            if (!(covered & (1u << l)))
+                base = std::min(base, slots[l]);
+        Window win{base};
+        for (int l = 0; l < kChunk; ++l) {
+            if (slots[l] >= base && slots[l] < base + kChunk) {
+                win.lanes |= static_cast<uint8_t>(1u << l);
+                win.perm |= static_cast<uint8_t>((slots[l] - base) << (2 * l));
+            }
+        }
+        covered |= win.lanes;
+        windows[num_windows++] = win;
+    }
+    auto load = [&](Vreg r, const Window &win) {
+        const Mem m{kArena, slot_disp(win.base)};
+        bool identity = true;
+        for (int l = 0; l < kChunk; ++l)
+            if ((win.lanes & (1u << l)) && slots[l] != win.base + l)
+                identity = false;
+        if (identity)
+            a_.vmovdqu(r, m);
+        else
+            a_.vpermq(r, m, win.perm);
+    };
+    if (num_windows == 1) {
+        load(dst, windows[0]);
+    } else if (num_windows == 2) {
+        const Vreg t = ymm(temp());
+        load(dst, windows[0]);
+        load(t, windows[1]);
+        uint8_t dwords = 0;
+        for (int l = 0; l < kChunk; ++l)
+            if (windows[1].lanes & (1u << l))
+                dwords |= static_cast<uint8_t>(3u << (2 * l));
+        a_.vpblendd(dst, dst, t, dwords);
+    } else {
+        const Vreg t = ymm(temp());
+        auto at = [&](int l) { return Mem{kArena, slot_disp(slots[l])}; };
+        a_.vmovq(dst, at(0));
+        a_.vpinsrq(dst, dst, at(1), 1);
+        a_.vmovq(t, at(2));
+        a_.vpinsrq(t, t, at(3), 1);
+        a_.vinserti128(dst, dst, t, 1);
+    }
+    return d;
+}
+
+void
+Lowerer::emit_group(int w, const Tape *tapes, const Val *results,
+                    int lane0, Dest dest)
+{
+    const int num_steps = tapes[0].num_steps;
+    const Step *steps = tapes[0].steps.data();
+    regs_ = RegPool(w == 1 ? kScratchGprs : kAllYmms);
+    std::fill_n(uses_.begin(), num_steps, 0);
+    for (int i = 0; i < num_steps; ++i)
+        for (int32_t r : {steps[i].a, steps[i].b, steps[i].c})
+            if (r >= 0)
+                ++uses_[r];
+    if (!results[0].is_lit())
+        ++uses_[results[0].step];
+
+    // An operand across the group: a register, or its literal lanes.
+    auto opnd = [&](int32_t r) {
+        Opnd o;
+        if (r == kNoOperand)
+            return o;
+        if (r >= 0) {
+            o.reg = loc_[r];
+            return o;
+        }
+        for (int l = 0; l < kChunk; ++l)
+            o.lit[l] = tapes[l < w ? l : 0].lits[~r];
+        return o;
+    };
+    auto release = [&](int32_t r) {
+        if (r >= 0 && --uses_[r] == 0)
+            regs_.give(loc_[r]);
+    };
+
+    for (int i = 0; i < num_steps; ++i) {
+        const Step &s = steps[i];
+        if (s.prim == Prim::Arg) {
+            int64_t slots[kChunk];
+            for (int l = 0; l < w; ++l)
+                slots[l] = tapes[l].lits[~s.a];
+            loc_[i] = gather(w, slots);
+        } else {
+            const Opnd a = opnd(s.a);
+            const Opnd b = opnd(s.b);
+            const Opnd c = opnd(s.c);
+            loc_[i] = w == 1 ? gpr_form(s, a, b, c) : avx_form(s, a, b, c);
+            release(s.a);
+            release(s.b);
+            release(s.c);
+        }
+        for (int t : temps_)
+            regs_.give(t);
+        temps_.clear();
+        if (uses_[i] == 0)
+            regs_.give(loc_[i]);
+    }
+
+    Opnd r;
+    if (results[0].is_lit()) {
+        for (int l = 0; l < kChunk; ++l)
+            r.lit[l] = results[l < w ? l : 0].lit;
+    } else {
+        r.reg = loc_[results[0].step];
+    }
+    if (w == 1)
+        a_.store(dest.base, dest.lane(lane0).disp, as_gpr(r));
+    else
+        a_.vmovdqu(dest.lane(lane0), as_ymm(r));
+    temps_.clear();
+}
+
+template <typename Lane>
+void
+Lowerer::emit_lanes(const Lane &lane, int lanes, Dest dest, int64_t *alias)
+{
+    auto record = [&](int l, int i) {
+        cur_ = &tapes_[l];
+        cur_->clear();
+        results_[l] = lane(i);
+    };
+    // A swizzle, every lane of which is one operand lane, gets no code:
+    // its lanes alias the slots they read.
+    if (alias != nullptr) {
+        copies_.clear();
+        for (int i = 0; i < lanes; ++i) {
+            record(0, i);
+            const Tape &t = tapes_[0];
+            if (t.num_steps != 1 || t.steps[0].prim != Prim::Arg ||
+                results_[0].step != 0)
+                break;
+            copies_.push_back(t.lits[0]);
+        }
+        if (static_cast<int>(copies_.size()) == lanes) {
+            std::copy(copies_.begin(), copies_.end(), alias);
+            return;
+        }
+    }
+    int i = 0;
+    for (; width_ > 1 && i + width_ <= lanes; i += width_) {
+        bool uniform = true;
+        for (int l = 0; l < width_; ++l) {
+            record(l, i + l);
+            uniform = uniform && same_shape(tapes_[0], results_[0],
+                                            tapes_[l], results_[l]);
+        }
+        if (uniform) {
+            used_avx_ = true;
+            emit_group(width_, tapes_.data(), results_.data(), i, dest);
+        } else {
+            for (int l = 0; l < width_; ++l)
+                emit_group(1, &tapes_[l], &results_[l], i + l, dest);
+        }
+    }
+    for (; i < lanes; ++i) {
+        record(0, i);
+        emit_group(1, tapes_.data(), results_.data(), i, dest);
+    }
+}
+
+void
+Lowerer::emit_node(const Instr &n, Dest dest, int64_t *alias)
+{
+    const int64_t *src[3] = {};
+    int lanes[3] = {};
+    for (int k = 0; k < n.num_args() && k < 3; ++k) {
+        src[k] = &lane_slots_[slot_.at(n.arg(k).get()).lanes];
+        lanes[k] = n.arg(k)->type().lanes;
+    }
+    const auto arg = [&](int k, int j) {
+        RAKE_CHECK(k >= 0 && k < n.num_args() && j >= 0 && j < lanes[k],
+                   "jit: lane " << j << " of operand " << k
+                                << " out of range");
+        return alg_.read(src[k][j]);
+    };
+    hvx::lane_semantics(alg_, n, arg, [&](const auto &lane) {
+        emit_lanes(lane, n.type().lanes, dest, alias);
+    });
+}
+
+void
+Lowerer::emit_vread(const Instr &n, Dest dest)
 {
     const hir::LoadRef &r = n.load_ref();
     const ScalarType s = n.type().elem;
@@ -411,610 +1014,118 @@ Lowerer::emit_vread(const Instr &n)
     a_.imul(Reg::rax, Reg::rsi);
     a_.load(Reg::r9, kBufs, dbase + 0);
     a_.lea_index8(Reg::r9, Reg::r9, Reg::rax);
-    // r10 = x + dx - x0; r8 = width - 1; rcx stays 0 for the clamps.
+    // r10 = ix = x + dx - x0
     a_.mov(Reg::r10, kX);
     if (r.dx != 0)
         a_.add_imm32(Reg::r10, r.dx);
     a_.load(Reg::rcx, kBufs, dbase + 24); // x0
     a_.sub(Reg::r10, Reg::rcx);
-    a_.lea(Reg::r8, Reg::rsi, -1);
+
+    // Interior tile (0 <= ix and ix + L <= width): no per-lane clamp.
+    a_.cmp_imm32(Reg::r10, 0);
+    const size_t left_edge = a_.jcc_forward(Cond::l);
+    a_.lea(Reg::rax, Reg::r10, L);
+    a_.cmp(Reg::rax, Reg::rsi);
+    const size_t right_edge = a_.jcc_forward(Cond::g);
+    int i = 0;
+    for (; width_ > 1 && i + width_ <= L; i += width_) {
+        used_avx_ = true;
+        a_.vmovdqu(Vreg::ymm0, Mem{Reg::r9, 8 * i, Reg::r10});
+        wrap_avx(Vreg::ymm0, Vreg::ymm0, s);
+        a_.vmovdqu(dest.lane(i), Vreg::ymm0);
+    }
+    for (; i < L; ++i) {
+        a_.load_index8(Reg::rax, Reg::r9, Reg::r10, 8 * i);
+        wrap_gpr(Reg::rax, s);
+        a_.store(dest.base, dest.lane(i).disp, Reg::rax);
+    }
+    const size_t done = a_.jmp_forward();
+
+    // Edge tile: a loop over the lanes (rdx = lane) clamps each
+    // column into the row.
+    a_.land(left_edge);
+    a_.land(right_edge);
+    a_.lea(Reg::r8, Reg::rsi, -1); // r8 = width - 1; rcx = 0
     a_.xor_(Reg::rcx, Reg::rcx);
-    for (int i = 0; i < L; ++i) {
-        a_.lea(Reg::rax, Reg::r10, i); // ix, then edge-clamp
-        a_.cmp(Reg::rax, Reg::rcx);
-        a_.cmov(Cond::l, Reg::rax, Reg::rcx);
-        a_.cmp(Reg::rax, Reg::r8);
-        a_.cmov(Cond::g, Reg::rax, Reg::r8);
-        a_.load_index8(Reg::rax, Reg::r9, Reg::rax);
-        wrap_reg(Reg::rax, s);
-        st(n, i, Reg::rax);
-    }
-}
-
-void
-Lowerer::emit_vbitcast(const Instr &n)
-{
-    const ScalarType s = n.type().elem;
-    const int in_w = bytes(n.arg(0)->type().elem);
-    const int out_w = bytes(s);
-    const int L = n.type().lanes;
-    for (int i = 0; i < L; ++i) {
-        if (out_w == in_w) {
-            ld(Reg::rax, n, 0, i);
-        } else if (out_w < in_w) {
-            // One input lane supplies this output lane's bytes.
-            const int j = (i * out_w) / in_w;
-            const int off = (i * out_w) % in_w;
-            ld(Reg::rax, n, 0, j);
-            if (off > 0)
-                a_.shr_imm(Reg::rax, 8 * off);
-        } else {
-            // out_w / in_w input lanes assemble this output lane,
-            // little-endian (interp.cc's byte serialization).
-            const int k = out_w / in_w;
-            for (int m = 0; m < k; ++m) {
-                ld(Reg::rsi, n, 0, i * k + m);
-                if (in_w < 8) { // zero-extend to the input width
-                    a_.shl_imm(Reg::rsi, 64 - 8 * in_w);
-                    a_.shr_imm(Reg::rsi, 64 - 8 * in_w);
-                }
-                if (m > 0)
-                    a_.shl_imm(Reg::rsi, 8 * in_w * m);
-                if (m == 0)
-                    a_.mov(Reg::rax, Reg::rsi);
-                else
-                    a_.or_(Reg::rax, Reg::rsi);
-            }
-        }
-        wrap_reg(Reg::rax, s);
-        st(n, i, Reg::rax);
-    }
-}
-
-void
-Lowerer::emit_node(const Instr &n)
-{
-    using hvx::Opcode;
-    const VecType t = n.type();
-    const ScalarType s = t.elem;
-    const int L = t.lanes;
-    const std::vector<int64_t> &im = n.imms();
-
-    // Shared emit shapes over constant lane maps.
-    auto copy_lanes = [&](auto src_disp) {
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, src_disp(i));
-            st(n, i, Reg::rax);
-        }
-    };
-    auto bin_lanes = [&](void (Assembler::*op)(Reg, Reg), bool sat) {
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            (a_.*op)(Reg::rax, Reg::rsi);
-            if (sat)
-                saturate_reg(Reg::rax, s, Reg::rsi);
-            else
-                wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-    };
-    auto cmp_lanes = [&](Cond cc) {
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rcx, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.xor_(Reg::rax, Reg::rax);
-            a_.cmp(Reg::rcx, Reg::rsi);
-            a_.setcc_al(cc);
-            st(n, i, Reg::rax);
-        }
-    };
-    auto minmax_lanes = [&](Cond move_if) {
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.cmp(Reg::rax, Reg::rsi);
-            a_.cmov(move_if, Reg::rax, Reg::rsi);
-            st(n, i, Reg::rax);
-        }
-    };
-    auto avg_lanes = [&](bool negate, bool round) {
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            if (negate)
-                a_.sub(Reg::rax, Reg::rsi);
-            else
-                a_.add(Reg::rax, Reg::rsi);
-            if (round)
-                a_.add_imm32(Reg::rax, 1);
-            a_.sar_imm(Reg::rax, 1);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-    };
-    // acc(i) = base + sum of taps; taps at constant displacements.
-    auto mac_lanes = [&](auto emit_base, auto emit_taps) {
-        for (int i = 0; i < L; ++i) {
-            emit_base(i); // leaves the accumulator in rax
-            emit_taps(i); // adds products into rax (rcx/rdx free)
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-    };
-
-    switch (n.op()) {
-      case Opcode::VRead:
-        emit_vread(n);
-        return;
-      case Opcode::VSplat:
-        return; // host-filled at bind(): loop-invariant
-      case Opcode::Hole:
-        RAKE_UNREACHABLE("holes rejected in collect()");
-      case Opcode::VBitcast:
-        emit_vbitcast(n);
-        return;
-      case Opcode::VCombine:
-        copy_lanes([&](int i) { return cat_disp(n, 0, 1, i); });
-        return;
-      case Opcode::VLo:
-        copy_lanes([&](int i) { return adisp(n, 0, i); });
-        return;
-      case Opcode::VHi:
-        copy_lanes([&](int i) { return adisp(n, 0, L + i); });
-        return;
-      case Opcode::VAlign:
-        copy_lanes([&](int i) {
-            const int j = i + static_cast<int>(im[0]);
-            return j < L ? adisp(n, 0, j) : adisp(n, 1, j - L);
-        });
-        return;
-      case Opcode::VRor:
-        copy_lanes([&](int i) {
-            return adisp(n, 0, (i + static_cast<int>(im[0])) % L);
-        });
-        return;
-      case Opcode::VShuffVdd:
-        copy_lanes([&](int i) {
-            const int h = L / 2;
-            return adisp(n, 0, i % 2 == 0 ? i / 2 : h + i / 2);
-        });
-        return;
-      case Opcode::VDealVdd:
-        copy_lanes([&](int i) {
-            const int h = L / 2;
-            return adisp(n, 0, i < h ? 2 * i : 2 * (i - h) + 1);
-        });
-        return;
-      case Opcode::VMux:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rcx, n, 0, i);
-            ld(Reg::rax, n, 2, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.test(Reg::rcx, Reg::rcx);
-            a_.cmov(Cond::ne, Reg::rax, Reg::rsi);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VPackE:
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, ileave_disp(n, i));
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VPackO: {
-        const ScalarType src = n.arg(0)->type().elem;
-        const int half = bits(src) / 2;
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, ileave_disp(n, i));
-            lsr_reg(Reg::rax, src, half);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VSat:
-      case Opcode::VPackSat:
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, ileave_disp(n, i));
-            saturate_reg(Reg::rax, s, Reg::rsi);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VZxt:
-      case Opcode::VSxt:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, deint(i, L));
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VAdd: {
-        const int done = emit_simd_bin(n, VecOp::paddq);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.add(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VSub: {
-        const int done = emit_simd_bin(n, VecOp::psubq);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.sub(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VAnd: {
-        const int done = emit_simd_bin(n, VecOp::pand);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.and_(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VOr: {
-        const int done = emit_simd_bin(n, VecOp::por);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.or_(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VXor: {
-        const int done = emit_simd_bin(n, VecOp::pxor);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.xor_(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VNot: {
-        const int done = emit_simd_not(n);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            a_.not_(Reg::rax);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VAddSat:
-        bin_lanes(&Assembler::add, /*sat=*/true);
-        return;
-      case Opcode::VSubSat:
-        bin_lanes(&Assembler::sub, /*sat=*/true);
-        return;
-      case Opcode::VAvg:
-        avg_lanes(/*negate=*/false, /*round=*/false);
-        return;
-      case Opcode::VAvgRnd:
-        avg_lanes(/*negate=*/false, /*round=*/true);
-        return;
-      case Opcode::VNavg:
-        avg_lanes(/*negate=*/true, /*round=*/false);
-        return;
-      case Opcode::VAbsDiff:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.mov(Reg::rdx, Reg::rax);
-            a_.sub(Reg::rdx, Reg::rsi); // a - b
-            a_.mov(Reg::rcx, Reg::rsi);
-            a_.sub(Reg::rcx, Reg::rax); // b - a
-            a_.cmp(Reg::rax, Reg::rsi);
-            a_.mov(Reg::rax, Reg::rcx);
-            a_.cmov(Cond::g, Reg::rax, Reg::rdx);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VMax:
-        minmax_lanes(Cond::l);
-        return;
-      case Opcode::VMin:
-        minmax_lanes(Cond::g);
-        return;
-      case Opcode::VCmpGt:
-        cmp_lanes(Cond::g);
-        return;
-      case Opcode::VCmpEq:
-        cmp_lanes(Cond::e);
-        return;
-      case Opcode::VAsl:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            shift_left_reg(Reg::rax, s, static_cast<int>(im[0]));
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VAsr:
-      case Opcode::VAsrRnd:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            shift_right_reg(Reg::rax, static_cast<int>(im[0]),
-                            n.op() == Opcode::VAsrRnd, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VLsr:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            lsr_reg(Reg::rax, s, static_cast<int>(im[0]));
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VAsrNarrow:
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, ileave_disp(n, i));
-            shift_right_reg(Reg::rax, static_cast<int>(im[0]), false,
-                            Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VAsrNarrowSat:
-      case Opcode::VAsrNarrowRndSat:
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, ileave_disp(n, i));
-            shift_right_reg(Reg::rax, static_cast<int>(im[0]),
-                            n.op() == Opcode::VAsrNarrowRndSat,
-                            Reg::rsi);
-            saturate_reg(Reg::rax, s, Reg::rsi);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VRoundSat: {
-        const int half = bits(n.arg(0)->type().elem) / 2;
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, ileave_disp(n, i));
-            shift_right_reg(Reg::rax, half, /*round=*/true, Reg::rsi);
-            saturate_reg(Reg::rax, s, Reg::rsi);
-            st(n, i, Reg::rax);
-        }
-        return;
-      }
-      case Opcode::VMpy:
-        for (int i = 0; i < L; ++i) {
-            const int j = deint(i, L);
-            ld(Reg::rax, n, 0, j);
-            ld(Reg::rsi, n, 1, j);
-            a_.imul(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VMpyAcc:
-        for (int i = 0; i < L; ++i) {
-            const int j = deint(i, L);
-            ld(Reg::rax, n, 1, j);
-            ld(Reg::rsi, n, 2, j);
-            a_.imul(Reg::rax, Reg::rsi);
-            ld(Reg::rsi, n, 0, i);
-            a_.add(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VMpyi:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.imul(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VMpyiAcc:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 1, i);
-            ld(Reg::rsi, n, 2, i);
-            a_.imul(Reg::rax, Reg::rsi);
-            ld(Reg::rsi, n, 0, i);
-            a_.add(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-      case Opcode::VMpa:
-        mac_lanes(
-            [&](int i) {
-                const int j = deint(i, L);
-                ld(Reg::rax, n, 0, j);
-                mul_imm(Reg::rax, im[0], Reg::rsi);
-            },
-            [&](int i) {
-                const int j = deint(i, L);
-                ld(Reg::rdx, n, 1, j);
-                mul_imm(Reg::rdx, im[1], Reg::rsi);
-                a_.add(Reg::rax, Reg::rdx);
-            });
-        return;
-      case Opcode::VMpaAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      ld(Reg::rdx, n, 1, j);
-                      mul_imm(Reg::rdx, im[0], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      ld(Reg::rdx, n, 2, j);
-                      mul_imm(Reg::rdx, im[1], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                  });
-        return;
-      case Opcode::VDmpy:
-        mac_lanes(
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rax, kArena, cat_disp(n, 0, 1, j));
-                mul_imm(Reg::rax, im[0], Reg::rsi);
-            },
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rdx, kArena, cat_disp(n, 0, 1, j + 1));
-                mul_imm(Reg::rdx, im[1], Reg::rsi);
-                a_.add(Reg::rax, Reg::rdx);
-            });
-        return;
-      case Opcode::VDmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      a_.load(Reg::rdx, kArena, cat_disp(n, 1, 2, j));
-                      mul_imm(Reg::rdx, im[0], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      a_.load(Reg::rdx, kArena,
-                              cat_disp(n, 1, 2, j + 1));
-                      mul_imm(Reg::rdx, im[1], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                  });
-        return;
-      case Opcode::VTmpy:
-        mac_lanes(
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rax, kArena, cat_disp(n, 0, 1, j));
-                mul_imm(Reg::rax, im[0], Reg::rsi);
-            },
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rdx, kArena, cat_disp(n, 0, 1, j + 1));
-                mul_imm(Reg::rdx, im[1], Reg::rsi);
-                a_.add(Reg::rax, Reg::rdx);
-                a_.load(Reg::rdx, kArena, cat_disp(n, 0, 1, j + 2));
-                a_.add(Reg::rax, Reg::rdx);
-            });
-        return;
-      case Opcode::VTmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      a_.load(Reg::rdx, kArena, cat_disp(n, 1, 2, j));
-                      mul_imm(Reg::rdx, im[0], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      a_.load(Reg::rdx, kArena,
-                              cat_disp(n, 1, 2, j + 1));
-                      mul_imm(Reg::rdx, im[1], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      a_.load(Reg::rdx, kArena,
-                              cat_disp(n, 1, 2, j + 2));
-                      a_.add(Reg::rax, Reg::rdx);
-                  });
-        return;
-      case Opcode::VRmpy:
-        mac_lanes([&](int) { a_.xor_(Reg::rax, Reg::rax); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      for (int k = 0; k < 4; ++k) {
-                          a_.load(Reg::rdx, kArena,
-                                  cat_disp(n, 0, 1, j + k));
-                          mul_imm(Reg::rdx, im[k], Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
-        return;
-      case Opcode::VRmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      for (int k = 0; k < 4; ++k) {
-                          a_.load(Reg::rdx, kArena,
-                                  cat_disp(n, 1, 2, j + k));
-                          mul_imm(Reg::rdx, im[k], Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
-        return;
-      case Opcode::VDotRmpy:
-        mac_lanes([&](int) { a_.xor_(Reg::rax, Reg::rax); },
-                  [&](int i) {
-                      for (int k = 0; k < 4; ++k) {
-                          ld(Reg::rdx, n, 0, 4 * i + k);
-                          ld(Reg::rsi, n, 1, 4 * i + k);
-                          a_.imul(Reg::rdx, Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
-        return;
-      case Opcode::VDotRmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      for (int k = 0; k < 4; ++k) {
-                          ld(Reg::rdx, n, 1, 4 * i + k);
-                          ld(Reg::rsi, n, 2, 4 * i + k);
-                          a_.imul(Reg::rdx, Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
-        return;
-      case Opcode::VMpyIE:
-      case Opcode::VMpyIO:
-        for (int i = 0; i < L; ++i) {
-            const int j = n.op() == Opcode::VMpyIE ? 2 * i : 2 * i + 1;
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, j);
-            a_.imul(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-        return;
-    }
-    RAKE_UNREACHABLE("unhandled opcode in jit lowering");
+    a_.xor_(Reg::rdx, Reg::rdx);
+    const size_t lane = a_.size();
+    a_.mov(Reg::rax, Reg::r10);
+    a_.add(Reg::rax, Reg::rdx);
+    a_.cmp(Reg::rax, Reg::rcx);
+    a_.cmov(Cond::l, Reg::rax, Reg::rcx);
+    a_.cmp(Reg::rax, Reg::r8);
+    a_.cmov(Cond::g, Reg::rax, Reg::r8);
+    a_.load_index8(Reg::rax, Reg::r9, Reg::rax);
+    wrap_gpr(Reg::rax, s);
+    a_.store_index8(dest.base, Reg::rdx, dest.disp, Reg::rax);
+    a_.add_imm32(Reg::rdx, 1);
+    a_.cmp_imm32(Reg::rdx, L);
+    a_.jcc_back(Cond::l, lane);
+    a_.land(done);
 }
 
 std::unique_ptr<Program>
 Lowerer::lower(const hvx::InstrPtr &root)
 {
     collect(root);
+    num_slots_ = (num_slots_ + kChunk - 1) / kChunk * kChunk;
 
-    // Prologue: pin arena/bufs/x/y in callee-saved registers. No
+    // Prologue: pin arena/bufs/dst/x/y in callee-saved registers. No
     // calls are made, so stack alignment past the pushes is moot.
     a_.push(Reg::rbx);
     a_.push(Reg::r12);
+    a_.push(Reg::r13);
     a_.push(Reg::r14);
     a_.push(Reg::r15);
     a_.load(kArena, Reg::rdi, offsetof(Frame, arena));
     a_.load(kBufs, Reg::rdi, offsetof(Frame, bufs));
+    a_.load(kDst, Reg::rdi, offsetof(Frame, dst));
     a_.load(kX, Reg::rdi, offsetof(Frame, x));
     a_.load(kY, Reg::rdi, offsetof(Frame, y));
 
-    for (const Instr *n : order_)
-        emit_node(*n);
+    for (const Instr *n : order_) {
+        const Slots &slots = slot_.at(n);
+        const int64_t slot = slots.run;
+        const bool is_root = n == order_.back();
+        const Dest dest = is_root ? Dest{kDst, 0}
+                                  : Dest{kArena, slot_disp(slot)};
+        switch (n->op()) {
+          case hvx::Opcode::VRead:
+            emit_vread(*n, dest);
+            break;
+          case hvx::Opcode::VSplat:
+            // Filled host-side at bind (loop-invariant); a root splat
+            // is copied to the row like a swizzle of its slots.
+            if (is_root)
+                emit_lanes([&](int i) { return alg_.read(slot + i); },
+                           n->type().lanes, dest, nullptr);
+            break;
+          default:
+            emit_node(*n, dest,
+                      is_root ? nullptr : &lane_slots_[slots.lanes]);
+            break;
+        }
+    }
 
     if (used_avx_)
         a_.vzeroupper();
     a_.pop(Reg::r15);
     a_.pop(Reg::r14);
+    a_.pop(Reg::r13);
     a_.pop(Reg::r12);
     a_.pop(Reg::rbx);
     a_.ret();
 
+    // Slots, then the constant pool, then one group of padding that
+    // keeps every gather window inside the arena.
     auto p = std::unique_ptr<Program>(new Program());
-    p->arena_.assign(static_cast<size_t>(num_slots_) + pool_.size(), 0);
-    std::copy(pool_.begin(), pool_.end(),
-              p->arena_.begin() + num_slots_);
+    p->arena_.assign(static_cast<size_t>(num_slots_) + pool_.size() + kChunk,
+                     0);
+    std::copy(pool_.begin(), pool_.end(), p->arena_.begin() + num_slots_);
     p->buf_ids_ = std::move(buf_ids_);
     p->splats_ = std::move(splats_);
     p->load_elems_ = std::move(load_elems_);
     p->out_type_ = root->type();
-    p->out_slot_ = slot_.at(root.get());
     p->simd_ = simd_;
     p->out_value_.reset(p->out_type_);
     p->code_.seal(a_.code());

@@ -110,7 +110,8 @@ NInstr::NInstr(NOp op, VecType type, std::vector<NInstrPtr> args,
 NInstrPtr
 NInstr::make_load(hir::LoadRef ref, VecType type)
 {
-    RAKE_USER_CHECK(type.lanes >= 1, "vld1 must load >= 1 lane");
+    RAKE_USER_CHECK(type.lanes >= 1 && type.lanes <= kMaxLanes,
+                    "vld1 must load 1 to " << kMaxLanes << " lanes");
     return NInstrPtr(
         new NInstr(NOp::Ld1, type, {}, {}, ref, nullptr));
 }
@@ -120,6 +121,8 @@ NInstr::make_dup(hir::ExprPtr scalar, int lanes)
 {
     RAKE_USER_CHECK(scalar != nullptr && scalar->type().lanes == 1,
                     "vdup payload must be scalar");
+    RAKE_USER_CHECK(lanes >= 1 && lanes <= kMaxLanes,
+                    "vdup must have 1 to " << kMaxLanes << " lanes");
     VecType t(scalar->type().elem, lanes);
     return NInstrPtr(new NInstr(NOp::Dup, t, {}, {}, hir::LoadRef{},
                                 std::move(scalar)));
@@ -253,6 +256,12 @@ NInstr::make(NOp op, std::vector<NInstrPtr> args,
                         to_string(op) << " operand mismatch");
         break;
     }
+    // Operands are within the ceiling, so computing `result` could not
+    // overflow; a result past it is refused before anything grows it.
+    RAKE_USER_CHECK(result.lanes <= kMaxLanes,
+                    to_string(op) << " result of " << result.lanes
+                                  << " lanes exceeds the ceiling of "
+                                  << kMaxLanes);
     return NInstrPtr(new NInstr(op, result, std::move(args),
                                 std::move(imms), hir::LoadRef{},
                                 nullptr));

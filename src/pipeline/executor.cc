@@ -191,7 +191,8 @@ interpreter_bands(Code code)
 }
 
 /**
- * Workers that run `program` natively, one jit::Runner each; the
+ * Workers that run `program` natively, one jit::Runner each, whose
+ * code stores each tile's lanes straight into the output row; the
  * program must outlive the pass.
  */
 TileEvalFactory

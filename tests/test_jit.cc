@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the native x86-64 JIT execution tier: per-opcode
- * differential checks against the HVX interpreter, whole-image
- * execution over every flat benchmark and the fused DAG suite (in
- * several row bands too), SIMD tier coverage via the RAKE_JIT_SIMD
- * knob, structural slot sharing, concurrent runners, and failure-mode
- * gating.
+ * Tests for the native x86-64 JIT execution tier: the encoder's bytes,
+ * per-opcode differential checks against the HVX interpreter at both
+ * tiers (on edge and interior tiles, lane groups with tails, gathers
+ * across operands), whole-image execution over every flat benchmark
+ * and the fused DAG suite (in several row bands too), the
+ * RAKE_JIT_SIMD knob, structural slot sharing, concurrent runners,
+ * and failure-mode gating.
  *
  * Everything is gated on jit::available(): on non-x86-64 hosts the
  * suite skips (and one test pins that compile() refuses cleanly).
@@ -24,6 +25,7 @@
 #include "hir/builder.h"
 #include "hvx/interp.h"
 #include "hvx/sexpr.h"
+#include "jit/encoder.h"
 #include "jit/jit.h"
 #include "pipeline/benchmarks.h"
 #include "pipeline/dag.h"
@@ -124,10 +126,22 @@ random_image(ScalarType elem, int w, int h, uint64_t seed)
     return img;
 }
 
+/** Every tier this host can run: scalar, and avx2 if present. */
+std::vector<const char *>
+simd_tiers()
+{
+    std::vector<const char *> tiers = {"scalar"};
+    ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
+    if (jit::simd_level() == jit::SimdLevel::Avx2)
+        tiers.push_back("avx2");
+    return tiers;
+}
+
 /**
  * Run `prog` over random full-range images via the interpreter and
- * via the JIT (per-tile validation armed) and require bit-identical
- * output images.
+ * via the JIT (per-tile validation armed) at every tier, on images two
+ * and eight tiles wide (the wider one has interior tiles, whose loads
+ * are packed), and require bit-identical output images.
  */
 void
 expect_jit_matches_interp(const InstrPtr &prog,
@@ -138,23 +152,36 @@ expect_jit_matches_interp(const InstrPtr &prog,
     std::map<int, ScalarType> loads;
     std::set<const hvx::Instr *> seen;
     collect_hvx_loads(prog, loads, seen);
-    std::map<int, Image> inputs;
-    for (const auto &[id, elem] : loads)
-        inputs.emplace(id, random_image(elem, 16, 3, seed + id));
-    const Image want = run_tiles(prog, inputs, scalars);
-    const Image got = run_tiles_jit(prog, inputs, scalars);
-    EXPECT_EQ(count_mismatches(want, got), 0);
+    const int lanes = prog->type().lanes;
+    for (int tiles : {2, 8}) {
+        SCOPED_TRACE(std::to_string(tiles) + " tiles wide");
+        std::map<int, Image> inputs;
+        for (const auto &[id, elem] : loads)
+            inputs.emplace(id,
+                           random_image(elem, tiles * lanes, 3, seed + id));
+        const Image want = run_tiles(prog, inputs, scalars);
+        for (const char *tier : simd_tiers()) {
+            SCOPED_TRACE(tier);
+            ScopedEnv force("RAKE_JIT_SIMD", tier);
+            const Image got = run_tiles_jit(prog, inputs, scalars);
+            EXPECT_EQ(count_mismatches(want, got), 0);
+        }
+    }
 }
 
-/** Every tier this host can run: scalar, sse2, and avx2 if present. */
-std::vector<const char *>
-simd_tiers()
+/**
+ * A buffer of random 64-bit cells, most past the range of `elem`:
+ * every load wraps what it reads, as the interpreter's does.
+ */
+Buffer
+random_image_buffer(ScalarType elem, int w, int h, uint64_t seed,
+                    int x0 = 0, int y0 = 0)
 {
-    std::vector<const char *> tiers = {"scalar", "sse2"};
-    ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
-    if (jit::simd_level() == jit::SimdLevel::Avx2)
-        tiers.push_back("avx2");
-    return tiers;
+    Buffer buf(elem, w, h, x0, y0);
+    Rng rng(seed);
+    for (int64_t &c : buf.data)
+        c = static_cast<int64_t>(rng.next());
+    return buf;
 }
 
 /** Scalar value 5 for every variable `e` reads. */
@@ -172,23 +199,201 @@ TEST(Jit, AvailabilityAndSimdLevel)
     SKIP_IF_NO_JIT();
 #if defined(__x86_64__)
     EXPECT_TRUE(jit::available());
-#endif
-    // SSE2 is architectural on x86-64: the resolved tier can never be
-    // below it unless explicitly forced.
+    // Two tiers: AVX2 wherever the CPU has it, scalar otherwise.
     ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
-    EXPECT_NE(jit::simd_level(), jit::SimdLevel::Scalar);
-    EXPECT_FALSE(to_string(jit::simd_level()).empty());
+    EXPECT_EQ(jit::simd_level(), __builtin_cpu_supports("avx2")
+                                     ? jit::SimdLevel::Avx2
+                                     : jit::SimdLevel::Scalar);
+#endif
+    EXPECT_EQ(to_string(jit::SimdLevel::Scalar), "scalar");
+    EXPECT_EQ(to_string(jit::SimdLevel::Avx2), "avx2");
     ScopedEnv force("RAKE_JIT_SIMD", "scalar");
     EXPECT_EQ(jit::simd_level(), jit::SimdLevel::Scalar);
+    EXPECT_EQ(jit::Program::compile(vread(0, u8, 8))->simd(),
+              jit::SimdLevel::Scalar);
 }
 
 TEST(Jit, RejectsBadSimdKnob)
 {
     SKIP_IF_NO_JIT();
-    ScopedEnv force("RAKE_JIT_SIMD", "sse9");
-    EXPECT_THROW(jit::simd_level(), UserError);
-    InstrPtr prog = vread(0, u8, 8);
-    EXPECT_THROW(jit::Program::compile(prog), UserError);
+    // sse2 was a third tier; it is gone, and the error names the two.
+    for (const char *bad : {"sse9", "sse2"}) {
+        SCOPED_TRACE(bad);
+        ScopedEnv force("RAKE_JIT_SIMD", bad);
+        try {
+            jit::simd_level();
+            ADD_FAILURE() << "no UserError";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find("scalar|avx2"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(jit::Program::compile(vread(0, u8, 8)), UserError);
+    }
+}
+
+// Every vector, jump and indexed encoder form the lowerer uses,
+// against bytes taken once from objdump's disassembly of this output
+// (the test itself needs no tool).
+TEST(Jit, EncoderEmitsKnownBytes)
+{
+    using jit::Assembler;
+    using jit::Cond;
+    using jit::Mem;
+    using jit::Reg;
+    using jit::VecOp;
+    using jit::Vreg;
+    const auto bytes = [](const auto &emit) {
+        Assembler a;
+        emit(a);
+        static const char digits[] = "0123456789abcdef";
+        std::string hex;
+        for (uint8_t b : a.code()) {
+            if (!hex.empty())
+                hex += ' ';
+            hex += digits[b >> 4];
+            hex += digits[b & 15];
+        }
+        return hex;
+    };
+    const Reg rbx = Reg::rbx;
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        // setg al; sete sil; setl r9b
+        {bytes([](Assembler &a) { a.setcc(Cond::g, Reg::rax); }), "0f 9f c0"},
+        {bytes([](Assembler &a) { a.setcc(Cond::e, Reg::rsi); }),
+         "40 0f 94 c6"},
+        {bytes([](Assembler &a) { a.setcc(Cond::l, Reg::r9); }),
+         "41 0f 9c c1"},
+        // cmp r10, 0x80
+        {bytes([](Assembler &a) { a.cmp_imm32(Reg::r10, 128); }),
+         "49 81 fa 80 00 00 00"},
+        // mov [r13 + rdx*8 + 0x10], rax; mov [rbx + r8*8 - 8], r11
+        {bytes([](Assembler &a) {
+             a.store_index8(Reg::r13, Reg::rdx, 16, Reg::rax);
+         }),
+         "49 89 84 d5 10 00 00 00"},
+        {bytes([&](Assembler &a) {
+             a.store_index8(rbx, Reg::r8, -8, Reg::r11);
+         }),
+         "4e 89 9c c3 f8 ff ff ff"},
+        // vmovdqu ymm1, [rbx + 0x40]; ymm0, [r9 + r10*8 + 0x20];
+        // ymm12, [r12 + 8]; [r13 + 0x60], ymm9
+        {bytes([&](Assembler &a) { a.vmovdqu(Vreg::ymm1, Mem{rbx, 64}); }),
+         "c4 e1 7e 6f 8b 40 00 00 00"},
+        {bytes([](Assembler &a) {
+             a.vmovdqu(Vreg::ymm0, Mem{Reg::r9, 32, Reg::r10});
+         }),
+         "c4 81 7e 6f 84 d1 20 00 00 00"},
+        {bytes([](Assembler &a) { a.vmovdqu(Vreg::ymm12, Mem{Reg::r12, 8}); }),
+         "c4 41 7e 6f a4 24 08 00 00 00"},
+        {bytes([](Assembler &a) { a.vmovdqu(Mem{Reg::r13, 96}, Vreg::ymm9); }),
+         "c4 41 7e 7f 8d 60 00 00 00"},
+        // vmovdqa ymm3, ymm14
+        {bytes([](Assembler &a) { a.vmovdqa(Vreg::ymm3, Vreg::ymm14); }),
+         "c4 c1 7d 6f de"},
+        // vpaddq ymm2, ymm0, ymm1; vpsubq ymm10, ymm11, [rbx + 0x100];
+        // vpand ymm4, ymm5, ymm6; vpor ymm7, ymm8, ymm15;
+        // vpxor ymm0, ymm0, [rbx + 0x1000]; vpmuludq ymm1, ymm2, ymm3
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::paddq, Vreg::ymm2, Vreg::ymm0, Vreg::ymm1);
+         }),
+         "c4 e1 7d d4 d1"},
+        {bytes([&](Assembler &a) {
+             a.vop(VecOp::psubq, Vreg::ymm10, Vreg::ymm11, Mem{rbx, 256});
+         }),
+         "c4 61 25 fb 93 00 01 00 00"},
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::pand, Vreg::ymm4, Vreg::ymm5, Vreg::ymm6);
+         }),
+         "c4 e1 55 db e6"},
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::por, Vreg::ymm7, Vreg::ymm8, Vreg::ymm15);
+         }),
+         "c4 c1 3d eb ff"},
+        {bytes([&](Assembler &a) {
+             a.vop(VecOp::pxor, Vreg::ymm0, Vreg::ymm0, Mem{rbx, 0x1000});
+         }),
+         "c4 e1 7d ef 83 00 10 00 00"},
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::pmuludq, Vreg::ymm1, Vreg::ymm2, Vreg::ymm3);
+         }),
+         "c4 e1 6d f4 cb"},
+        // vpcmpgtq ymm13, ymm1, ymm2; vpcmpeqq ymm2, ymm12, [rbx + 0x20]
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::pcmpgtq, Vreg::ymm13, Vreg::ymm1, Vreg::ymm2);
+         }),
+         "c4 62 75 37 ea"},
+        {bytes([&](Assembler &a) {
+             a.vop(VecOp::pcmpeqq, Vreg::ymm2, Vreg::ymm12, Mem{rbx, 32});
+         }),
+         "c4 e2 1d 29 93 20 00 00 00"},
+        // vpsllvq ymm0, ymm1, [rbx + 0x80]; vpsrlvq ymm8, ymm9, ymm10
+        {bytes([&](Assembler &a) {
+             a.vop(VecOp::psllvq, Vreg::ymm0, Vreg::ymm1, Mem{rbx, 128});
+         }),
+         "c4 e2 f5 47 83 80 00 00 00"},
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::psrlvq, Vreg::ymm8, Vreg::ymm9, Vreg::ymm10);
+         }),
+         "c4 42 b5 45 c2"},
+        // vpsllq ymm3, ymm11, 0x20; vpsrlq ymm12, ymm4, 0x3f
+        {bytes([](Assembler &a) { a.vpsllq(Vreg::ymm3, Vreg::ymm11, 32); }),
+         "c4 c1 65 73 f3 20"},
+        {bytes([](Assembler &a) { a.vpsrlq(Vreg::ymm12, Vreg::ymm4, 63); }),
+         "c4 e1 1d 73 d4 3f"},
+        // vpblendvb ymm0, ymm1, ymm2, ymm3;
+        // vpblendvb ymm9, ymm10, [rbx + 0x40], ymm15
+        {bytes([](Assembler &a) {
+             a.vpblendvb(Vreg::ymm0, Vreg::ymm1, Vreg::ymm2, Vreg::ymm3);
+         }),
+         "c4 e3 75 4c c2 30"},
+        {bytes([&](Assembler &a) {
+             a.vpblendvb(Vreg::ymm9, Vreg::ymm10, Mem{rbx, 64}, Vreg::ymm15);
+         }),
+         "c4 63 2d 4c 8b 40 00 00 00 f0"},
+        // vpermq ymm5, [rbx + 0x18], 0x39; vpblendd ymm0, ymm0, ymm14, 0xf0
+        {bytes([&](Assembler &a) { a.vpermq(Vreg::ymm5, Mem{rbx, 24}, 0x39); }),
+         "c4 e3 fd 00 ab 18 00 00 00 39"},
+        {bytes([](Assembler &a) {
+             a.vpblendd(Vreg::ymm0, Vreg::ymm0, Vreg::ymm14, 0xF0);
+         }),
+         "c4 c3 7d 02 c6 f0"},
+        // vinserti128 ymm0, ymm0, xmm8, 1; vmovq xmm11, [rbx + 0x28];
+        // vpinsrq xmm1, xmm1, [rbx + 0x30], 1; vzeroupper
+        {bytes([](Assembler &a) {
+             a.vinserti128(Vreg::ymm0, Vreg::ymm0, Vreg::ymm8, 1);
+         }),
+         "c4 c3 7d 38 c0 01"},
+        {bytes([&](Assembler &a) { a.vmovq(Vreg::ymm11, Mem{rbx, 40}); }),
+         "c4 61 7a 7e 9b 28 00 00 00"},
+        {bytes([&](Assembler &a) {
+             a.vpinsrq(Vreg::ymm1, Vreg::ymm1, Mem{rbx, 48}, 1);
+         }),
+         "c4 e3 f1 22 8b 30 00 00 00 01"},
+        {bytes([](Assembler &a) { a.vzeroupper(); }), "c5 f8 77"},
+        // jl over a ret; jmp over two rets; ret, then jg back to it
+        {bytes([](Assembler &a) {
+             const size_t p = a.jcc_forward(Cond::l);
+             a.ret();
+             a.land(p);
+         }),
+         "0f 8c 01 00 00 00 c3"},
+        {bytes([](Assembler &a) {
+             const size_t p = a.jmp_forward();
+             a.ret();
+             a.ret();
+             a.land(p);
+         }),
+         "e9 02 00 00 00 c3 c3"},
+        {bytes([](Assembler &a) {
+             const size_t top = a.size();
+             a.ret();
+             a.jcc_back(Cond::g, top);
+         }),
+         "c3 0f 8f f9 ff ff ff"},
+    };
+    for (const auto &[got, want] : cases)
+        EXPECT_EQ(got, want);
 }
 
 TEST(Jit, RejectsSketchHoles)
@@ -216,6 +421,42 @@ TEST(Jit, CompileProducesCodeAndRunsAfterBind)
     compiled->bind(env);
     const Value &v = compiled->run(0, 0);
     EXPECT_EQ(v.type, prog->type());
+
+    // The code stores the root's lanes straight to the row it is
+    // given, and nothing past them, at either tier and for a lane
+    // count with a tail.
+    const InstrPtr six = hvx::Instr::make(
+        Opcode::VAdd, {vread(0, u8, 6), vread(0, u8, 6, 1)});
+    Env env6;
+    env6.buffers.emplace(0, random_image_buffer(u8, 18, 2, 3));
+    const Value want = hvx::evaluate(six, env6);
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        const auto p = jit::Program::compile(six);
+        jit::Runner runner(*p, env6);
+        std::vector<int64_t> row(6 + 8, -7);
+        runner.run(0, 0, row.data());
+        EXPECT_TRUE(std::equal(want.lanes.begin(), want.lanes.end(),
+                               row.begin()));
+        EXPECT_TRUE(std::all_of(row.begin() + 6, row.end(),
+                                [](int64_t c) { return c == -7; }));
+    }
+}
+
+// An interior tile's load is a packed (at the scalar tier, a plain)
+// load per lane group, with no per-lane column clamp: only edge tiles
+// run the clamping loop, whose code does not grow with the lanes.
+TEST(Jit, InteriorLoadsHaveNoPerLaneClamp)
+{
+    SKIP_IF_NO_JIT();
+    const InstrPtr wide = vread(0, u8, 512, 1);
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        const size_t per_lane = std::string(tier) == "avx2" ? 16 : 32;
+        EXPECT_LE(jit::Program::compile(wide)->code_size(), per_lane * 512);
+    }
 }
 
 TEST(Jit, RepeatedWholeImagePassesRebindCleanly)
@@ -365,10 +606,111 @@ TEST(Jit, EveryOpcodeMatchesInterpreter)
                     {Instr::make(Opcode::VLo, {mpy}),
                      Instr::make(Opcode::VHi, {mpy})}));
 
+    // Tiles wholly left and right of the image.
+    add("vread-outside-left", vread(0, u8, 8, -(8 + 3)));
+    add("vread-outside-right", vread(0, i16, 8, 8 + 3, 1));
+    // Gathers across operands and lane-group edges.
+    for (int r : {1, 3, 4, 5, 7})
+        add("align-" + std::to_string(r),
+            Instr::make(Opcode::VAlign, {a16s, b16s}, {r}));
+    for (int r : {1, 4, 7})
+        add("ror-" + std::to_string(r), Instr::make(Opcode::VRor, {a16}, {r}));
+    // 6 and 12 lanes: one lane group and a tail of 2, two and none.
+    const InstrPtr a6 = vread(0, i16, 6);
+    const InstrPtr b6 = vread(1, i16, 6, 1);
+    const InstrPtr u6 = vread(0, u16, 6, -1);
+    add("add-6", Instr::make(Opcode::VAdd, {a6, b6}));
+    add("sub-6",
+        Instr::make(Opcode::VSub, {vread(0, u8, 6), vread(1, u8, 6)}));
+    add("xor-6",
+        Instr::make(Opcode::VXor, {vread(0, i32, 6), vread(1, i32, 6)}));
+    add("not-6", Instr::make(Opcode::VNot, {a6}));
+    add("and-6", Instr::make(Opcode::VAnd, {u6, vread(1, u16, 6)}));
+    add("or-6", Instr::make(Opcode::VOr, {u6, vread(1, u16, 6)}));
+    add("max-6", Instr::make(Opcode::VMax, {a6, b6}));
+    add("avg-rnd-6", Instr::make(Opcode::VAvgRnd, {a6, b6}));
+    add("mpyi-acc-6", Instr::make(Opcode::VMpyiAcc, {a6, a6, b6}));
+    add("asr-rnd-6", Instr::make(Opcode::VAsrRnd, {a6}, {5}));
+    const InstrPtr pair12 = Instr::make(Opcode::VCombine, {a6, b6});
+    add("combine-12", pair12);
+    add("shuff-vdd-12", Instr::make(Opcode::VShuffVdd, {pair12}));
+    add("deal-vdd-12", Instr::make(Opcode::VDealVdd, {pair12}));
+    add("align-11-12", Instr::make(Opcode::VAlign, {pair12, pair12}, {11}));
+    add("mpy-12",
+        Instr::make(Opcode::VMpy, {vread(0, i8, 12), vread(1, i8, 12, 1)}));
+    add("pack-sat-12", Instr::make(Opcode::VPackSat, {a6, b6}, {}, u8));
+    add("mux-12",
+        Instr::make(Opcode::VMux,
+                    {Instr::make(Opcode::VCmpEq,
+                                 {vread(0, u8, 12), vread(1, u8, 12)}),
+                     vread(2, i8, 12, 2), vread(3, i8, 12, -2)}));
+    // 64-bit lanes keep every carrier bit: the full 64-bit product,
+    // sums that wrap in the carrier, 64-bit compares and shifts.
+    const ScalarType i64 = ScalarType::Int64;
+    const ScalarType u64 = ScalarType::UInt64;
+    const InstrPtr a64 = vread(0, i64, 8);
+    const InstrPtr b64 = vread(1, i64, 8, 1);
+    const InstrPtr c64 = vread(0, u64, 8, -1);
+    const InstrPtr d64 = vread(1, u64, 8);
+    add("mpyi-i64", Instr::make(Opcode::VMpyi, {a64, b64}));
+    add("mpyi-acc-u64", Instr::make(Opcode::VMpyiAcc, {c64, c64, d64}));
+    add("mpy-i32-i64", Instr::make(Opcode::VMpy, {vread(0, i32, 8),
+                                                  vread(1, i32, 8, 2)}));
+    add("mpa-i32-i64",
+        Instr::make(Opcode::VMpa, {vread(0, i32, 8), vread(1, i32, 8)},
+                    {-5, 1LL << 33}));
+    add("abs-diff-i64", Instr::make(Opcode::VAbsDiff, {a64, b64}));
+    add("max-u64", Instr::make(Opcode::VMax, {c64, d64}));
+    add("min-i64", Instr::make(Opcode::VMin, {a64, b64}));
+    add("avg-rnd-i64", Instr::make(Opcode::VAvgRnd, {a64, b64}));
+    add("navg-i64", Instr::make(Opcode::VNavg, {a64, b64}));
+    add("add-sat-u64", Instr::make(Opcode::VAddSat, {c64, d64}));
+    add("sub-sat-i64", Instr::make(Opcode::VSubSat, {a64, b64}));
+    add("cmp-gt-i64", Instr::make(Opcode::VCmpGt, {a64, b64}));
+    add("asr-63-i64", Instr::make(Opcode::VAsr, {a64}, {63}));
+    add("asr-rnd-40-i64", Instr::make(Opcode::VAsrRnd, {a64}, {40}));
+    add("lsr-33-u64", Instr::make(Opcode::VLsr, {c64}, {33}));
+    add("asl-40-i64", Instr::make(Opcode::VAsl, {a64}, {40}));
+    // Narrowing bitcasts shift each lane by its own amount.
+    add("bitcast-narrow-4",
+        Instr::make(Opcode::VBitcast, {vread(0, i32, 6)}, {}, u8));
+    add("bitcast-narrow-2",
+        Instr::make(Opcode::VBitcast, {vread(0, u32, 6)}, {}, i16));
+    add("bitcast-widen-4",
+        Instr::make(Opcode::VBitcast, {vread(0, u8, 24)}, {}, i32));
+
     for (const auto &[label, prog] : cases) {
         SCOPED_TRACE(label);
         for (uint64_t seed : {11u, 77u})
             expect_jit_matches_interp(prog, {}, seed);
+    }
+
+    // Loads from buffers whose origin is not (0, 0), as the fuzz
+    // oracle's example environments have, at tiles inside, across the
+    // edges of, and outside the buffer.
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        for (const auto &[label, prog] : cases) {
+            SCOPED_TRACE(label);
+            std::map<int, ScalarType> loads;
+            std::set<const hvx::Instr *> seen;
+            collect_hvx_loads(prog, loads, seen);
+            Env env;
+            for (const auto &[id, elem] : loads)
+                env.buffers.emplace(
+                    id, random_image_buffer(elem, 40, 5, 5 + id, -9 + id, 3));
+            const auto compiled = jit::Program::compile(prog);
+            compiled->bind(env);
+            for (int y : {1, 3, 6, 9}) {
+                for (int x : {-40, -12, -9, 0, 7, 20, 31, 60}) {
+                    env.x = x;
+                    env.y = y;
+                    EXPECT_EQ(compiled->run(x, y), hvx::evaluate(prog, env))
+                        << "tile (" << x << ", " << y << ")";
+                }
+            }
+        }
     }
 }
 
@@ -399,38 +741,17 @@ TEST(Jit, SplatsRebindPerEnvironment)
     const int64_t lane0_env2 = compiled->run(0, 0)[0];
     EXPECT_EQ(lane0_env1, 0 + 20);
     EXPECT_EQ(lane0_env2, 0 + 40);
-}
 
-TEST(Jit, AllSimdTiersAgree)
-{
-    SKIP_IF_NO_JIT();
-    using hvx::Instr;
-    // Ops with a packed fast path, at widths that leave a scalar tail.
-    std::vector<InstrPtr> progs = {
-        Instr::make(Opcode::VAdd, {vread(0, i16, 6), vread(1, i16, 6)}),
-        Instr::make(Opcode::VSub, {vread(0, u8, 6), vread(1, u8, 6)}),
-        Instr::make(Opcode::VXor, {vread(0, i32, 6), vread(1, i32, 6)}),
-        Instr::make(Opcode::VNot, {vread(0, i16, 6)}),
-        Instr::make(Opcode::VAnd, {vread(0, u16, 6), vread(1, u16, 6)}),
-        Instr::make(Opcode::VOr, {vread(0, u16, 6), vread(1, u16, 6)}),
-    };
-    const std::vector<const char *> tiers = simd_tiers();
-    for (const InstrPtr &prog : progs) {
-        std::map<int, ScalarType> loads;
-        std::set<const hvx::Instr *> seen;
-        collect_hvx_loads(prog, loads, seen);
-        std::map<int, Image> inputs;
-        for (const auto &[id, elem] : loads)
-            inputs.emplace(id, random_image(elem, 12, 3, 5 + id));
-        const Image want = run_tiles(prog, inputs);
-        for (const char *tier : tiers) {
-            SCOPED_TRACE(tier);
-            ScopedEnv force("RAKE_JIT_SIMD", tier);
-            auto compiled = jit::Program::compile(prog);
-            EXPECT_EQ(to_string(compiled->simd()), tier);
-            const Image got = run_tiles_jit(prog, inputs);
-            EXPECT_EQ(count_mismatches(want, got), 0);
-        }
+    // A splat as the whole program: its bound slots are copied to the
+    // output row, a group and a tail.
+    const InstrPtr bare =
+        hvx::Instr::make_splat((var("bias", i16) * 2).ptr(), 6);
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        auto p = jit::Program::compile(bare);
+        p->bind(env2);
+        EXPECT_EQ(p->run(0, 0), hvx::evaluate(bare, env2));
     }
 }
 

@@ -167,6 +167,63 @@ TEST(Parse, ValuesPastTheirDestinationAreUserErrors)
               "(vmem u8x8 -1 2 3)");
 }
 
+TEST(Parse, NestingPastTheDepthLimitIsAUserError)
+{
+    // 100,000 '(' fit in one served frame; the reader used to recurse
+    // once per '(' and overflow the stack.
+    const std::string deep(100000, '(');
+    for (const auto &parse : std::vector<std::function<void()>>{
+             [&] { hir::parse_expr(deep); },
+             [&] { hvx::parse_instr(deep); },
+             [&] { neon::parse_instr(deep); }}) {
+        const std::string why = user_error(parse);
+        EXPECT_NE(why.find("nests deeper than"), std::string::npos) << why;
+    }
+    // The limit itself still reads.
+    const auto nested = [](int depth) {
+        return std::string(depth, '(') + std::string(depth, ')');
+    };
+    EXPECT_NO_THROW(hir::parse_sexpr(nested(hir::kMaxSexprDepth)));
+    EXPECT_THROW(hir::parse_sexpr(nested(hir::kMaxSexprDepth + 1)),
+                 UserError);
+}
+
+TEST(Parse, LaneCountsPastTheCeilingAreUserErrors)
+{
+    const std::string past = std::to_string(kMaxLanes + 1);
+    EXPECT_THROW(hir::parse_expr("(load u8x" + past + " 0 0 0)"), UserError);
+    EXPECT_THROW(hvx::parse_instr("(vmem u8x" + past + " 0 0 0)"), UserError);
+    EXPECT_THROW(neon::parse_instr("(vld1 u8x" + past + " 0 0 0)"), UserError);
+    EXPECT_THROW(hir::parse_expr("(broadcast " + past + " (var u8 x))"),
+                 UserError);
+    EXPECT_THROW(hir::Expr::make_broadcast(
+                     hir::Expr::make_var("x", VecType(ScalarType::UInt8, 1)),
+                     kMaxLanes + 1),
+                 UserError);
+    // Its two halves used to overflow `2 * L` in the vcombine typing.
+    EXPECT_THROW(hvx::parse_instr("(vcombine u8x8 (vmem u8x1073741824 0 0 0) "
+                                  "(vmem u8x1073741824 0 0 0))"),
+                 UserError);
+    // Ops that grow lanes refuse a result past the ceiling.
+    const VecType half(ScalarType::UInt8, kMaxLanes / 2);
+    const VecType full(ScalarType::UInt32, kMaxLanes);
+    const hvx::InstrPtr h = hvx::Instr::make_read({0, 0, 0}, half);
+    EXPECT_NO_THROW(hvx::Instr::make(hvx::Opcode::VCombine, {h, h}));
+    const hvx::InstrPtr c = hvx::Instr::make(hvx::Opcode::VCombine, {h, h});
+    EXPECT_THROW(hvx::Instr::make(hvx::Opcode::VCombine, {c, c}), UserError);
+    EXPECT_THROW(hvx::Instr::make(hvx::Opcode::VBitcast,
+                                  {hvx::Instr::make_read({0, 0, 0}, full)},
+                                  {}, ScalarType::UInt8),
+                 UserError);
+    const neon::NInstrPtr n = neon::NInstr::make_load(
+        {0, 0, 0}, VecType(ScalarType::UInt8, kMaxLanes));
+    EXPECT_THROW(neon::NInstr::make(neon::NOp::Combine, {n, n}), UserError);
+    // The ceiling itself still reads.
+    const std::string at = std::to_string(kMaxLanes);
+    EXPECT_EQ(hvx::to_sexpr(hvx::parse_instr("(vmem u8x" + at + " 0 0 0)")),
+              "(vmem u8x" + at + " 0 0 0)");
+}
+
 TEST(Parse, OneLaneProgramsRoundTrip)
 {
     // Both printers write a one-lane type as its bare element type.
@@ -226,8 +283,10 @@ TEST(Parse, CacheEntryWithAnOutOfRangeInstrIsInvalid)
     const std::pair<const backend::TargetISA *, std::vector<std::string>>
         cases[] = {
             {s.hvx_isa.get(),
-             {"(vmem u8x4294967304 0 0 0)", "(vmem u8x8 4294967296 0 0)"}},
-            {s.neon_isa.get(), {"(vld1 u8x8 0 4294967297 0)"}},
+             {"(vmem u8x4294967304 0 0 0)", "(vmem u8x8 4294967296 0 0)",
+              "(vmem u8x65537 0 0 0)", std::string(2000, '(')}},
+            {s.neon_isa.get(),
+             {"(vld1 u8x8 0 4294967297 0)", "(vld1 u8x65537 0 0 0)"}},
         };
     for (const auto &[isa, bad_instrs] : cases) {
         const std::string good =
@@ -314,6 +373,15 @@ TEST(Parse, RuleTableWithAnOutOfRangeSideFailsToLoad)
             {"hir-lanes", section("hvx", 2, 2,
                                   {{"(load u8x4294967304 0 0 0)",
                                     "(vmem u8x8 0 0 0)"}})},
+            {"hvx-ceiling", section("hvx", 2, 2,
+                                    {{"(load u8x8 0 0 0)",
+                                      "(vmem u8x65537 0 0 0)"}})},
+            {"neon-ceiling", section("neon", 2, 2,
+                                     {{"(load u8x8 0 0 0)",
+                                       "(vld1 u8x65537 0 0 0)"}})},
+            {"hir-ceiling", section("hvx", 2, 2,
+                                    {{"(load u8x65537 0 0 0)",
+                                      "(vmem u8x8 0 0 0)"}})},
         };
     for (const auto &[name, sec] : bad) {
         const std::string path = scratch_path(name + ".rules");

@@ -611,6 +611,22 @@ TEST(Serve, ServerSideErrorsAreStructured)
     EXPECT_TRUE(client.ping());
 }
 
+TEST(Serve, DeeplyNestedExpressionIsAStructuredError)
+{
+    // 100,000 '(' is well inside one frame; parsing it used to
+    // overflow the worker's stack. Like any malformed expression it is
+    // a per-request error, and the session and server carry on.
+    TestServer ts("deep");
+    serve::RemoteSelect client = ts.client();
+    const serve::Response deep =
+        client.select("hvx", std::string(100000, '('));
+    EXPECT_EQ(deep.status, "error");
+    EXPECT_NE(deep.error.find("nests deeper than"), std::string::npos)
+        << deep.error;
+    EXPECT_TRUE(client.ping());
+    EXPECT_TRUE(ts.client().ping());
+}
+
 TEST(Serve, ServerDeathMidBatchKeepsPartialResults)
 {
     // The regression this pins: a server that dies after answering
