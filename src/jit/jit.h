@@ -7,8 +7,9 @@
  * carrier representation the interpreters use), and lane counts and
  * immediates are compile-time constants, so every HVX index map
  * (deinterleave, interleave, concat, align, rotate) becomes a
- * constant slot and the emitted code is fully unrolled, relocation-
- * free x86-64 whose only branches are each load's interior/edge test.
+ * constant slot and the emitted code is unrolled, relocation-free
+ * x86-64 whose only branches are each load's interior/edge test and
+ * its edge tiles' loop over the lanes.
  * Every computing node's code is generated from its lane function in
  * hvx/semantics.h (jit/lower.cc), four lanes per AVX2 instruction, or
  * one lane per general-purpose instruction at the scalar tier; both

@@ -216,7 +216,7 @@ TEST(Jit, AvailabilityAndSimdLevel)
 TEST(Jit, RejectsBadSimdKnob)
 {
     SKIP_IF_NO_JIT();
-    // sse2 was a third tier; it is gone, and the error names the two.
+    // The tiers are scalar and avx2; the error names both.
     for (const char *bad : {"sse9", "sse2"}) {
         SCOPED_TRACE(bad);
         ScopedEnv force("RAKE_JIT_SIMD", bad);

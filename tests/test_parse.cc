@@ -169,8 +169,8 @@ TEST(Parse, ValuesPastTheirDestinationAreUserErrors)
 
 TEST(Parse, NestingPastTheDepthLimitIsAUserError)
 {
-    // 100,000 '(' fit in one served frame; the reader used to recurse
-    // once per '(' and overflow the stack.
+    // 100,000 '(' fit in one served frame, and the reader recurses once
+    // per '(': past the limit it must refuse, not overflow the stack.
     const std::string deep(100000, '(');
     for (const auto &parse : std::vector<std::function<void()>>{
              [&] { hir::parse_expr(deep); },
@@ -200,7 +200,8 @@ TEST(Parse, LaneCountsPastTheCeilingAreUserErrors)
                      hir::Expr::make_var("x", VecType(ScalarType::UInt8, 1)),
                      kMaxLanes + 1),
                  UserError);
-    // Its two halves used to overflow `2 * L` in the vcombine typing.
+    // Each half's lane count is past the ceiling, so the vcombine
+    // typing never computes `2 * L` from it.
     EXPECT_THROW(hvx::parse_instr("(vcombine u8x8 (vmem u8x1073741824 0 0 0) "
                                   "(vmem u8x1073741824 0 0 0))"),
                  UserError);

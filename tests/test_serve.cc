@@ -613,9 +613,9 @@ TEST(Serve, ServerSideErrorsAreStructured)
 
 TEST(Serve, DeeplyNestedExpressionIsAStructuredError)
 {
-    // 100,000 '(' is well inside one frame; parsing it used to
-    // overflow the worker's stack. Like any malformed expression it is
-    // a per-request error, and the session and server carry on.
+    // 100,000 '(' is well inside one frame and nests past the
+    // s-expression depth limit. Like any malformed expression it is a
+    // per-request error, and the session and server carry on.
     TestServer ts("deep");
     serve::RemoteSelect client = ts.client();
     const serve::Response deep =
