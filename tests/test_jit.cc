@@ -755,6 +755,41 @@ TEST(Jit, SplatsRebindPerEnvironment)
     }
 }
 
+TEST(Jit, AllSimdTiersAgree)
+{
+    SKIP_IF_NO_JIT();
+    using hvx::Instr;
+    // Element-wise ops at a width that leaves a tail after one lane
+    // group; the images are eight tiles wide, so interior tiles run
+    // the packed loads too.
+    std::vector<InstrPtr> progs = {
+        Instr::make(Opcode::VAdd, {vread(0, i16, 6), vread(1, i16, 6)}),
+        Instr::make(Opcode::VSub, {vread(0, u8, 6), vread(1, u8, 6)}),
+        Instr::make(Opcode::VXor, {vread(0, i32, 6), vread(1, i32, 6)}),
+        Instr::make(Opcode::VNot, {vread(0, i16, 6)}),
+        Instr::make(Opcode::VAnd, {vread(0, u16, 6), vread(1, u16, 6)}),
+        Instr::make(Opcode::VOr, {vread(0, u16, 6), vread(1, u16, 6)}),
+    };
+    const std::vector<const char *> tiers = simd_tiers();
+    for (const InstrPtr &prog : progs) {
+        std::map<int, ScalarType> loads;
+        std::set<const hvx::Instr *> seen;
+        collect_hvx_loads(prog, loads, seen);
+        std::map<int, Image> inputs;
+        for (const auto &[id, elem] : loads)
+            inputs.emplace(id, random_image(elem, 8 * 6, 3, 5 + id));
+        const Image want = run_tiles(prog, inputs);
+        for (const char *tier : tiers) {
+            SCOPED_TRACE(tier);
+            ScopedEnv force("RAKE_JIT_SIMD", tier);
+            auto compiled = jit::Program::compile(prog);
+            EXPECT_EQ(to_string(compiled->simd()), tier);
+            const Image got = run_tiles_jit(prog, inputs);
+            EXPECT_EQ(count_mismatches(want, got), 0);
+        }
+    }
+}
+
 TEST(Jit, RandomBaselineProgramsMatchInterpreter)
 {
     SKIP_IF_NO_JIT();
