@@ -7,8 +7,11 @@
 #define RAKE_BASE_VALUE_H
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/arith.h"
@@ -111,6 +114,84 @@ fill_lanes(Value &v, Lane lane)
 }
 
 /**
+ * Smallest block of cell storage the free list keeps: glibc's default
+ * mmap threshold. malloc recycles smaller blocks itself, but may hand
+ * a larger one back to the kernel on free, and fresh pages fault in
+ * one at a time on first touch.
+ */
+constexpr size_t kMinCachedCellBytes = size_t{128} << 10;
+
+/**
+ * Storage of at least kMinCachedCellBytes comes from a process-wide,
+ * mutex-guarded free list: a freed block waits there, and a request of
+ * the same size takes back the block freed last. A request the list
+ * cannot serve first frees every block it holds, so cached plus live
+ * storage never exceeds what was already live at once. Smaller
+ * requests go straight to operator new and delete.
+ */
+void *allocate_cell_bytes(size_t bytes);
+void free_cell_bytes(void *p, size_t bytes) noexcept;
+
+/** Bytes the free list holds now (read-only; for tests). */
+size_t cached_cell_bytes();
+
+/**
+ * The allocator of Cells: blocks come from allocate_cell_bytes, and
+ * construct() without arguments default-initializes, so resize()
+ * leaves new cells unwritten.
+ */
+template <typename T>
+struct CellAllocator {
+    using value_type = T;
+
+    CellAllocator() = default;
+    template <typename U>
+    CellAllocator(const CellAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(allocate_cell_bytes(n * sizeof(T)));
+    }
+    void
+    deallocate(T *p, size_t n) noexcept
+    {
+        free_cell_bytes(p, n * sizeof(T));
+    }
+
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    template <typename U>
+    bool
+    operator==(const CellAllocator<U> &) const noexcept
+    {
+        return true;
+    }
+};
+
+/**
+ * The cells of an image or a buffer. resize() leaves new cells
+ * unwritten, for a whole-image pass whose bands write every one; the
+ * (n, value) constructor fills as usual. Blocks of a whole image are
+ * recycled (allocate_cell_bytes), so a pass that realizes an image of
+ * the size the previous one freed touches no fresh page.
+ */
+using Cells = std::vector<int64_t, CellAllocator<int64_t>>;
+
+/**
  * A 2-D input buffer an expression loads from.
  *
  * Loads address the buffer as cells()[(y - y0) * width + (x - x0)];
@@ -125,7 +206,7 @@ struct Buffer {
     int height = 1;
     int x0 = 0; ///< x coordinate of cells()[0]
     int y0 = 0; ///< y coordinate of cells()[0]
-    std::vector<int64_t> data;
+    Cells data;
     /** Non-owning cells, width x height row-major; null when owned. */
     const int64_t *view = nullptr;
 

@@ -15,10 +15,11 @@ namespace rake::jit {
 ExecBuffer::~ExecBuffer() { release(); }
 
 ExecBuffer::ExecBuffer(ExecBuffer &&other) noexcept
-    : base_(other.base_), size_(other.size_)
+    : base_(other.base_), size_(other.size_), mapped_(other.mapped_)
 {
     other.base_ = nullptr;
     other.size_ = 0;
+    other.mapped_ = 0;
 }
 
 ExecBuffer &
@@ -28,8 +29,10 @@ ExecBuffer::operator=(ExecBuffer &&other) noexcept
         release();
         base_ = other.base_;
         size_ = other.size_;
+        mapped_ = other.mapped_;
         other.base_ = nullptr;
         other.size_ = 0;
+        other.mapped_ = 0;
     }
     return *this;
 }
@@ -39,10 +42,11 @@ ExecBuffer::release()
 {
 #ifdef RAKE_JIT_HAVE_MMAP
     if (base_ != nullptr)
-        ::munmap(base_, size_);
+        ::munmap(base_, mapped_);
 #endif
     base_ = nullptr;
     size_ = 0;
+    mapped_ = 0;
 }
 
 void
@@ -68,7 +72,8 @@ ExecBuffer::seal(const std::vector<uint8_t> &code)
                         "host policy?); native execution unavailable");
     }
     base_ = mem;
-    size_ = len;
+    size_ = code.size();
+    mapped_ = len;
 #else
     RAKE_USER_CHECK(false, "jit: no executable-memory support on this "
                            "platform");

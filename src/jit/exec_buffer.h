@@ -40,6 +40,7 @@ class ExecBuffer
     /** Entry point of the sealed code; null before seal(). */
     const void *entry() const { return base_; }
 
+    /** Bytes of code copied in by seal(). */
     size_t size() const { return size_; }
 
   private:
@@ -47,6 +48,7 @@ class ExecBuffer
 
     void *base_ = nullptr;
     size_t size_ = 0;
+    size_t mapped_ = 0; ///< page-rounded length of the mapping
 };
 
 } // namespace rake::jit

@@ -188,7 +188,7 @@ class Program
         return load_elems_;
     }
 
-    /** Bytes of sealed machine code (diagnostics). */
+    /** Bytes of assembled machine code (diagnostics). */
     size_t code_size() const { return code_.size(); }
 
     /** The packed tier this program was lowered with. */

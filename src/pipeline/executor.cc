@@ -152,7 +152,12 @@ run_impl(VecType out_type, const LoadElems &loads, const ImageRefs &inputs,
                                       "vector lane count "
                                    << lanes);
 
-    Image out(out_type.elem, primary.width, primary.height);
+    // Not zero-filled: the bands write every pixel.
+    Image out;
+    out.elem = out_type.elem;
+    out.width = primary.width;
+    out.height = primary.height;
+    out.pixels.resize(static_cast<size_t>(out.width) * out.height);
     const Env env = env_for(inputs, scalars);
     const std::vector<RowBand> bands =
         row_bands(out.height, out.width / lanes, out.height);

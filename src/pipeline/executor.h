@@ -31,12 +31,16 @@ class Program;
 
 namespace rake::pipeline {
 
-/** A whole 2-D image with typed pixels. */
+/**
+ * A whole 2-D image with typed pixels. The (elem, w, h) constructor
+ * zero-fills them; a whole-image pass sizes its output with
+ * pixels.resize instead and writes every pixel.
+ */
 struct Image {
     ScalarType elem = ScalarType::UInt8;
     int width = 0;
     int height = 0;
-    std::vector<int64_t> pixels;
+    Cells pixels;
 
     Image() = default;
     Image(ScalarType e, int w, int h)

@@ -3,19 +3,27 @@
  * Tests for the tile executor: whole-image execution of generated
  * code vs the HIR reference, multi-input kernels, scalar parameters,
  * image quality helpers, input validation, buffers that view images
- * in place, the row-band split, and the divergence report.
+ * in place, the row-band split, the divergence report, and the
+ * recycled storage of whole images (Cells).
  */
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "baseline/halide_optimizer.h"
 #include "hir/builder.h"
 #include "pipeline/benchmarks.h"
 #include "pipeline/executor.h"
 #include "synth/rake.h"
+#include "test_util.h"
 
 namespace rake {
 namespace {
@@ -307,6 +315,99 @@ TEST(Executor, DivergenceReportNamesFirstTileAndBothLaneVectors)
                       lanes(jit) + " vs interpreter " + lanes(interp));
     }
 }
+
+/** A 256 x 128 image's cells: 256 KiB, a block the free list keeps. */
+constexpr int kImageW = 256;
+constexpr int kImageH = 128;
+constexpr size_t kImageCells = size_t{kImageW} * kImageH;
+static_assert(kImageCells * sizeof(int64_t) >= kMinCachedCellBytes);
+
+TEST(Cells, ZeroingConstructorsClearRecycledBlocks)
+{
+    const auto all_zero = [](const Cells &c) {
+        return std::all_of(c.begin(), c.end(),
+                           [](int64_t v) { return v == 0; });
+    };
+    const int64_t *dirty = test::free_dirty_cells(kImageCells);
+    const Image img(u8, kImageW, kImageH);
+    EXPECT_EQ(img.pixels.data(), dirty);
+    EXPECT_TRUE(all_zero(img.pixels));
+
+    dirty = test::free_dirty_cells(kImageCells);
+    const Buffer buf(u8, kImageW, kImageH);
+    EXPECT_EQ(buf.data.data(), dirty);
+    EXPECT_TRUE(all_zero(buf.data));
+}
+
+TEST(Cells, SameSizeComesBackLastFreedFirstAndAMissEmptiesTheList)
+{
+    const int64_t *first = nullptr;
+    {
+        Cells a(kImageCells);
+        Cells b(kImageCells);
+        first = a.data();
+        Cells().swap(b);
+        Cells().swap(a); // freed last
+    }
+    EXPECT_GE(cached_cell_bytes(), 2 * kImageCells * sizeof(int64_t));
+    Cells same;
+    same.resize(kImageCells);
+    EXPECT_EQ(same.data(), first);
+
+    // No block of this size is cached: the request frees every block.
+    Cells other;
+    other.resize(kImageCells + 1);
+    EXPECT_EQ(cached_cell_bytes(), 0u);
+    Cells().swap(other);
+    EXPECT_EQ(cached_cell_bytes(), (kImageCells + 1) * sizeof(int64_t));
+
+    // Small blocks bypass the list.
+    Cells small(16);
+    Cells().swap(small);
+    EXPECT_EQ(cached_cell_bytes(), (kImageCells + 1) * sizeof(int64_t));
+}
+
+TEST(Cells, EightThreadsRecycleWholeImageBlocksAtOnce)
+{
+    // Two sizes, so requests both take cached blocks and miss.
+    std::atomic<int> clobbered{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+        threads.emplace_back([t, &clobbered] {
+            for (int i = 0; i < 64; ++i) {
+                Cells c;
+                c.resize(kImageCells + static_cast<size_t>((t + i) % 2));
+                const size_t mid = c.size() / 2;
+                c.front() = t;
+                c[mid] = i;
+                c.back() = t;
+                std::this_thread::yield();
+                if (c.front() != t || c[mid] != i || c.back() != t)
+                    ++clobbered;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(clobbered.load(), 0);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(Cells, CachedBlocksArePoisoned)
+{
+    const int64_t *freed = nullptr;
+    {
+        Cells c(kImageCells);
+        freed = c.data();
+    }
+    EXPECT_TRUE(__asan_address_is_poisoned(freed));
+    EXPECT_TRUE(__asan_address_is_poisoned(freed + kImageCells - 1));
+    Cells again(kImageCells);
+    ASSERT_EQ(again.data(), freed);
+    EXPECT_FALSE(__asan_address_is_poisoned(again.data()));
+    EXPECT_FALSE(__asan_address_is_poisoned(again.data() + kImageCells - 1));
+}
+#endif
 
 } // namespace
 } // namespace rake

@@ -412,6 +412,21 @@ TEST(Jit, CompileProducesCodeAndRunsAfterBind)
                          {vread(0, u8, 8), vread(0, u8, 8, 1)});
     auto compiled = jit::Program::compile(prog);
     EXPECT_GT(compiled->code_size(), 0u);
+    // code_size() counts the assembled bytes, not the pages they are
+    // sealed into.
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        const size_t narrow =
+            jit::Program::compile(hvx::parse_instr("(vmem u8x8 0 1 0)"))
+                ->code_size();
+        const size_t wide =
+            jit::Program::compile(hvx::parse_instr("(vmem u8x128 0 1 0)"))
+                ->code_size();
+        EXPECT_NE(narrow, wide);
+        EXPECT_NE(narrow, 4096u);
+        EXPECT_NE(wide, 4096u);
+    }
     EXPECT_EQ(compiled->out_type(), prog->type());
     ASSERT_EQ(compiled->load_elems().size(), 1u);
     EXPECT_EQ(compiled->load_elems().at(0), u8);
@@ -946,7 +961,9 @@ TEST(Jit, StructurallyEqualNodesShareOneSlot)
 
 TEST(Jit, MultiBandFlatImagesMatchReferenceAtEveryTier)
 {
-    // 131 rows of 4 tiles: several bands, with rows left over.
+    // 131 rows of 4 tiles: several bands, with rows left over. Every
+    // pass is handed recycled storage full of test::kDirtyCell, so a
+    // pixel no band writes shows.
     SKIP_IF_NO_JIT();
     hvx::Target target;
     const std::vector<const char *> tiers = simd_tiers();
@@ -965,12 +982,19 @@ TEST(Jit, MultiBandFlatImagesMatchReferenceAtEveryTier)
                                                 131, seed++));
             const std::map<std::string, int64_t> scalars =
                 scalars_for(k.expr);
+            const size_t cells = inputs.begin()->second.pixels.size();
+            test::free_dirty_cells(cells);
             const Image want = run_tiles_reference(k.expr, inputs, scalars);
+            EXPECT_FALSE(test::has_dirty_cell(want.pixels));
+            test::free_dirty_cells(cells);
             EXPECT_EQ(count_mismatches(want, run_tiles(code, inputs, scalars)),
                       0);
             for (const char *tier : tiers) {
                 SCOPED_TRACE(tier);
                 ScopedEnv force("RAKE_JIT_SIMD", tier);
+                // Two blocks: the jit image, then the interpreter image
+                // it is validated against.
+                test::free_dirty_cells(cells, 2);
                 EXPECT_EQ(count_mismatches(
                               want, run_tiles_jit(code, inputs, scalars)),
                           0);
@@ -1010,10 +1034,18 @@ TEST(Jit, MultiBandDagImagesMatchReference)
                                                 4 * lanes, 131, seed++));
             }
         }
+        // Every stage image (and, validating, its interpreter image)
+        // is handed recycled storage full of test::kDirtyCell.
+        const size_t cells = inputs.begin()->second.pixels.size();
+        const int stages = static_cast<int>(dag.stages.size());
+        test::free_dirty_cells(cells, stages);
         const Image want = run_dag_reference(dag, inputs, scalars);
+        EXPECT_FALSE(test::has_dirty_cell(want.pixels));
+        test::free_dirty_cells(cells, stages);
         EXPECT_EQ(count_mismatches(want, run_dag(dag, programs, inputs,
                                                  scalars)),
                   0);
+        test::free_dirty_cells(cells, 2 * stages);
         EXPECT_EQ(count_mismatches(want, run_dag_jit(dag, programs, inputs,
                                                      scalars)),
                   0);

@@ -1,14 +1,16 @@
 /**
  * @file
  * Shared helpers for the test suite: deterministic random expression
- * generation (for differential and property testing) and environment
- * construction.
+ * generation (for differential and property testing), environment
+ * construction, and dirty recycled storage for whole-image passes.
  */
 #ifndef RAKE_TESTS_TEST_UTIL_H
 #define RAKE_TESTS_TEST_UTIL_H
 
+#include <algorithm>
 #include <vector>
 
+#include "base/value.h"
 #include "hir/analysis.h"
 #include "hir/builder.h"
 #include "hir/expr.h"
@@ -148,6 +150,35 @@ environments_for(const hir::ExprPtr &e, int count, uint64_t seed = 3)
     for (int i = 0; i < count; ++i)
         envs.push_back(pool.at(i));
     return envs;
+}
+
+/** A cell value no pixel of an 8- to 32-bit image can hold. */
+constexpr int64_t kDirtyCell = int64_t{0x5eedfacecafe0bad};
+
+/**
+ * Free `count` blocks of `cells` cells, each filled with kDirtyCell,
+ * so that the next allocations of that size are handed dirty storage:
+ * always for a whole-image block, which the cell free list hands back
+ * (base/value.h), and mostly for a smaller one, which malloc recycles.
+ * Returns the block freed last, the one the next request takes.
+ */
+inline const int64_t *
+free_dirty_cells(size_t cells, int count = 1)
+{
+    std::vector<Cells> blocks(static_cast<size_t>(count));
+    for (Cells &b : blocks)
+        b.assign(cells, kDirtyCell);
+    const int64_t *last = blocks.back().data();
+    for (Cells &b : blocks)
+        Cells().swap(b);
+    return last;
+}
+
+/** Whether any cell still holds kDirtyCell. */
+inline bool
+has_dirty_cell(const Cells &cells)
+{
+    return std::find(cells.begin(), cells.end(), kDirtyCell) != cells.end();
 }
 
 } // namespace rake::test
