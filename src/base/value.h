@@ -183,11 +183,12 @@ struct CellAllocator {
 };
 
 /**
- * The cells of an image or a buffer. resize() leaves new cells
- * unwritten, for a whole-image pass whose bands write every one; the
- * (n, value) constructor fills as usual. Blocks of a whole image are
- * recycled (allocate_cell_bytes), so a pass that realizes an image of
- * the size the previous one freed touches no fresh page.
+ * The cells of an image or a buffer. resize() and the count
+ * constructor leave new cells unwritten, for a whole-image pass whose
+ * bands write every one; the (n, value) constructor fills as usual.
+ * Blocks of a whole image are recycled (allocate_cell_bytes), so a
+ * pass that realizes an image of the size the previous one freed
+ * touches no fresh page.
  */
 using Cells = std::vector<int64_t, CellAllocator<int64_t>>;
 
