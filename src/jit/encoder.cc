@@ -1,5 +1,6 @@
 #include "jit/encoder.h"
 
+#include <bit>
 #include <climits>
 
 #include "support/error.h"
@@ -73,11 +74,16 @@ Assembler::modrm_mem(uint8_t reg, Reg base, int32_t disp)
 }
 
 void
-Assembler::modrm_sib8(uint8_t reg, Reg base, Reg index, int32_t disp)
+Assembler::modrm_sib(uint8_t reg, Reg base, Reg index, int scale,
+                     int32_t disp)
 {
-    RAKE_CHECK((num(index) & 7) != 4, "rsp cannot be an index");
+    RAKE_CHECK(index != Reg::rsp, "rsp cannot be an index");
+    RAKE_CHECK(scale == 1 || scale == 2 || scale == 4 || scale == 8,
+               "bad scale " << scale);
+    const int ss = std::countr_zero(static_cast<unsigned>(scale));
     byte(0x84 | ((reg & 7) << 3)); // mod=10, rm=100 (SIB follows)
-    byte(0xC0 | ((num(index) & 7) << 3) | (num(base) & 7)); // scale=8
+    byte(static_cast<uint8_t>((ss << 6) | ((num(index) & 7) << 3) |
+                              (num(base) & 7)));
     dword(disp);
 }
 
@@ -140,7 +146,7 @@ Assembler::load_index8(Reg dst, Reg base, Reg index, int32_t disp)
 {
     rex(true, num(dst), num(index), num(base));
     byte(0x8B);
-    modrm_sib8(num(dst), base, index, disp);
+    modrm_sib(num(dst), base, index, 8, disp);
 }
 
 void
@@ -148,7 +154,7 @@ Assembler::store_index8(Reg base, Reg index, int32_t disp, Reg src)
 {
     rex(true, num(src), num(index), num(base));
     byte(0x89);
-    modrm_sib8(num(src), base, index, disp);
+    modrm_sib(num(src), base, index, 8, disp);
 }
 
 void
@@ -164,7 +170,7 @@ Assembler::lea_index8(Reg dst, Reg base, Reg index, int32_t disp)
 {
     rex(true, num(dst), num(index), num(base));
     byte(0x8D);
-    modrm_sib8(num(dst), base, index, disp);
+    modrm_sib(num(dst), base, index, 8, disp);
 }
 
 namespace {
@@ -366,7 +372,7 @@ Assembler::modrm(uint8_t reg, const Mem &m)
     if (m.index == Reg::rsp)
         modrm_mem(reg, m.base, m.disp);
     else
-        modrm_sib8(reg, m.base, m.index, m.disp);
+        modrm_sib(reg, m.base, m.index, m.scale, m.disp);
 }
 
 void
@@ -430,6 +436,16 @@ code_of(VecOp op)
         return {k0F, 0xEF, false};
       case VecOp::pmuludq:
         return {k0F, 0xF4, false};
+      case VecOp::pmuldq:
+        return {k0F38, 0x28, false};
+      case VecOp::pminsd:
+        return {k0F38, 0x39, false};
+      case VecOp::pmaxsd:
+        return {k0F38, 0x3D, false};
+      case VecOp::pminud:
+        return {k0F38, 0x3B, false};
+      case VecOp::pmaxud:
+        return {k0F38, 0x3F, false};
       case VecOp::pcmpgtq:
         return {k0F38, 0x37, false};
       case VecOp::pcmpeqq:

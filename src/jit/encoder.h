@@ -8,13 +8,15 @@
  * instructions to emit), and this class is the encoder proper — one
  * method per instruction form, each writing REX/VEX/ModRM/SIB/
  * immediate bytes. Memory operands are always [base + disp32] or
- * [base + index*8 + disp32]: uniform encodings keep the emitter
- * simple. Vector forms are AVX2 (VEX-encoded, ymm0-ymm15, four int64
- * lanes) plus the few 128-bit forms a lane-by-lane gather needs.
+ * [base + index*scale + disp32] with a scale of 1, 2, 4 or 8: uniform
+ * encodings keep the emitter simple. Vector forms are AVX2
+ * (VEX-encoded, ymm0-ymm15, four int64 lanes) plus the few 128-bit
+ * forms a lane-by-lane gather needs.
  *
  * Control flow: jcc_forward()/jmp_forward() emit a rel32 jump that
  * land() patches to the current position, and jcc_back() jumps to an
- * earlier position (the one loop, over an edge tile's lanes).
+ * earlier position (the loops: an edge tile's lanes, and a run of
+ * lane groups emitted once as a loop body).
  * Relative jumps inside one buffer are position-independent and
  * nothing else refers to an absolute address, so sealing into an
  * ExecBuffer is a plain copy.
@@ -68,11 +70,15 @@ enum class Vreg : uint8_t {
     ymm15 = 15,
 };
 
-/** A memory operand [base + index*8 + disp]; rsp as index means none. */
+/**
+ * A memory operand [base + index*scale + disp]; rsp as index means
+ * none. The scale is 1, 2, 4 or 8.
+ */
 struct Mem {
     Reg base = Reg::rax;
     int32_t disp = 0;
     Reg index = Reg::rsp;
+    uint8_t scale = 1;
 };
 
 /** Condition codes (the low nibble of the 0F 4x / 0F 8x / 0F 9x opcodes). */
@@ -93,6 +99,11 @@ enum class VecOp : uint8_t {
     por,
     pxor,
     pmuludq, ///< low 32 x low 32 -> 64, unsigned
+    pmuldq,  ///< low 32 x low 32 -> 64, signed
+    pminsd,  ///< dword-wise signed min
+    pmaxsd,  ///< dword-wise signed max
+    pminud,  ///< dword-wise unsigned min
+    pmaxud,  ///< dword-wise unsigned max
     pcmpgtq, ///< signed greater: all-ones or zero
     pcmpeqq,
     psllvq, ///< shift left by per-lane counts (>= 64 gives 0)
@@ -192,8 +203,9 @@ class Assembler
     void modrm_reg(uint8_t reg, uint8_t rm);
     /** ModRM mod=10 [base + disp32] form (SIB when base needs it). */
     void modrm_mem(uint8_t reg, Reg base, int32_t disp);
-    /** ModRM [base + index*8 + disp32] form. */
-    void modrm_sib8(uint8_t reg, Reg base, Reg index, int32_t disp);
+    /** ModRM [base + index*scale + disp32] form. */
+    void modrm_sib(uint8_t reg, Reg base, Reg index, int scale,
+                   int32_t disp);
     void modrm(uint8_t reg, const Mem &m);
     /** Three-byte VEX prefix. map: 1 = 0F, 2 = 0F38, 3 = 0F3A. */
     void vex(uint8_t map, uint8_t pp, bool w, bool l256, uint8_t reg,

@@ -7,13 +7,15 @@
  * carrier representation the interpreters use), and lane counts and
  * immediates are compile-time constants, so every HVX index map
  * (deinterleave, interleave, concat, align, rotate) becomes a
- * constant slot and the emitted code is unrolled, relocation-free
- * x86-64 whose only branches are each load's interior/edge test and
- * its edge tiles' loop over the lanes.
+ * constant slot and the emitted code is relocation-free x86-64. Its
+ * branches are each load's interior/edge test, its edge tiles' loop
+ * over the lanes and, at the AVX2 tier, one counted loop per run of
+ * a node's repeating lane groups; the rest is straight-line.
  * Every computing node's code is generated from its lane function in
  * hvx/semantics.h (jit/lower.cc), four lanes per AVX2 instruction, or
  * one lane per general-purpose instruction at the scalar tier; both
- * reproduce base/arith.h bit for bit.
+ * reproduce base/arith.h bit for bit. The AVX2 tier takes cheaper
+ * exact forms where a range analysis of the recorded lanes allows.
  *
  * The compiled function has C ABI `void fn(Frame *)`: the frame
  * carries the tile origin (x, y), the bound input-buffer

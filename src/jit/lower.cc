@@ -6,10 +6,10 @@
  * in topological order, gives every structurally distinct node a run
  * of int64 arena slots (one per lane, the interpreters' carrier
  * representation, each run starting on a 4-lane boundary), and emits
- * straight-line code computing each node's lanes from its operands'
- * slots. Lane counts and immediates are compile-time constants, so
- * every HVX index map (deinterleave, interleave, concat, align,
- * rotate) is a constant slot.
+ * code computing each node's lanes from its operands' slots. Lane
+ * counts and immediates are compile-time constants, so every HVX index
+ * map (deinterleave, interleave, concat, align, rotate) is a constant
+ * slot.
  *
  * There is no per-opcode code here. A computing node's lanes come
  * from its lane function in hvx/semantics.h, the one the interpreter
@@ -24,16 +24,40 @@
  * has one general-purpose-register form and one AVX2 form, both
  * bit-exact to base/arith.h's Int64Lanes.
  *
+ * Runs (AVX2 tier). The groups that follow a group with the same shape
+ * and literals, each reading every operand slot one constant stride
+ * (0, 4, 8, 16 or 32 slots) past the group before, are one run,
+ * emitted once as the body of a counted loop: kIndex holds the
+ * group's byte offset in the destination, and each read and the store
+ * scale it by their stride. Every lane is still recorded and compared.
+ *
+ * Ranges (AVX2 tier). Before a group is emitted, a value range is
+ * carried through its tape: an operand read gets the element range of
+ * every slot it reads in any iteration of its run (the whole int64
+ * range at 64 bits, where the carrier is the bit pattern), a literal
+ * its lanes' values, and each primitive its exact bounds, computed in
+ * 128 bits, or the whole range wherever the carrier could wrap. It
+ * rests on one invariant, which tests/test_jit.cc checks: a node's
+ * lanes lie in its element type. A wrap or sat that cannot change its
+ * operand emits nothing, and exact one-instruction forms replace the
+ * general ones: vpmuldq/vpmuludq for a product of 32-bit-ranged
+ * factors, vpminsd/vpmaxsd/vpminud/vpmaxud for min, max and the sides
+ * of a saturation where both operands fit one dword domain, a logical
+ * shift for asr of non-negative values, and add-and-shift for avg of
+ * non-negative ones.
+ *
  * Only the leaves have their own code: VRead (a packed load when the
  * tile's lanes all lie inside the row, otherwise a loop that clamps
- * each lane's column) and VSplat (filled host-side at bind). The root's lanes
- * are stored straight into the output row the frame points at.
+ * each lane's column; never a run) and VSplat (filled host-side at
+ * bind). The root's lanes are stored straight into the output row the
+ * frame points at.
  */
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -71,6 +95,15 @@ constexpr Reg kY = Reg::r15;
 /** int64 lanes per AVX2 register. */
 constexpr int kChunk = 4;
 
+/**
+ * A run's loop counter: the byte offset of the current group in the
+ * destination, kGroupBytes per iteration. Loop bodies are AVX2 groups,
+ * which allocate only ymm registers, so it is free while one is
+ * emitted.
+ */
+constexpr Reg kIndex = Reg::r11;
+constexpr int32_t kGroupBytes = 8 * kChunk;
+
 /** Bit masks of the registers a lane group may allocate. */
 constexpr uint32_t kScratchGprs =
     (1u << 0) | (1u << 1) | (1u << 2) | (1u << 6) | (1u << 7) | (1u << 8) |
@@ -106,10 +139,95 @@ struct Dest {
     Mem lane(int i) const { return Mem{base, disp + 8 * i}; }
 };
 
+/** A closed interval of int64 carriers: the values a lane can hold. */
+struct Range {
+    int64_t lo = INT64_MIN;
+    int64_t hi = INT64_MAX;
+
+    bool within(int64_t a, int64_t b) const { return lo >= a && hi <= b; }
+    bool within(Range r) const { return within(r.lo, r.hi); }
+    /** Every value fits a signed dword. */
+    bool s32() const { return within(INT32_MIN, INT32_MAX); }
+    /** Every value fits an unsigned dword. */
+    bool u32() const { return within(0, UINT32_MAX); }
+};
+
+Range point(int64_t v) { return {v, v}; }
+
+Range
+hull(Range a, Range b)
+{
+    return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+}
+
+using Wide = __int128;
+
+/** [lo, hi], or every carrier where a bound leaves int64 (it wraps). */
+Range
+exact(Wide lo, Wide hi)
+{
+    if (lo < INT64_MIN || hi > INT64_MAX)
+        return Range{};
+    return {static_cast<int64_t>(lo), static_cast<int64_t>(hi)};
+}
+
+/**
+ * The carriers a lane of type t holds: at 64 bits every one, since the
+ * carrier is the bit pattern.
+ */
+Range
+of_type(ScalarType t)
+{
+    return bits(t) == 64 ? Range{} : Range{min_value(t), max_value(t)};
+}
+
+/** The values of wrap(t, v) for v in r. */
+Range
+wrapped(ScalarType t, Range r)
+{
+    return r.within(of_type(t)) ? r : of_type(t);
+}
+
+/** and, or or xor of a value of a and one of b. */
+Range
+bitwise(Prim p, Range a, Range b)
+{
+    // A non-negative operand's bits bound an and from above.
+    if (p == Prim::And && (a.lo >= 0 || b.lo >= 0))
+        return {0, a.lo < 0 ? b.hi : b.lo < 0 ? a.hi : std::min(a.hi, b.hi)};
+    // Values in [-2^k, 2^k) are the ones whose bits from k up all
+    // equal the sign; a bitwise op keeps that.
+    const auto mag = [](int64_t v) {
+        return static_cast<uint64_t>(v < 0 ? ~v : v);
+    };
+    const int k = std::bit_width(
+        std::max({mag(a.lo), mag(a.hi), mag(b.lo), mag(b.hi)}));
+    if (k >= 63)
+        return Range{};
+    const int64_t m = int64_t{1} << k;
+    return {a.lo >= 0 && b.lo >= 0 ? 0 : -m, m - 1};
+}
+
+/**
+ * The dword form of min or max that is exact on values of a and b:
+ * their 64-bit lanes are sign- (or zero-) extended dwords, which a
+ * dword-wise min or max keeps.
+ */
+std::optional<VecOp>
+dword_form(Prim p, Range a, Range b)
+{
+    if (a.s32() && b.s32())
+        return p == Prim::Min ? VecOp::pminsd : VecOp::pmaxsd;
+    if (a.u32() && b.u32())
+        return p == Prim::Min ? VecOp::pminud : VecOp::pmaxud;
+    return std::nullopt;
+}
+
 /** An operand at emission: a register, or one literal per lane. */
 struct Opnd {
     int reg = -1; ///< register number; -1 for literals
     std::array<int64_t, kChunk> lit{};
+    Range range; ///< its values (AVX2 groups; whole otherwise)
 
     bool is_reg() const { return reg >= 0; }
 };
@@ -150,15 +268,18 @@ class Lowerer
     void emit_node(const Instr &n, Dest dest, int64_t *alias);
     template <typename Lane>
     void emit_lanes(const Lane &lane, int lanes, Dest dest, int64_t *alias);
+    bool extends(int set);
+    void emit_run(Dest dest);
     void emit_group(int w, const Tape *tapes, const Val *results, int lane0,
                     Dest dest);
+    void bound(const Tape *tapes);
 
     // --- the two forms of every primitive ---
     int gpr_form(const Step &s, const Opnd &a, const Opnd &b,
                  const Opnd &c);
-    int avx_form(const Step &s, const Opnd &a, const Opnd &b,
+    int avx_form(int i, const Step &s, const Opnd &a, const Opnd &b,
                  const Opnd &c);
-    int gather(int w, const int64_t *slots);
+    int gather(int w, const int64_t *slots, int64_t stride);
 
     // scalar-tier helpers (one lane in a general-purpose register)
     Reg as_gpr(const Opnd &o);
@@ -171,10 +292,24 @@ class Lowerer
     Mem splat(int64_t c) { return pool({c, c, c, c}); }
     void vop_any(VecOp op, Vreg dst, Vreg src1, const Opnd &src2);
     void wrap_avx(Vreg dst, Vreg src, ScalarType t);
-    void sat_avx(Vreg dst, Vreg src, ScalarType t);
+    void sat_avx(Vreg dst, Vreg src, ScalarType t, Range v);
     void mul_avx(Vreg dst, Opnd a, Opnd b);
     void shift_avx(const Step &s, Vreg dst, const Opnd &v,
-                   const Opnd &amount);
+                   const Opnd &amount, Range pre);
+
+    /**
+     * m as the current run's loop body addresses it: `stride` slots
+     * further on per iteration.
+     */
+    Mem
+    iterate(Mem m, int64_t stride) const
+    {
+        if (looped_ && stride != 0) {
+            m.index = kIndex;
+            m.scale = static_cast<uint8_t>(stride * 8 / kGroupBytes);
+        }
+        return m;
+    }
 
     int
     temp()
@@ -215,6 +350,7 @@ class Lowerer
      * (every lane one operand lane) the operand slot it aliases.
      */
     std::vector<int64_t> lane_slots_;
+    std::vector<ScalarType> slot_elem_; ///< element type of each slot
     std::vector<int64_t> copies_;
     std::vector<const Instr *> order_;
     int64_t num_slots_ = 0;
@@ -232,11 +368,28 @@ class Lowerer
     std::map<int, ScalarType> load_elems_;
     std::vector<Program::SplatSite> splats_;
 
-    // Recording and emitting one lane group.
+    // Recording and emitting lane groups. Two tape sets: while a run is
+    // open its first group stays in set first_, and the group that may
+    // extend it is recorded into the other.
     Tape *cur_ = nullptr; ///< the tape alg_ records to
     TapeLanes alg_;
-    std::array<Tape, kChunk> tapes_{};
-    std::array<Val, kChunk> results_{};
+    std::array<std::array<Tape, kChunk>, 2> tapes_{};
+    std::array<std::array<Val, kChunk>, 2> results_{};
+    int first_ = 0;
+    /** The open run: its groups, and each Arg step's stride in slots. */
+    struct Run {
+        int lane0 = 0;
+        int groups = 0;
+        std::array<int64_t, Tape::kMax> stride{};
+    };
+    Run run_;
+    bool looped_ = false; ///< emitting the body of run_'s loop
+    std::array<Range, Tape::kMax> range_{}; ///< each step's values
+    /** avg, navg, shl and lsr: the values before their own wrap. */
+    std::array<Range, Tape::kMax> pre_{};
+    /** The step whose register holds each value: itself, or for a
+     *  dropped wrap or sat its operand's. */
+    std::array<int, Tape::kMax> rep_{};
     std::array<int, Tape::kMax> uses_{}; ///< reads left of each step's value
     std::array<int, Tape::kMax> loc_{};  ///< register holding each value
     RegPool regs_;
@@ -258,7 +411,9 @@ Lowerer::collect(const hvx::InstrPtr &n)
     slot_.emplace(n.get(), Slots{num_slots_, lane_slots_.size()});
     for (int i = 0; i < n->type().lanes; ++i)
         lane_slots_.push_back(num_slots_ + i);
+    slot_elem_.resize(num_slots_, ScalarType::Int64); // padding: never read
     num_slots_ += n->type().lanes;
+    slot_elem_.resize(num_slots_, n->type().elem);
     order_.push_back(n.get());
     if (n->op() == hvx::Opcode::VRead) {
         const hir::LoadRef &r = n->load_ref();
@@ -533,22 +688,40 @@ Lowerer::wrap_avx(Vreg dst, Vreg src, ScalarType t)
 }
 
 void
-Lowerer::sat_avx(Vreg dst, Vreg src, ScalarType t)
+Lowerer::sat_avx(Vreg dst, Vreg src, ScalarType t, Range v)
 {
-    if (t == ScalarType::Int64) {
-        if (dst != src)
-            a_.vmovdqa(dst, src);
-        return;
+    // v < lo ? lo : v, then > hi ? hi : v, as saturate() tests them. A
+    // side no value of v reaches emits nothing; a side whose operands
+    // fit one dword domain is one dword max or min.
+    const int64_t lo = min_value(t);
+    const int64_t hi = max_value(t);
+    Vreg cur = src;
+    if (v.lo < lo) {
+        if (const auto op = dword_form(Prim::Max, v, point(lo))) {
+            a_.vop(*op, dst, cur, splat(lo));
+        } else {
+            const Vreg bound = ymm(temp());
+            const Vreg mask = ymm(temp());
+            a_.vmovdqu(bound, splat(lo));
+            a_.vop(VecOp::pcmpgtq, mask, bound, cur);
+            a_.vpblendvb(dst, cur, bound, mask);
+        }
+        cur = dst;
+        v = {lo, std::max(v.hi, lo)};
     }
-    // v < lo ? lo : v, then > hi ? hi : v, as saturate() tests them.
-    const Vreg lo = ymm(temp());
-    const Vreg mask = ymm(temp());
-    a_.vmovdqu(lo, splat(min_value(t)));
-    a_.vop(VecOp::pcmpgtq, mask, lo, src);
-    a_.vpblendvb(dst, src, lo, mask);
-    const Mem hi = splat(max_value(t));
-    a_.vop(VecOp::pcmpgtq, mask, dst, hi);
-    a_.vpblendvb(dst, dst, hi, mask);
+    if (v.hi > hi) {
+        const Mem bound = splat(hi);
+        if (const auto op = dword_form(Prim::Min, v, point(hi))) {
+            a_.vop(*op, dst, cur, bound);
+        } else {
+            const Vreg mask = ymm(temp());
+            a_.vop(VecOp::pcmpgtq, mask, cur, bound);
+            a_.vpblendvb(dst, cur, bound, mask);
+        }
+        cur = dst;
+    }
+    if (cur != dst)
+        a_.vmovdqa(dst, cur);
 }
 
 void
@@ -558,6 +731,15 @@ Lowerer::mul_avx(Vreg dst, Opnd a, Opnd b)
     // lo(a) lo(b) + ((hi(a) lo(b) + lo(a) hi(b)) << 32).
     if (!a.is_reg() && b.is_reg())
         std::swap(a, b);
+    // Factors that fit one dword domain: one widening dword multiply.
+    if (a.range.s32() && b.range.s32()) {
+        vop_any(VecOp::pmuldq, dst, as_ymm(a), b);
+        return;
+    }
+    if (a.range.u32() && b.range.u32()) {
+        vop_any(VecOp::pmuludq, dst, as_ymm(a), b);
+        return;
+    }
     const Vreg va = as_ymm(a);
     const Vreg cross = ymm(temp());
     vop_any(VecOp::pmuludq, dst, va, b);
@@ -584,7 +766,7 @@ Lowerer::mul_avx(Vreg dst, Opnd a, Opnd b)
 
 void
 Lowerer::shift_avx(const Step &s, Vreg dst, const Opnd &v,
-                   const Opnd &amount)
+                   const Opnd &amount, Range pre)
 {
     RAKE_CHECK(!amount.is_reg(), "jit: shift amounts must be literals");
     // arith.h's out-of-range rules, settled per lane at compile time:
@@ -597,15 +779,23 @@ Lowerer::shift_avx(const Step &s, Vreg dst, const Opnd &v,
         return k >= (s.prim == Prim::Asr ? 64 : w);
     });
     const Vreg src = as_ymm(v);
-    if (none) {
+    // dst = wrap(type, from), unless no value before the wrap (pre)
+    // leaves the type.
+    auto rewrap = [&](Vreg from) {
+        if (!pre.within(of_type(s.type)))
+            wrap_avx(dst, from, s.type);
+        else if (dst != from)
+            a_.vmovdqa(dst, from);
+    };
+    if (all && s.prim != Prim::Asr) {
+        a_.vop(VecOp::pxor, dst, dst, dst);
+        return;
+    }
+    if (none && s.prim != Prim::Lsr) {
         if (s.prim == Prim::Asr)
             a_.vmovdqa(dst, src);
         else
-            wrap_avx(dst, src, s.type);
-        return;
-    }
-    if (all && s.prim != Prim::Asr) {
-        a_.vop(VecOp::pxor, dst, dst, dst);
+            rewrap(src);
         return;
     }
     std::array<int64_t, kChunk> count;
@@ -629,19 +819,20 @@ Lowerer::shift_avx(const Step &s, Vreg dst, const Opnd &v,
     };
     if (s.prim == Prim::Shl) {
         shift(true, src);
-        wrap_avx(dst, dst, s.type);
+        rewrap(dst);
         return;
     }
     if (s.prim == Prim::Lsr) {
-        // Zero-fill down to the type's width, shift, rewrap.
+        // Zero-fill down to the type's width (unless every value is
+        // inside it already), shift, rewrap.
         Vreg from = src;
-        if (w < 64) {
-            a_.vop(VecOp::pand, dst, src,
-                   splat(static_cast<int64_t>((uint64_t{1} << w) - 1)));
+        const uint64_t mask = w < 64 ? (uint64_t{1} << w) - 1 : ~uint64_t{0};
+        if (w < 64 && !v.range.within(0, static_cast<int64_t>(mask))) {
+            a_.vop(VecOp::pand, dst, src, splat(static_cast<int64_t>(mask)));
             from = dst;
         }
         shift(false, from);
-        wrap_avx(dst, dst, s.type);
+        rewrap(dst);
         return;
     }
     // Arithmetic shift right, which AVX2 lacks for 64-bit lanes:
@@ -659,13 +850,18 @@ Lowerer::shift_avx(const Step &s, Vreg dst, const Opnd &v,
         a_.vop(VecOp::paddq, dst, cur, pool(rnd));
         cur = dst;
     }
+    if (pre.lo >= 0) {
+        // Every rounded value is non-negative: a logical shift.
+        shift(false, cur);
+        return;
+    }
     a_.vop(VecOp::pxor, dst, cur, splat(static_cast<int64_t>(m)));
     shift(false, dst);
     a_.vop(VecOp::psubq, dst, dst, pool(bias));
 }
 
 int
-Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
+Lowerer::avx_form(int i, const Step &s, const Opnd &a, const Opnd &b,
                   const Opnd &c)
 {
     const int d = regs_.take();
@@ -677,7 +873,7 @@ Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
         wrap_avx(dst, as_ymm(a), s.type);
         return d;
       case Prim::Sat:
-        sat_avx(dst, as_ymm(a), s.type);
+        sat_avx(dst, as_ymm(a), s.type, a.range);
         return d;
       case Prim::Add:
         vop_any(VecOp::paddq, dst, as_ymm(a), b);
@@ -699,16 +895,23 @@ Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
         return d;
       case Prim::Avg:
       case Prim::Navg: {
-        // (a +- b (+ 1)) >> 1, arithmetic, then wrap.
+        // (a +- b (+ 1)) >> 1, arithmetic (logical where no sum is
+        // negative), then wrap unless every halved sum is in the type.
         vop_any(s.prim == Prim::Avg ? VecOp::paddq : VecOp::psubq, dst,
                 as_ymm(a), b);
         if (s.round)
             a_.vop(VecOp::paddq, dst, dst, splat(1));
-        const uint64_t m = uint64_t{1} << 63;
-        a_.vop(VecOp::pxor, dst, dst, splat(static_cast<int64_t>(m)));
-        a_.vpsrlq(dst, dst, 1);
-        a_.vop(VecOp::psubq, dst, dst, splat(static_cast<int64_t>(m >> 1)));
-        wrap_avx(dst, dst, s.type);
+        if (pre_[i].lo >= 0) {
+            a_.vpsrlq(dst, dst, 1);
+        } else {
+            const uint64_t m = uint64_t{1} << 63;
+            a_.vop(VecOp::pxor, dst, dst, splat(static_cast<int64_t>(m)));
+            a_.vpsrlq(dst, dst, 1);
+            a_.vop(VecOp::psubq, dst, dst,
+                   splat(static_cast<int64_t>(m >> 1)));
+        }
+        if (!pre_[i].within(of_type(s.type)))
+            wrap_avx(dst, dst, s.type);
         return d;
       }
       case Prim::Absd: {
@@ -725,6 +928,10 @@ Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
       case Prim::Min: {
         // a > b ? b : a
         const Vreg va = as_ymm(a);
+        if (const auto op = dword_form(s.prim, a.range, b.range)) {
+            vop_any(*op, dst, va, b);
+            return d;
+        }
         const Vreg gt = ymm(temp());
         vop_any(VecOp::pcmpgtq, gt, va, b);
         if (b.is_reg())
@@ -736,6 +943,10 @@ Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
       case Prim::Max: {
         // a > b ? a : b
         const Vreg va = as_ymm(a);
+        if (const auto op = dword_form(s.prim, a.range, b.range)) {
+            vop_any(*op, dst, va, b);
+            return d;
+        }
         const Vreg vb = as_ymm(b);
         const Vreg gt = ymm(temp());
         a_.vop(VecOp::pcmpgtq, gt, va, vb);
@@ -765,7 +976,7 @@ Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
       case Prim::Shl:
       case Prim::Asr:
       case Prim::Lsr:
-        shift_avx(s, dst, a, b);
+        shift_avx(s, dst, a, b, pre_[i]);
         return d;
     }
     RAKE_UNREACHABLE("bad primitive");
@@ -776,17 +987,20 @@ Lowerer::avx_form(const Step &s, const Opnd &a, const Opnd &b,
 // ------------------------------------------------------------------
 
 int
-Lowerer::gather(int w, const int64_t *slots)
+Lowerer::gather(int w, const int64_t *slots, int64_t stride)
 {
     const int d = regs_.take();
     if (w == 1) {
         a_.load(gpr(d), kArena, slot_disp(slots[0]));
         return d;
     }
+    auto at = [&](int64_t slot) {
+        return iterate(Mem{kArena, slot_disp(slot)}, stride);
+    };
     const Vreg dst = ymm(d);
     if (slots[1] == slots[0] + 1 && slots[2] == slots[0] + 2 &&
         slots[3] == slots[0] + 3) {
-        a_.vmovdqu(dst, Mem{kArena, slot_disp(slots[0])});
+        a_.vmovdqu(dst, at(slots[0]));
         return d;
     }
     // Cover the lanes with 4-slot windows, each starting at the lowest
@@ -816,15 +1030,14 @@ Lowerer::gather(int w, const int64_t *slots)
         windows[num_windows++] = win;
     }
     auto load = [&](Vreg r, const Window &win) {
-        const Mem m{kArena, slot_disp(win.base)};
         bool identity = true;
         for (int l = 0; l < kChunk; ++l)
             if ((win.lanes & (1u << l)) && slots[l] != win.base + l)
                 identity = false;
         if (identity)
-            a_.vmovdqu(r, m);
+            a_.vmovdqu(r, at(win.base));
         else
-            a_.vpermq(r, m, win.perm);
+            a_.vpermq(r, at(win.base), win.perm);
     };
     if (num_windows == 1) {
         load(dst, windows[0]);
@@ -839,14 +1052,167 @@ Lowerer::gather(int w, const int64_t *slots)
         a_.vpblendd(dst, dst, t, dwords);
     } else {
         const Vreg t = ymm(temp());
-        auto at = [&](int l) { return Mem{kArena, slot_disp(slots[l])}; };
-        a_.vmovq(dst, at(0));
-        a_.vpinsrq(dst, dst, at(1), 1);
-        a_.vmovq(t, at(2));
-        a_.vpinsrq(t, t, at(3), 1);
+        a_.vmovq(dst, at(slots[0]));
+        a_.vpinsrq(dst, dst, at(slots[1]), 1);
+        a_.vmovq(t, at(slots[2]));
+        a_.vpinsrq(t, t, at(slots[3]), 1);
         a_.vinserti128(dst, dst, t, 1);
     }
     return d;
+}
+
+void
+Lowerer::bound(const Tape *tapes)
+{
+    const Tape &t = tapes[0];
+    // A literal operand's values over the group's lanes, or f of them.
+    auto lanes = [&](int32_t r, auto f) {
+        Range out = f(tapes[0].lits[~r]);
+        for (int l = 1; l < kChunk; ++l)
+            out = hull(out, f(tapes[l].lits[~r]));
+        return out;
+    };
+    auto in = [&](int32_t r) {
+        if (r >= 0)
+            return range_[r];
+        if (r == kNoOperand)
+            return Range{};
+        return lanes(r, point);
+    };
+    for (int i = 0; i < t.num_steps; ++i) {
+        const Step &s = t.steps[i];
+        const Range a = s.prim == Prim::Arg ? Range{} : in(s.a);
+        const Range b = in(s.b);
+        const int64_t r = s.round ? 1 : 0;
+        Range out;
+        rep_[i] = i;
+        switch (s.prim) {
+          case Prim::Arg: {
+            // Every slot any iteration of the run reads.
+            const int64_t stride = looped_ ? run_.stride[i] : 0;
+            const int iters = stride != 0 ? run_.groups : 1;
+            out = lanes(s.a, [&](int64_t slot) {
+                Range u = of_type(slot_elem_[slot]);
+                for (int j = 1; j < iters; ++j)
+                    u = hull(u, of_type(slot_elem_[slot + j * stride]));
+                return u;
+            });
+            break;
+          }
+          case Prim::Wrap:
+            out = wrapped(s.type, a);
+            if (s.a >= 0 && a.within(of_type(s.type)))
+                rep_[i] = rep_[s.a];
+            break;
+          case Prim::Sat: {
+            const int64_t lo = min_value(s.type);
+            const int64_t hi = max_value(s.type);
+            out = {std::clamp(a.lo, lo, hi), std::clamp(a.hi, lo, hi)};
+            if (s.a >= 0 && a.within(lo, hi))
+                rep_[i] = rep_[s.a];
+            break;
+          }
+          case Prim::Add:
+            out = exact(Wide{a.lo} + b.lo, Wide{a.hi} + b.hi);
+            break;
+          case Prim::Sub:
+            out = exact(Wide{a.lo} - b.hi, Wide{a.hi} - b.lo);
+            break;
+          case Prim::Mul: {
+            const Wide p[] = {Wide{a.lo} * b.lo, Wide{a.lo} * b.hi,
+                              Wide{a.hi} * b.lo, Wide{a.hi} * b.hi};
+            out = exact(*std::min_element(p, p + 4),
+                        *std::max_element(p, p + 4));
+            break;
+          }
+          case Prim::Avg:
+          case Prim::Navg: {
+            // The sum (difference) wraps in the carrier where it leaves
+            // int64; the whole range then halves to a superset.
+            const Range sum =
+                s.prim == Prim::Avg
+                    ? exact(Wide{a.lo} + b.lo + r, Wide{a.hi} + b.hi + r)
+                    : exact(Wide{a.lo} - b.hi + r, Wide{a.hi} - b.lo + r);
+            pre_[i] = {sum.lo >> 1, sum.hi >> 1};
+            out = wrapped(s.type, pre_[i]);
+            break;
+          }
+          case Prim::Absd: {
+            const Wide lo = Wide{a.lo} - b.hi;
+            const Wide hi = Wide{a.hi} - b.lo;
+            out = exact(0, std::max(lo < 0 ? -lo : lo, hi < 0 ? -hi : hi));
+            break;
+          }
+          case Prim::Min:
+            out = {std::min(a.lo, b.lo), std::min(a.hi, b.hi)};
+            break;
+          case Prim::Max:
+            out = {std::max(a.lo, b.lo), std::max(a.hi, b.hi)};
+            break;
+          case Prim::Gt:
+          case Prim::Eq:
+            out = {0, 1};
+            break;
+          case Prim::Select:
+            out = hull(b, in(s.c));
+            break;
+          case Prim::And:
+          case Prim::Or:
+          case Prim::Xor:
+            out = bitwise(s.prim, a, b);
+            break;
+          case Prim::Not:
+            out = {~a.hi, ~a.lo};
+            break;
+          case Prim::Shl:
+          case Prim::Asr:
+          case Prim::Lsr: {
+            if (s.b >= 0) // not a literal: emission refuses it
+                break;
+            const int w = bits(s.type);
+            // Lsr zero-fills down to the type's width first (unless
+            // every value is inside it already), whatever the amount.
+            const int64_t mask = static_cast<int64_t>(
+                w < 64 ? (uint64_t{1} << w) - 1 : ~uint64_t{0});
+            const Range u = w == 64 || a.within(0, mask) ? a : Range{0, mask};
+            out = lanes(s.b, [&](int64_t n) -> Range {
+                if (s.prim == Prim::Shl) {
+                    if (n <= 0)
+                        return a;
+                    if (n >= 64)
+                        return point(0);
+                    const Wide k = Wide{1} << n;
+                    return exact(Wide{a.lo} * k, Wide{a.hi} * k);
+                }
+                if (s.prim == Prim::Lsr) {
+                    if (n <= 0)
+                        return u;
+                    if (n >= w)
+                        return point(0);
+                    if (u.lo < 0) // a 64-bit pattern, read unsigned
+                        return {0, static_cast<int64_t>(~uint64_t{0} >> n)};
+                    return {u.lo >> n, u.hi >> n};
+                }
+                if (n <= 0)
+                    return a;
+                if (n >= 63)
+                    return {a.lo < 0 ? -1 : 0, a.hi < 0 ? -1 : 0};
+                const int64_t rnd = s.round ? int64_t{1} << (n - 1) : 0;
+                const Range v = exact(Wide{a.lo} + rnd, Wide{a.hi} + rnd);
+                return {v.lo >> n, v.hi >> n};
+            });
+            if (s.prim != Prim::Asr) {
+                pre_[i] = out;
+                out = wrapped(s.type, out);
+            }
+            break;
+          }
+        }
+        range_[i] = out;
+        if (s.prim != Prim::Avg && s.prim != Prim::Navg &&
+            s.prim != Prim::Shl && s.prim != Prim::Lsr)
+            pre_[i] = out;
+    }
 }
 
 void
@@ -856,13 +1222,21 @@ Lowerer::emit_group(int w, const Tape *tapes, const Val *results,
     const int num_steps = tapes[0].num_steps;
     const Step *steps = tapes[0].steps.data();
     regs_ = RegPool(w == 1 ? kScratchGprs : kAllYmms);
+    if (w == kChunk) {
+        bound(tapes);
+    } else {
+        for (int i = 0; i < num_steps; ++i)
+            rep_[i] = i;
+    }
+    // Reads are counted on the step whose register holds the value.
     std::fill_n(uses_.begin(), num_steps, 0);
     for (int i = 0; i < num_steps; ++i)
-        for (int32_t r : {steps[i].a, steps[i].b, steps[i].c})
-            if (r >= 0)
-                ++uses_[r];
+        if (rep_[i] == i)
+            for (int32_t r : {steps[i].a, steps[i].b, steps[i].c})
+                if (r >= 0)
+                    ++uses_[rep_[r]];
     if (!results[0].is_lit())
-        ++uses_[results[0].step];
+        ++uses_[rep_[results[0].step]];
 
     // An operand across the group: a register, or its literal lanes.
     auto opnd = [&](int32_t r) {
@@ -870,30 +1244,37 @@ Lowerer::emit_group(int w, const Tape *tapes, const Val *results,
         if (r == kNoOperand)
             return o;
         if (r >= 0) {
-            o.reg = loc_[r];
+            o.reg = loc_[rep_[r]];
+            if (w == kChunk)
+                o.range = range_[r];
             return o;
         }
         for (int l = 0; l < kChunk; ++l)
             o.lit[l] = tapes[l < w ? l : 0].lits[~r];
+        o.range = {*std::min_element(o.lit.begin(), o.lit.end()),
+                   *std::max_element(o.lit.begin(), o.lit.end())};
         return o;
     };
     auto release = [&](int32_t r) {
-        if (r >= 0 && --uses_[r] == 0)
-            regs_.give(loc_[r]);
+        if (r >= 0 && --uses_[rep_[r]] == 0)
+            regs_.give(loc_[rep_[r]]);
     };
 
     for (int i = 0; i < num_steps; ++i) {
         const Step &s = steps[i];
+        if (rep_[i] != i)
+            continue; // a dropped wrap or sat: no code
         if (s.prim == Prim::Arg) {
             int64_t slots[kChunk];
             for (int l = 0; l < w; ++l)
                 slots[l] = tapes[l].lits[~s.a];
-            loc_[i] = gather(w, slots);
+            loc_[i] = gather(w, slots, looped_ ? run_.stride[i] : 0);
         } else {
             const Opnd a = opnd(s.a);
             const Opnd b = opnd(s.b);
             const Opnd c = opnd(s.c);
-            loc_[i] = w == 1 ? gpr_form(s, a, b, c) : avx_form(s, a, b, c);
+            loc_[i] =
+                w == 1 ? gpr_form(s, a, b, c) : avx_form(i, s, a, b, c);
             release(s.a);
             release(s.b);
             release(s.c);
@@ -910,33 +1291,103 @@ Lowerer::emit_group(int w, const Tape *tapes, const Val *results,
         for (int l = 0; l < kChunk; ++l)
             r.lit[l] = results[l < w ? l : 0].lit;
     } else {
-        r.reg = loc_[results[0].step];
+        r.reg = loc_[rep_[results[0].step]];
     }
     if (w == 1)
         a_.store(dest.base, dest.lane(lane0).disp, as_gpr(r));
     else
-        a_.vmovdqu(dest.lane(lane0), as_ymm(r));
+        a_.vmovdqu(iterate(dest.lane(lane0), kChunk), as_ymm(r));
     temps_.clear();
+}
+
+bool
+Lowerer::extends(int set)
+{
+    // The candidate is group j of the run: the same shape and literals,
+    // each operand read j strides past the first group's.
+    const Tape *first = tapes_[first_].data();
+    const Tape *next = tapes_[set].data();
+    const Val *first_res = results_[first_].data();
+    const Val *next_res = results_[set].data();
+    if (!same_shape(first[0], first_res[0], next[0], next_res[0]))
+        return false;
+    const int j = run_.groups;
+    for (int i = 0; i < first[0].num_steps; ++i) {
+        const Step &s = first[0].steps[i];
+        if (s.prim != Prim::Arg) {
+            for (int32_t r : {s.a, s.b, s.c})
+                if (r < 0 && r != kNoOperand)
+                    for (int l = 0; l < kChunk; ++l)
+                        if (next[l].lits[~r] != first[l].lits[~r])
+                            return false;
+            continue;
+        }
+        const int64_t d = next[0].lits[~s.a] - first[0].lits[~s.a];
+        for (int l = 1; l < kChunk; ++l)
+            if (next[l].lits[~s.a] - first[l].lits[~s.a] != d)
+                return false;
+        if (j == 1) {
+            if (d != 0 && d != 4 && d != 8 && d != 16 && d != 32)
+                return false;
+            run_.stride[i] = d;
+        } else if (d != j * run_.stride[i]) {
+            return false;
+        }
+    }
+    if (first_res[0].is_lit())
+        for (int l = 0; l < kChunk; ++l)
+            if (next_res[l].lit != first_res[l].lit)
+                return false;
+    return true;
+}
+
+void
+Lowerer::emit_run(Dest dest)
+{
+    const Tape *tapes = tapes_[first_].data();
+    const Val *results = results_[first_].data();
+    used_avx_ = true;
+    if (run_.groups == 1) {
+        emit_group(kChunk, tapes, results, run_.lane0, dest);
+    } else {
+        a_.xor_(kIndex, kIndex);
+        const size_t top = a_.size();
+        looped_ = true;
+        emit_group(kChunk, tapes, results, run_.lane0, dest);
+        looped_ = false;
+        a_.add_imm32(kIndex, kGroupBytes);
+        a_.cmp_imm32(kIndex, kGroupBytes * run_.groups);
+        a_.jcc_back(Cond::l, top);
+    }
+    run_.groups = 0;
 }
 
 template <typename Lane>
 void
 Lowerer::emit_lanes(const Lane &lane, int lanes, Dest dest, int64_t *alias)
 {
-    auto record = [&](int l, int i) {
-        cur_ = &tapes_[l];
-        cur_->clear();
-        results_[l] = lane(i);
+    // Record lanes i..i+n-1 into tape set k; true when they all have
+    // lane i's shape.
+    auto record = [&](int k, int i, int n) {
+        bool uniform = true;
+        for (int l = 0; l < n; ++l) {
+            cur_ = &tapes_[k][l];
+            cur_->clear();
+            results_[k][l] = lane(i + l);
+            uniform = uniform && same_shape(tapes_[k][0], results_[k][0],
+                                            tapes_[k][l], results_[k][l]);
+        }
+        return uniform;
     };
     // A swizzle, every lane of which is one operand lane, gets no code:
     // its lanes alias the slots they read.
     if (alias != nullptr) {
         copies_.clear();
         for (int i = 0; i < lanes; ++i) {
-            record(0, i);
-            const Tape &t = tapes_[0];
+            record(0, i, 1);
+            const Tape &t = tapes_[0][0];
             if (t.num_steps != 1 || t.steps[0].prim != Prim::Arg ||
-                results_[0].step != 0)
+                results_[0][0].step != 0)
                 break;
             copies_.push_back(t.lits[0]);
         }
@@ -946,24 +1397,32 @@ Lowerer::emit_lanes(const Lane &lane, int lanes, Dest dest, int64_t *alias)
         }
     }
     int i = 0;
+    run_.groups = 0;
     for (; width_ > 1 && i + width_ <= lanes; i += width_) {
-        bool uniform = true;
-        for (int l = 0; l < width_; ++l) {
-            record(l, i + l);
-            uniform = uniform && same_shape(tapes_[0], results_[0],
-                                            tapes_[l], results_[l]);
+        // An open run keeps its first group in set first_.
+        const int k = run_.groups > 0 ? 1 - first_ : first_;
+        const bool uniform = record(k, i, width_);
+        if (run_.groups > 0) {
+            if (uniform && extends(k)) {
+                ++run_.groups;
+                continue;
+            }
+            emit_run(dest);
         }
         if (uniform) {
-            used_avx_ = true;
-            emit_group(width_, tapes_.data(), results_.data(), i, dest);
-        } else {
-            for (int l = 0; l < width_; ++l)
-                emit_group(1, &tapes_[l], &results_[l], i + l, dest);
+            first_ = k;
+            run_.lane0 = i;
+            run_.groups = 1;
+            continue;
         }
+        for (int l = 0; l < width_; ++l)
+            emit_group(1, &tapes_[k][l], &results_[k][l], i + l, dest);
     }
+    if (run_.groups > 0)
+        emit_run(dest);
     for (; i < lanes; ++i) {
-        record(0, i);
-        emit_group(1, tapes_.data(), results_.data(), i, dest);
+        record(0, i, 1);
+        emit_group(1, tapes_[0].data(), results_[0].data(), i, dest);
     }
 }
 
@@ -1030,7 +1489,7 @@ Lowerer::emit_vread(const Instr &n, Dest dest)
     int i = 0;
     for (; width_ > 1 && i + width_ <= L; i += width_) {
         used_avx_ = true;
-        a_.vmovdqu(Vreg::ymm0, Mem{Reg::r9, 8 * i, Reg::r10});
+        a_.vmovdqu(Vreg::ymm0, Mem{Reg::r9, 8 * i, Reg::r10, 8});
         wrap_avx(Vreg::ymm0, Vreg::ymm0, s);
         a_.vmovdqu(dest.lane(i), Vreg::ymm0);
     }

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +127,28 @@ random_image(ScalarType elem, int w, int h, uint64_t seed)
     return img;
 }
 
+/**
+ * A full-range image about half of whose pixels are the type's
+ * extremes and their neighbours, or the 32-bit ones (wrapped into the
+ * type): where an exact narrow form would first part from the general
+ * one.
+ */
+Image
+boundary_image(ScalarType elem, int w, int h, uint64_t seed)
+{
+    Image img = random_image(elem, w, h, seed);
+    const int64_t lo = min_value(elem);
+    const int64_t hi = max_value(elem);
+    const int64_t picks[] = {lo,        lo + 1,    -1,         0,
+                             1,         hi - 1,    hi,         INT32_MIN,
+                             INT32_MAX, UINT32_MAX, INT64_MIN, INT64_MAX};
+    Rng rng(seed * 31 + 7);
+    for (int64_t &p : img.pixels)
+        if (rng.chance(1, 2))
+            p = wrap(elem, picks[rng.next() % std::size(picks)]);
+    return img;
+}
+
 /** Every tier this host can run: scalar, and avx2 if present. */
 std::vector<const char *>
 simd_tiers()
@@ -138,16 +161,42 @@ simd_tiers()
 }
 
 /**
- * Run `prog` over random full-range images via the interpreter and
- * via the JIT (per-tile validation armed) at every tier, on images two
- * and eight tiles wide (the wider one has interior tiles, whose loads
- * are packed), and require bit-identical output images.
+ * The invariant the AVX2 tier's range analysis rests on
+ * (jit/lower.cc): an HVX node's lanes lie in its element type when it
+ * is narrower than 64 bits, and a compare's are 0 or 1.
+ */
+void
+expect_in_type(const InstrPtr &prog, const Image &img)
+{
+    const ScalarType t = prog->type().elem;
+    if (bits(t) == 64)
+        return;
+    const bool compare =
+        prog->op() == Opcode::VCmpGt || prog->op() == Opcode::VCmpEq;
+    const int64_t lo = compare ? 0 : min_value(t);
+    const int64_t hi = compare ? 1 : max_value(t);
+    const auto out =
+        std::find_if(img.pixels.begin(), img.pixels.end(),
+                     [&](int64_t v) { return v < lo || v > hi; });
+    EXPECT_TRUE(out == img.pixels.end())
+        << *out << " outside " << to_string(t) << " [" << lo << ", " << hi
+        << "]";
+}
+
+/**
+ * Run `prog` over full-range images (random_image, or `make`) via the
+ * interpreter and via the JIT (per-tile validation armed) at every
+ * tier, on images two and eight tiles wide (the wider one has interior
+ * tiles, whose loads are packed), and require bit-identical output
+ * images, whose lanes lie in the program's type.
  */
 void
 expect_jit_matches_interp(const InstrPtr &prog,
                           const std::map<std::string, int64_t> &scalars
                           = {},
-                          uint64_t seed = 11)
+                          uint64_t seed = 11,
+                          Image (*make)(ScalarType, int, int,
+                                        uint64_t) = random_image)
 {
     std::map<int, ScalarType> loads;
     std::set<const hvx::Instr *> seen;
@@ -157,9 +206,9 @@ expect_jit_matches_interp(const InstrPtr &prog,
         SCOPED_TRACE(std::to_string(tiles) + " tiles wide");
         std::map<int, Image> inputs;
         for (const auto &[id, elem] : loads)
-            inputs.emplace(id,
-                           random_image(elem, tiles * lanes, 3, seed + id));
+            inputs.emplace(id, make(elem, tiles * lanes, 3, seed + id));
         const Image want = run_tiles(prog, inputs, scalars);
+        expect_in_type(prog, want);
         for (const char *tier : simd_tiers()) {
             SCOPED_TRACE(tier);
             ScopedEnv force("RAKE_JIT_SIMD", tier);
@@ -281,7 +330,7 @@ TEST(Jit, EncoderEmitsKnownBytes)
         {bytes([&](Assembler &a) { a.vmovdqu(Vreg::ymm1, Mem{rbx, 64}); }),
          "c4 e1 7e 6f 8b 40 00 00 00"},
         {bytes([](Assembler &a) {
-             a.vmovdqu(Vreg::ymm0, Mem{Reg::r9, 32, Reg::r10});
+             a.vmovdqu(Vreg::ymm0, Mem{Reg::r9, 32, Reg::r10, 8});
          }),
          "c4 81 7e 6f 84 d1 20 00 00 00"},
         {bytes([](Assembler &a) { a.vmovdqu(Vreg::ymm12, Mem{Reg::r12, 8}); }),
@@ -318,6 +367,61 @@ TEST(Jit, EncoderEmitsKnownBytes)
              a.vop(VecOp::pmuludq, Vreg::ymm1, Vreg::ymm2, Vreg::ymm3);
          }),
          "c4 e1 6d f4 cb"},
+        // vpmuldq ymm1, ymm2, ymm3; vpminsd ymm4, ymm5, [rbx + 0x40];
+        // vpmaxsd ymm9, ymm10, ymm11; vpminud ymm0, ymm12, [rbx + 0x100];
+        // vpmaxud ymm14, ymm1, ymm15
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::pmuldq, Vreg::ymm1, Vreg::ymm2, Vreg::ymm3);
+         }),
+         "c4 e2 6d 28 cb"},
+        {bytes([&](Assembler &a) {
+             a.vop(VecOp::pminsd, Vreg::ymm4, Vreg::ymm5, Mem{rbx, 64});
+         }),
+         "c4 e2 55 39 a3 40 00 00 00"},
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::pmaxsd, Vreg::ymm9, Vreg::ymm10, Vreg::ymm11);
+         }),
+         "c4 42 2d 3d cb"},
+        {bytes([&](Assembler &a) {
+             a.vop(VecOp::pminud, Vreg::ymm0, Vreg::ymm12, Mem{rbx, 256});
+         }),
+         "c4 e2 1d 3b 83 00 01 00 00"},
+        {bytes([](Assembler &a) {
+             a.vop(VecOp::pmaxud, Vreg::ymm14, Vreg::ymm1, Vreg::ymm15);
+         }),
+         "c4 42 75 3f f7"},
+        // A run's loop body scales its index (r11) by each stride:
+        // vmovdqu ymm2, [rbx + r11*1 + 0x40];
+        // vpermq ymm3, [rbx + r11*2 + 0x18], 0x39;
+        // vpaddq ymm4, ymm4, [rbx + r11*4 + 8];
+        // vmovq xmm11, [rbx + r11*8 + 0x28];
+        // vmovdqu [r13 + r11*1 + 0x60], ymm9;
+        // vmovdqu [r13 + r11*8 - 0x20], ymm0
+        {bytes([&](Assembler &a) {
+             a.vmovdqu(Vreg::ymm2, Mem{rbx, 64, Reg::r11, 1});
+         }),
+         "c4 a1 7e 6f 94 1b 40 00 00 00"},
+        {bytes([&](Assembler &a) {
+             a.vpermq(Vreg::ymm3, Mem{rbx, 24, Reg::r11, 2}, 0x39);
+         }),
+         "c4 a3 fd 00 9c 5b 18 00 00 00 39"},
+        {bytes([&](Assembler &a) {
+             a.vop(VecOp::paddq, Vreg::ymm4, Vreg::ymm4,
+                   Mem{rbx, 8, Reg::r11, 4});
+         }),
+         "c4 a1 5d d4 a4 9b 08 00 00 00"},
+        {bytes([&](Assembler &a) {
+             a.vmovq(Vreg::ymm11, Mem{rbx, 40, Reg::r11, 8});
+         }),
+         "c4 21 7a 7e 9c db 28 00 00 00"},
+        {bytes([](Assembler &a) {
+             a.vmovdqu(Mem{Reg::r13, 96, Reg::r11, 1}, Vreg::ymm9);
+         }),
+         "c4 01 7e 7f 8c 1d 60 00 00 00"},
+        {bytes([](Assembler &a) {
+             a.vmovdqu(Mem{Reg::r13, -32, Reg::r11, 8}, Vreg::ymm0);
+         }),
+         "c4 81 7e 7f 84 dd e0 ff ff ff"},
         // vpcmpgtq ymm13, ymm1, ymm2; vpcmpeqq ymm2, ymm12, [rbx + 0x20]
         {bytes([](Assembler &a) {
              a.vop(VecOp::pcmpgtq, Vreg::ymm13, Vreg::ymm1, Vreg::ymm2);
@@ -694,10 +798,21 @@ TEST(Jit, EveryOpcodeMatchesInterpreter)
     add("bitcast-widen-4",
         Instr::make(Opcode::VBitcast, {vread(0, u8, 24)}, {}, i32));
 
+    // Each case's interpreter image is also checked to lie in its type
+    // (expect_in_type), so the cases must cover every computing opcode.
+    std::set<Opcode> covered;
     for (const auto &[label, prog] : cases) {
         SCOPED_TRACE(label);
+        covered.insert(prog->op());
         for (uint64_t seed : {11u, 77u})
             expect_jit_matches_interp(prog, {}, seed);
+    }
+    for (int k = 0; k < hvx::kNumOpcodes; ++k) {
+        const Opcode op = static_cast<Opcode>(k);
+        if (op != Opcode::VRead && op != Opcode::VSplat &&
+            op != Opcode::Hole) {
+            EXPECT_TRUE(covered.count(op)) << to_string(op) << " has no case";
+        }
     }
 
     // Loads from buffers whose origin is not (0, 0), as the fuzz
@@ -726,6 +841,195 @@ TEST(Jit, EveryOpcodeMatchesInterpreter)
                 }
             }
         }
+    }
+}
+
+// The AVX2 tier's narrow forms (jit/lower.cc), each beside the
+// general form it replaces, on images full of type and 32-bit
+// extremes, at every tier and over interior and edge tiles. 16 lanes:
+// every node is a loop of four groups, whose ranges cover all of them.
+TEST(Jit, NarrowFormsMatchInterpreterAtBoundaries)
+{
+    SKIP_IF_NO_JIT();
+    using hvx::Instr;
+    const ScalarType i64 = ScalarType::Int64;
+    const ScalarType u64 = ScalarType::UInt64;
+    const auto pair = [](ScalarType t, int lanes = 16) {
+        return std::pair{vread(0, t, lanes), vread(1, t, lanes, 1)};
+    };
+    const auto [u8a, u8b] = pair(u8);
+    const auto [i16a, i16b] = pair(i16);
+    const auto [u16a, u16b] = pair(u16);
+    const auto [i32a, i32b] = pair(i32);
+    const auto [u32a, u32b] = pair(u32);
+    const auto [i64a, i64b] = pair(i64);
+    const auto [u64a, u64b] = pair(u64);
+
+    std::vector<std::pair<std::string, InstrPtr>> cases;
+    auto add = [&](const std::string &label, InstrPtr p) {
+        cases.emplace_back(label, std::move(p));
+    };
+    // Products: one dword multiply where both factors fit 32 bits
+    // (UINT32_MAX^2 wraps in the carrier as vpmuludq's does), the full
+    // form otherwise (u32 x i16, 64-bit factors, a 2^33 weight).
+    add("mpyi-u32", Instr::make(Opcode::VMpyi, {u32a, u32b}));
+    add("mpyi-i32", Instr::make(Opcode::VMpyi, {i32a, i32b}));
+    add("mpy-i32", Instr::make(Opcode::VMpy, {i32a, i32b}));
+    add("mpy-u32", Instr::make(Opcode::VMpy, {u32a, u32b}));
+    add("mpyie-i32", Instr::make(Opcode::VMpyIE, {i32a, vread(1, u16, 32)}));
+    add("mpyie-u32", Instr::make(Opcode::VMpyIE, {u32a, vread(1, u16, 32)}));
+    add("mpyio-i32", Instr::make(Opcode::VMpyIO, {i32a, vread(1, i16, 32)}));
+    add("mpyio-u32-i16",
+        Instr::make(Opcode::VMpyIO, {u32a, vread(1, i16, 32)}));
+    add("mpyio-u32-u16",
+        Instr::make(Opcode::VMpyIO, {u32a, vread(1, u16, 32)}));
+    add("mpyi-i64", Instr::make(Opcode::VMpyi, {i64a, i64b}));
+    add("mpyi-u64", Instr::make(Opcode::VMpyi, {u64a, u64b}));
+    add("mpa-i32-wide-weight",
+        Instr::make(Opcode::VMpa, {i32a, i32b}, {-5, 1LL << 33}));
+    // min, max and saturation across INT32_MIN/INT32_MAX and
+    // 0/UINT32_MAX, and at 64 bits.
+    for (const auto &[name, x, y] :
+         {std::tuple{"i32", i32a, i32b}, std::tuple{"u32", u32a, u32b},
+          std::tuple{"i64", i64a, i64b}, std::tuple{"u64", u64a, u64b},
+          std::tuple{"u8", u8a, u8b}}) {
+        add(std::string("min-") + name, Instr::make(Opcode::VMin, {x, y}));
+        add(std::string("max-") + name, Instr::make(Opcode::VMax, {x, y}));
+        add(std::string("add-sat-") + name,
+            Instr::make(Opcode::VAddSat, {x, y}));
+        add(std::string("sub-sat-") + name,
+            Instr::make(Opcode::VSubSat, {x, y}));
+    }
+    add("sat-i32-i16", Instr::make(Opcode::VSat, {i32a, i32b}, {}, i16));
+    add("sat-i32-u16", Instr::make(Opcode::VSat, {i32a, i32b}, {}, u16));
+    add("pack-sat-i64-u32",
+        Instr::make(Opcode::VPackSat, {i64a, i64b}, {}, u32));
+    add("sat-i64-i32", Instr::make(Opcode::VSat, {i64a, i64b}, {}, i32));
+    add("sat-u32-u16", Instr::make(Opcode::VSat, {u32a, u32b}, {}, u16));
+    add("asr-narrow-sat-i32",
+        Instr::make(Opcode::VAsrNarrowSat, {i32a, i32b}, {3}, i16));
+    add("asr-narrow-rnd-sat-i32",
+        Instr::make(Opcode::VAsrNarrowRndSat, {i32a, i32b}, {3}, u16));
+    add("round-sat-i32", Instr::make(Opcode::VRoundSat, {i32a, i32b}, {}, i16));
+    // Averages: add-and-shift where no sum is negative, and no wrap
+    // where every average is in the type.
+    for (const auto &[name, x, y] :
+         {std::tuple{"u8", u8a, u8b}, std::tuple{"i16", i16a, i16b},
+          std::tuple{"u32", u32a, u32b}, std::tuple{"i64", i64a, i64b},
+          std::tuple{"u64", u64a, u64b}}) {
+        add(std::string("avg-") + name, Instr::make(Opcode::VAvg, {x, y}));
+        add(std::string("avg-rnd-") + name,
+            Instr::make(Opcode::VAvgRnd, {x, y}));
+        add(std::string("navg-") + name, Instr::make(Opcode::VNavg, {x, y}));
+    }
+    // Shifts: asr of non-negative values is logical; carriers with the
+    // top bit set (i16 negatives, u64 past 2^63) are not; asl of
+    // non-negative lanes must not take asr's form; lsr skips the
+    // zero-fill of values already inside the type.
+    for (const auto &[name, x] :
+         {std::pair{"i16", i16a}, std::pair{"u16", u16a},
+          std::pair{"u32", u32a}, std::pair{"u64", u64a},
+          std::pair{"i64", i64a}}) {
+        for (int n : {1, 7, 15}) {
+            const std::string by = std::string(name) + "-" + std::to_string(n);
+            add("asr-" + by, Instr::make(Opcode::VAsr, {x}, {n}));
+            add("asr-rnd-" + by, Instr::make(Opcode::VAsrRnd, {x}, {n}));
+            add("asl-" + by, Instr::make(Opcode::VAsl, {x}, {n}));
+            add("lsr-" + by, Instr::make(Opcode::VLsr, {x}, {n}));
+        }
+    }
+    add("asl-u8-7", Instr::make(Opcode::VAsl, {u8a}, {7}));
+    add("asr-rnd-u32-31", Instr::make(Opcode::VAsrRnd, {u32a}, {31}));
+    add("asr-rnd-u64-63", Instr::make(Opcode::VAsrRnd, {u64a}, {63}));
+    // Wraps that widening or bitwise ops cannot need.
+    add("zxt-u32", Instr::make(Opcode::VZxt, {u32a}));
+    add("and-i32", Instr::make(Opcode::VAnd, {i32a, i32b}));
+    add("xor-u32", Instr::make(Opcode::VXor, {u32a, u32b}));
+    add("not-u16", Instr::make(Opcode::VNot, {u16a}));
+
+    for (const auto &[label, prog] : cases) {
+        SCOPED_TRACE(label);
+        for (uint64_t seed : {5u, 6u})
+            expect_jit_matches_interp(prog, {}, seed, boundary_image);
+    }
+}
+
+// At the AVX2 tier a computing node's groups form runs, each emitted
+// once as a loop body: the node's code does not grow with its lanes,
+// only its loads' (vmem stays unrolled).
+TEST(Jit, NodeCodeDoesNotGrowWithLanes)
+{
+    SKIP_IF_NO_JIT();
+    ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
+    if (jit::simd_level() != jit::SimdLevel::Avx2)
+        GTEST_SKIP() << "no avx2 on this host";
+    const auto size = [](const InstrPtr &p) {
+        return jit::Program::compile(p)->code_size();
+    };
+    const auto loads = [&](int lanes) {
+        return size(vread(0, u8, lanes)) + size(vread(1, u8, lanes, 1));
+    };
+    for (const Opcode op : {Opcode::VAdd, Opcode::VMpy}) {
+        SCOPED_TRACE(to_string(op));
+        const auto node = [&](int lanes) {
+            return size(hvx::Instr::make(
+                op, {vread(0, u8, lanes), vread(1, u8, lanes, 1)}));
+        };
+        EXPECT_LE(node(256) - node(128), loads(256) - loads(128));
+    }
+}
+
+// Runs that break or change stride inside a node, at every tier:
+// widening ops read stride-2 slots, one run per half; a node reads
+// through a valign across its operands' boundary or through a vcombine
+// of two vmems (whose runs are adjacent or padded apart); and lane
+// counts of one group, a group and a tail, three groups, and 33.
+TEST(Jit, RunsThatBreakOrChangeStrideMatchInterpreter)
+{
+    SKIP_IF_NO_JIT();
+    using hvx::Instr;
+    std::vector<std::pair<std::string, InstrPtr>> cases;
+    auto add = [&](const std::string &label, InstrPtr p) {
+        cases.emplace_back(label, std::move(p));
+    };
+    for (int lanes : {4, 6, 12, 16, 132}) {
+        const std::string at = "-" + std::to_string(lanes);
+        const InstrPtr a = vread(0, u8, lanes);
+        const InstrPtr b = vread(1, u8, lanes, 1);
+        const InstrPtr c = vread(2, u8, lanes, -1);
+        const InstrPtr as = vread(0, i16, lanes, 2);
+        const InstrPtr bs = vread(1, i16, lanes, -2, 1);
+        add("add" + at, Instr::make(Opcode::VAdd, {a, b}));
+        add("zxt" + at, Instr::make(Opcode::VZxt, {a}));
+        add("sxt" + at, Instr::make(Opcode::VSxt, {vread(0, i8, lanes)}));
+        add("mpy" + at, Instr::make(Opcode::VMpy, {a, b}));
+        add("mpa" + at, Instr::make(Opcode::VMpa, {a, b}, {3, -2}));
+        add("avg-rnd" + at, Instr::make(Opcode::VAvgRnd, {a, b}));
+        add("asr-rnd" + at, Instr::make(Opcode::VAsrRnd, {as}, {3}));
+        add("pack-sat" + at, Instr::make(Opcode::VPackSat, {as, bs}, {}, u8));
+        add("mpyi" + at, Instr::make(Opcode::VMpyi, {as, bs}));
+        for (int r : {1, 4, 5}) {
+            if (r >= lanes)
+                continue;
+            const std::string by = at + "-" + std::to_string(r);
+            add("add-align" + by,
+                Instr::make(Opcode::VAdd,
+                            {Instr::make(Opcode::VAlign, {a, b}, {r}), c}));
+            add("max-two-aligns" + by,
+                Instr::make(Opcode::VMax,
+                            {Instr::make(Opcode::VAlign, {a, b}, {r}),
+                             Instr::make(Opcode::VAlign, {b, a}, {r})}));
+        }
+        const InstrPtr ab = Instr::make(Opcode::VCombine, {a, b});
+        const InstrPtr ba = Instr::make(Opcode::VCombine, {b, a});
+        add("sub-combines" + at, Instr::make(Opcode::VSub, {ab, ba}));
+        add("add-combine-self" + at, Instr::make(Opcode::VAdd, {ab, ab}));
+        add("mpy-combine" + at, Instr::make(Opcode::VMpy, {ab, ba}));
+    }
+    for (const auto &[label, prog] : cases) {
+        SCOPED_TRACE(label);
+        for (uint64_t seed : {3u, 4u})
+            expect_jit_matches_interp(prog, {}, seed);
     }
 }
 
