@@ -826,9 +826,10 @@ Lowerer::shift_avx(const Step &s, Vreg dst, const Opnd &v,
         // Zero-fill down to the type's width (unless every value is
         // inside it already), shift, rewrap.
         Vreg from = src;
-        const uint64_t mask = w < 64 ? (uint64_t{1} << w) - 1 : ~uint64_t{0};
-        if (w < 64 && !v.range.within(0, static_cast<int64_t>(mask))) {
-            a_.vop(VecOp::pand, dst, src, splat(static_cast<int64_t>(mask)));
+        const int64_t mask =
+            w < 64 ? static_cast<int64_t>((uint64_t{1} << w) - 1) : -1;
+        if (w < 64 && !v.range.within(0, mask)) {
+            a_.vop(VecOp::pand, dst, src, splat(mask));
             from = dst;
         }
         shift(false, from);
@@ -866,6 +867,12 @@ Lowerer::avx_form(int i, const Step &s, const Opnd &a, const Opnd &b,
 {
     const int d = regs_.take();
     const Vreg dst = ymm(d);
+    if (s.prim == Prim::Min || s.prim == Prim::Max) {
+        if (const auto op = dword_form(s.prim, a.range, b.range)) {
+            vop_any(*op, dst, as_ymm(a), b);
+            return d;
+        }
+    }
     switch (s.prim) {
       case Prim::Arg:
         break;
@@ -928,10 +935,6 @@ Lowerer::avx_form(int i, const Step &s, const Opnd &a, const Opnd &b,
       case Prim::Min: {
         // a > b ? b : a
         const Vreg va = as_ymm(a);
-        if (const auto op = dword_form(s.prim, a.range, b.range)) {
-            vop_any(*op, dst, va, b);
-            return d;
-        }
         const Vreg gt = ymm(temp());
         vop_any(VecOp::pcmpgtq, gt, va, b);
         if (b.is_reg())
@@ -943,10 +946,6 @@ Lowerer::avx_form(int i, const Step &s, const Opnd &a, const Opnd &b,
       case Prim::Max: {
         // a > b ? a : b
         const Vreg va = as_ymm(a);
-        if (const auto op = dword_form(s.prim, a.range, b.range)) {
-            vop_any(*op, dst, va, b);
-            return d;
-        }
         const Vreg vb = as_ymm(b);
         const Vreg gt = ymm(temp());
         a_.vop(VecOp::pcmpgtq, gt, va, vb);
