@@ -1583,15 +1583,14 @@ class HvxBackend final : public TargetISA
     std::unique_ptr<Evaluator>
     make_evaluator() const override
     {
-        return std::make_unique<
-            synth::InterpEvaluator<hvx::Interpreter, Instr>>();
+        return std::make_unique<synth::InterpEvaluator<Instr>>();
     }
 
     Value
     hole_value(const synth::Hole &hole, const Env &env,
-               const HoleOracle &oracle) const override
+               const isa::HoleOracle &oracle) const override
     {
-        return synth::arrangement_value(hole, env, oracle);
+        return synth::arrangement_value<Instr>(hole, env, oracle);
     }
 
     void

@@ -69,14 +69,14 @@ struct NeonMoves {
     NInstrPtr
     zero(ScalarType elem, int lanes) const
     {
-        return NInstr::make_dup(hir::Expr::make_const(0, VecType(elem, 1)),
-                                lanes);
+        return NInstr::make_splat(hir::Expr::make_const(0, VecType(elem, 1)),
+                                  lanes);
     }
 
     NInstrPtr
     read(const hir::LoadRef &ref, VecType type) const
     {
-        return NInstr::make_load(ref, type);
+        return NInstr::make_read(ref, type);
     }
 
     NInstrPtr
@@ -253,7 +253,7 @@ class NeonGrammar
     static NInstrPtr
     dup_const(int64_t v, ScalarType t, int lanes)
     {
-        return NInstr::make_dup(
+        return NInstr::make_splat(
             hir::Expr::make_const(v, VecType(t, 1)), lanes);
     }
 
@@ -319,7 +319,7 @@ class NeonGrammar
         }
         if (is_splat_leaf(u)) {
             SketchBuilder b;
-            emit(out, b, NInstr::make_dup(splat_scalar(u), t.lanes), t,
+            emit(out, b, NInstr::make_splat(splat_scalar(u), t.lanes), t,
                  "splat");
         }
     }
@@ -798,23 +798,14 @@ class NeonBackend final : public TargetISA
     std::unique_ptr<Evaluator>
     make_evaluator() const override
     {
-        return std::make_unique<
-            synth::InterpEvaluator<neon::Interpreter, NInstr>>();
+        return std::make_unique<synth::InterpEvaluator<NInstr>>();
     }
 
     Value
     hole_value(const synth::Hole &hole, const Env &env,
-               const HoleOracle &oracle) const override
+               const isa::HoleOracle &oracle) const override
     {
-        neon::Interpreter interp;
-        if (oracle)
-            interp.set_oracle(oracle);
-        interp.reset(env);
-        std::vector<Value> src_values;
-        src_values.reserve(hole.sources.size());
-        for (const auto &s : hole.sources)
-            src_values.push_back(interp.eval(ncast(s)));
-        return synth::arrangement_value_from(hole, env, src_values);
+        return synth::arrangement_value<NInstr>(hole, env, oracle);
     }
 
     void

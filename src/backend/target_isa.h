@@ -30,7 +30,6 @@
 #ifndef RAKE_BACKEND_TARGET_ISA_H
 #define RAKE_BACKEND_TARGET_ISA_H
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -57,9 +56,6 @@ struct SwizzleStats {
 } // namespace rake::synth
 
 namespace rake::backend {
-
-/** Answers ??-hole reads during candidate evaluation. */
-using HoleOracle = std::function<Value(int, const Env &)>;
 
 /**
  * Target-independent cost triple. `scalar` is the backend's headline
@@ -123,7 +119,7 @@ class LowerDriver
 
 /**
  * A reusable interpreter context for candidate DAGs. Mirrors the
- * allocation-lean reset()/eval() protocol of hvx::Interpreter: the
+ * allocation-lean reset()/eval() protocol of isa::Interpreter: the
  * oracle is sticky across reset(), eval() results stay valid until
  * the next reset().
  */
@@ -132,7 +128,7 @@ class Evaluator
   public:
     virtual ~Evaluator() = default;
 
-    virtual void set_oracle(HoleOracle oracle) = 0;
+    virtual void set_oracle(isa::HoleOracle oracle) = 0;
     virtual void reset(const Env &env) = 0;
     virtual const Value &eval(const InstrHandle &instr) = 0;
 };
@@ -178,12 +174,11 @@ class TargetISA
     virtual std::unique_ptr<Evaluator> make_evaluator() const = 0;
 
     /**
-     * Oracle value of a hole under `env`: concretize the arrangement,
-     * evaluating Src-cell sources with this backend's interpreter
-     * (threading `oracle` through for nested holes).
+     * Oracle value of a hole under `env`: synth::arrangement_value
+     * over this backend's node type.
      */
     virtual Value hole_value(const synth::Hole &hole, const Env &env,
-                             const HoleOracle &oracle) const = 0;
+                             const isa::HoleOracle &oracle) const = 0;
 
     /**
      * Wall-clock budget for this run; the backend's own search loops

@@ -1,97 +1,13 @@
 #include "hvx/instr.h"
 
-#include <functional>
-
-#include "support/error.h"
-#include "support/structural.h"
-
 namespace rake::hvx {
 
-Instr::Instr(Opcode op, VecType type, std::vector<InstrPtr> args,
-             std::vector<int64_t> imms, hir::LoadRef load,
-             hir::ExprPtr splat)
-    : op_(op), type_(type), args_(std::move(args)), imms_(std::move(imms)),
-      load_(load), splat_(std::move(splat))
+using isa::require;
+
+VecType
+Traits::result_type(Opcode op, const std::vector<InstrPtr> &args,
+                    const std::vector<int64_t> &imms, ScalarType out_elem)
 {
-    size_t h = static_cast<size_t>(op_);
-    h = hash_mix(h, static_cast<size_t>(type_.elem));
-    h = hash_mix(h, static_cast<size_t>(type_.lanes));
-    for (int64_t i : imms_)
-        h = hash_mix(h, std::hash<int64_t>{}(i));
-    h = hash_mix(h, std::hash<int>{}(load_.buffer * 8191 + load_.dx * 31 +
-                                     load_.dy));
-    if (splat_)
-        h = hash_mix(h, splat_->hash());
-    for (const auto &a : args_)
-        h = hash_mix(h, a->hash());
-    hash_ = h;
-}
-
-InstrPtr
-Instr::make_read(hir::LoadRef ref, VecType type)
-{
-    RAKE_USER_CHECK(type.lanes >= 1 && type.lanes <= kMaxLanes,
-                    "vmem must load 1 to " << kMaxLanes << " lanes");
-    return InstrPtr(
-        new Instr(Opcode::VRead, type, {}, {}, ref, nullptr));
-}
-
-InstrPtr
-Instr::make_splat(hir::ExprPtr scalar, int lanes)
-{
-    RAKE_USER_CHECK(scalar != nullptr, "null splat payload");
-    RAKE_USER_CHECK(scalar->type().lanes == 1,
-                    "vsplat payload must be scalar");
-    RAKE_USER_CHECK(lanes >= 1 && lanes <= kMaxLanes,
-                    "vsplat must have 1 to " << kMaxLanes << " lanes");
-    VecType t(scalar->type().elem, lanes);
-    return InstrPtr(new Instr(Opcode::VSplat, t, {}, {}, hir::LoadRef{},
-                              std::move(scalar)));
-}
-
-InstrPtr
-Instr::make_hole(int id, VecType type)
-{
-    RAKE_USER_CHECK(id >= 0, "hole id must be non-negative");
-    return InstrPtr(new Instr(Opcode::Hole, type, {}, {id},
-                              hir::LoadRef{}, nullptr));
-}
-
-namespace {
-
-/** Signature failure helper. */
-[[noreturn]] void
-bad(Opcode op, const std::string &why)
-{
-    throw UserError("illegal " + to_string(op) + ": " + why);
-}
-
-void
-require(bool cond, Opcode op, const std::string &why)
-{
-    if (!cond)
-        bad(op, why);
-}
-
-} // namespace
-
-InstrPtr
-Instr::make(Opcode op, std::vector<InstrPtr> args,
-            std::vector<int64_t> imms, ScalarType out_elem)
-{
-    RAKE_USER_CHECK(op != Opcode::VRead && op != Opcode::VSplat &&
-                        op != Opcode::Hole,
-                    "use the dedicated factory for " << to_string(op));
-    const OpcodeInfo &oi = info(op);
-    require(static_cast<int>(args.size()) == oi.num_args, op,
-            "expects " + std::to_string(oi.num_args) + " args, got " +
-                std::to_string(args.size()));
-    require(static_cast<int>(imms.size()) == oi.num_imms, op,
-            "expects " + std::to_string(oi.num_imms) + " imms, got " +
-                std::to_string(imms.size()));
-    for (const auto &a : args)
-        RAKE_USER_CHECK(a != nullptr, "null argument to " << to_string(op));
-
     const VecType a0 = args[0]->type();
     const int L = a0.lanes;
     VecType result = a0;
@@ -312,55 +228,9 @@ Instr::make(Opcode op, std::vector<InstrPtr> args,
       case Opcode::VRead:
       case Opcode::VSplat:
       case Opcode::Hole:
-        RAKE_UNREACHABLE("handled above");
+        RAKE_UNREACHABLE("leaves have dedicated factories");
     }
-    // Operands are within the ceiling, so computing `result` could not
-    // overflow; a result past it is refused before anything grows it.
-    require(result.lanes <= kMaxLanes, op,
-            "result of " + std::to_string(result.lanes) +
-                " lanes exceeds the ceiling of " +
-                std::to_string(kMaxLanes));
-
-    return InstrPtr(new Instr(op, result, std::move(args),
-                              std::move(imms), hir::LoadRef{}, nullptr));
-}
-
-bool
-Instr::equals(const Instr &other) const
-{
-    if (this == &other)
-        return true;
-    if (op_ != other.op_ || !(type_ == other.type_) ||
-        hash_ != other.hash_ || imms_ != other.imms_ ||
-        !(load_ == other.load_) || args_.size() != other.args_.size() ||
-        !hir::equal(splat_, other.splat_))
-        return false;
-    for (size_t i = 0; i < args_.size(); ++i) {
-        if (!args_[i]->equals(*other.args_[i]))
-            return false;
-    }
-    return true;
-}
-
-int
-Instr::instruction_count() const
-{
-    int count = 0;
-    for_each_distinct_node(*this, [&](const Instr &n) {
-        if (info(n.op()).resource != Resource::None)
-            ++count;
-    });
-    return count;
-}
-
-bool
-equal(const InstrPtr &a, const InstrPtr &b)
-{
-    if (a == b)
-        return true;
-    if (!a || !b)
-        return false;
-    return a->equals(*b);
+    return result;
 }
 
 } // namespace rake::hvx

@@ -1,11 +1,9 @@
 #include "hvx/printer.h"
 
 #include <sstream>
-#include <unordered_map>
 
 #include "hir/printer.h"
 #include "support/error.h"
-#include "support/structural.h"
 
 namespace rake::hvx {
 
@@ -95,70 +93,6 @@ to_string(const InstrPtr &n)
     RAKE_CHECK(n != nullptr, "printing null instruction");
     std::ostringstream os;
     print_tree(os, n);
-    return os.str();
-}
-
-namespace {
-
-/**
- * Register numbers by node structure: separately built but equal
- * nodes share one line, as they share one count in cost_of.
- */
-using Registers =
-    std::unordered_map<const Instr *, int, StructuralHash, StructuralEqual>;
-
-int
-emit(const InstrPtr &n, Registers &reg, std::ostringstream &os, int &next)
-{
-    auto it = reg.find(n.get());
-    if (it != reg.end())
-        return it->second;
-    std::vector<int> arg_regs;
-    for (const auto &a : n->args())
-        arg_regs.push_back(emit(a, reg, os, next));
-    const int r = next++;
-    reg.emplace(n.get(), r);
-    os << "  v" << r << ":" << to_string(n->type()) << " = ";
-    switch (n->op()) {
-      case Opcode::VRead:
-        os << "vmem(" << hir::to_string(n->load_ref()) << ")";
-        break;
-      case Opcode::VSplat:
-        os << "vsplat(" << hir::to_string(n->splat_value()) << ")";
-        break;
-      default: {
-        os << concrete_name(*n) << "(";
-        bool first = true;
-        for (int ar : arg_regs) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << "v" << ar;
-        }
-        for (int64_t imm : n->imms()) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << "#" << imm;
-        }
-        os << ")";
-        break;
-      }
-    }
-    os << "\n";
-    return r;
-}
-
-} // namespace
-
-std::string
-to_listing(const InstrPtr &n)
-{
-    RAKE_CHECK(n != nullptr, "printing null instruction");
-    std::ostringstream os;
-    Registers reg;
-    int next = 0;
-    emit(n, reg, os, next);
     return os.str();
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Renderers for HVX instruction DAGs: a nested intrinsic-call form
- * (like the paper's Fig. 4 / Fig. 12 listings) and a flat
- * one-instruction-per-line listing with virtual registers.
+ * (like the paper's Fig. 4 / Fig. 12 listings), and the shared flat
+ * listing (isa/text.h) with virtual registers v0, v1, ... named by
+ * concrete_name().
  */
 #ifndef RAKE_HVX_PRINTER_H
 #define RAKE_HVX_PRINTER_H
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "hvx/instr.h"
+#include "isa/text.h"
 
 namespace rake::hvx {
 
@@ -17,7 +19,7 @@ namespace rake::hvx {
 std::string to_string(const InstrPtr &n);
 
 /** Flat listing: one instruction per line, `v3 = vadd.h(v1, v2)`. */
-std::string to_listing(const InstrPtr &n);
+using isa::to_listing;
 
 /** Concrete intrinsic name with the type suffix (e.g. "vadd.h"). */
 std::string concrete_name(const Instr &n);

@@ -1,13 +1,11 @@
 /**
  * @file
- * S-expression interchange for synthesized HVX code.
- *
- * The paper's implementation converts the s-expressions Rake
- * synthesizes back into Halide IR through a parser inside Halide
- * (§6). This module provides the same round-trippable interchange for
- * our HVX instruction DAGs, so generated code can be exported,
- * stored, or re-imported by a consumer the way the paper's
- * Halide/Racket bridge does.
+ * S-expression interchange for synthesized HVX code: the shared codec
+ * (isa/text.h) over HVX's opcode table. The paper's implementation
+ * converts the s-expressions Rake synthesizes back into Halide IR
+ * through a parser inside Halide (§6); this is the same round trip
+ * for our HVX instruction DAGs, so generated code can be exported,
+ * stored, or re-imported.
  */
 #ifndef RAKE_HVX_SEXPR_H
 #define RAKE_HVX_SEXPR_H
@@ -15,14 +13,18 @@
 #include <string>
 
 #include "hvx/instr.h"
+#include "isa/text.h"
 
 namespace rake::hvx {
 
-/** Render an instruction DAG as one s-expression. */
-std::string to_sexpr(const InstrPtr &n);
+using isa::to_sexpr;
 
 /** Parse an instruction back; throws UserError on malformed input. */
-InstrPtr parse_instr(const std::string &text);
+inline InstrPtr
+parse_instr(const std::string &text)
+{
+    return isa::parse_instr<Traits>(text);
+}
 
 } // namespace rake::hvx
 

@@ -1,6 +1,8 @@
 /**
  * @file
- * Preliminary ARM Neon backend (paper §6, "Extending to other ISAs").
+ * The ARM Neon instruction model (paper §6, "Extending to other
+ * ISAs"): its opcode table and typing rule, over the instruction node,
+ * interpreter, codec and listing every ISA shares (isa/).
  *
  * The paper reports that the uber-instructions derived for HVX can be
  * re-used for ARM "with only slight modifications", because both ISAs
@@ -22,7 +24,8 @@
 #include <vector>
 
 #include "base/type.h"
-#include "hir/expr.h"
+#include "isa/node.h"
+#include "isa/text.h"
 
 namespace rake::neon {
 
@@ -87,6 +90,8 @@ struct NOpInfo {
      * instruction counter and the cycle-cost model.
      */
     bool free;
+    int num_args; ///< register operand count
+    int num_imms; ///< immediate count (isa::kAnyImms: one or more)
 };
 
 /** Metadata for one opcode. */
@@ -95,65 +100,40 @@ const NOpInfo &info(NOp op);
 /** Mnemonic of the opcode family. */
 std::string to_string(NOp op);
 
-class NInstr;
-using NInstrPtr = std::shared_ptr<const NInstr>;
+struct Traits;
 
 /** An immutable Neon instruction node (linear lane semantics). */
-class NInstr
-{
-  public:
-    static NInstrPtr make_load(hir::LoadRef ref, VecType type);
-    static NInstrPtr make_dup(hir::ExprPtr scalar, int lanes);
-    static NInstrPtr make_hole(int id, VecType type);
-    static NInstrPtr make(NOp op, std::vector<NInstrPtr> args,
-                          std::vector<int64_t> imms = {},
-                          ScalarType out_elem = ScalarType::Int32);
+using NInstr = isa::Node<Traits>;
+using NInstrPtr = std::shared_ptr<const NInstr>;
 
-    NOp op() const { return op_; }
-    const VecType &type() const { return type_; }
-    const std::vector<NInstrPtr> &args() const { return args_; }
-    const NInstrPtr &arg(int i) const { return args_[i]; }
-    int num_args() const { return static_cast<int>(args_.size()); }
-    const std::vector<int64_t> &imms() const { return imms_; }
-    const hir::LoadRef &load_ref() const { return load_; }
-    const hir::ExprPtr &dup_value() const { return dup_; }
+/** Neon's repertoire, for isa::Node (see isa/node.h). */
+struct Traits {
+    using Op = NOp;
+    static constexpr Op kRead = NOp::Ld1;
+    static constexpr Op kSplat = NOp::Dup;
+    static constexpr Op kHole = NOp::Hole;
+    static constexpr int kNumOps = kNumNOps;
+    static constexpr const char *kName = "Neon";
+    static constexpr char kRegister = 'q';
 
-    /** Hole table index (Hole nodes only). */
-    int
-    hole_id() const
-    {
-        RAKE_CHECK(op_ == NOp::Hole, "hole_id of a non-hole");
-        return static_cast<int>(imms_[0]);
-    }
+    static const NOpInfo &info(Op op) { return neon::info(op); }
+    static bool free(Op op) { return info(op).free; }
 
-    /** Structural hash (cached). */
-    size_t hash() const { return hash_; }
-
-    /** Deep structural equality. */
-    bool equals(const NInstr &other) const;
-
-    /**
-     * Instructions in the DAG (structurally equal nodes once), not
-     * counting free register plumbing (NOpInfo::free).
-     */
-    int instruction_count() const;
-
-  private:
-    NInstr(NOp op, VecType type, std::vector<NInstrPtr> args,
-           std::vector<int64_t> imms, hir::LoadRef load,
-           hir::ExprPtr dup);
-
-    NOp op_;
-    VecType type_;
-    std::vector<NInstrPtr> args_;
-    std::vector<int64_t> imms_;
-    hir::LoadRef load_;
-    hir::ExprPtr dup_;
-    size_t hash_ = 0;
+    /** The typing rule of every non-leaf opcode (instr.cc). */
+    static VecType result_type(Op op, const std::vector<NInstrPtr> &args,
+                               const std::vector<int64_t> &imms,
+                               ScalarType out_elem);
 };
 
-/** Flat listing renderer (one instruction per line). */
-std::string to_listing(const NInstrPtr &n);
+/** Listing name: Neon's mnemonics already name one instruction. */
+inline std::string
+concrete_name(const NInstr &n)
+{
+    return to_string(n.op());
+}
+
+/** Flat listing renderer (one instruction per line, isa/text.h). */
+using isa::to_listing;
 
 } // namespace rake::neon
 

@@ -1,68 +1,21 @@
 /**
  * @file
- * Reusable Neon interpreter context (linear lane semantics).
- *
- * Mirrors the allocation-lean protocol of hvx::Interpreter so the
- * CEGIS loop can evaluate Neon candidate DAGs the same way it does
- * HVX ones: reset() binds an environment and clears the per-node
- * memo, eval() returns references that stay valid until the next
- * reset(), and the ??-hole oracle is sticky across resets (one
- * candidate is checked against many environments).
+ * Executable semantics of the Neon instruction model: the shared
+ * interpreter (isa/interp.h) over Neon's lane functions
+ * (neon/semantics.h), instantiated once in interp.cc.
  */
 #ifndef RAKE_NEON_INTERP_H
 #define RAKE_NEON_INTERP_H
 
-#include <functional>
-#include <unordered_map>
-
-#include "base/value.h"
+#include "isa/interp.h"
 #include "neon/instr.h"
+
+extern template class rake::isa::Interpreter<rake::neon::Traits>;
 
 namespace rake::neon {
 
-/** Answers ??-hole reads during sketch evaluation. */
-using HoleOracle = std::function<Value(int, const Env &)>;
-
-/** Memoizing evaluator over one environment at a time. */
-class Interpreter
-{
-  public:
-    Interpreter() = default;
-    Interpreter(const Interpreter &) = delete;
-    Interpreter &operator=(const Interpreter &) = delete;
-
-    /** Sticky across reset(); pass nullptr for hole-free DAGs. */
-    void
-    set_oracle(HoleOracle oracle)
-    {
-        oracle_ = std::move(oracle);
-    }
-
-    /** Bind `env` (kept by reference) and clear the memo. */
-    void
-    reset(const Env &env)
-    {
-        env_ = &env;
-        memo_.clear();
-    }
-
-    /**
-     * Evaluate under the bound environment. The reference stays valid
-     * until the next reset() (unordered_map references are stable
-     * under rehash).
-     */
-    const Value &eval(const NInstrPtr &n);
-
-  private:
-    const Value &eval_node(const NInstr &n);
-
-    const Env *env_ = nullptr;
-    HoleOracle oracle_;
-    std::unordered_map<const NInstr *, Value> memo_;
-};
-
-/** One-shot evaluation of a hole-free instruction DAG. */
-Value evaluate(const NInstrPtr &n, const Env &env);
+using Interpreter = isa::Interpreter<Traits>;
+using isa::evaluate;
 
 } // namespace rake::neon
 

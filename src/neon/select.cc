@@ -41,7 +41,7 @@ class NeonSelector
     NInstrPtr
     dup_const(int64_t v, ScalarType t, int lanes)
     {
-        return NInstr::make_dup(
+        return NInstr::make_splat(
             hir::Expr::make_const(v, VecType(t, 1)), lanes);
     }
 
@@ -73,12 +73,12 @@ class NeonSelector
           case UOp::HirLeaf: {
             const hir::ExprPtr &leaf = u->leaf();
             if (leaf->op() == hir::Op::Load)
-                return NInstr::make_load(leaf->load_ref(), t);
+                return NInstr::make_read(leaf->load_ref(), t);
             if (leaf->op() == hir::Op::Broadcast)
-                return NInstr::make_dup(leaf->arg(0), t.lanes);
+                return NInstr::make_splat(leaf->arg(0), t.lanes);
             if (leaf->op() == hir::Op::Const)
                 return dup_const(leaf->const_value(), t.elem, t.lanes);
-            return NInstr::make_dup(
+            return NInstr::make_splat(
                 hir::Expr::make_var(leaf->var_name(),
                                     VecType(t.elem, 1)),
                 t.lanes);

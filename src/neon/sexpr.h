@@ -1,24 +1,28 @@
 /**
  * @file
- * S-expression interchange for synthesized Neon code — the Neon
- * analog of hvx/sexpr.h, written for the persistent synthesis cache
- * (synth/persist.h): a selected NInstr DAG round-trips through text
- * so a warm cache can replay it in a later process.
+ * S-expression interchange for synthesized Neon code: the shared
+ * codec (isa/text.h) over Neon's opcode table, so a selected DAG
+ * round-trips through the persistent cache (synth/persist.h), the
+ * rule tables and the compile server.
  */
 #ifndef RAKE_NEON_SEXPR_H
 #define RAKE_NEON_SEXPR_H
 
 #include <string>
 
+#include "isa/text.h"
 #include "neon/instr.h"
 
 namespace rake::neon {
 
-/** Render an instruction DAG as one s-expression. */
-std::string to_sexpr(const NInstrPtr &n);
+using isa::to_sexpr;
 
 /** Parse an instruction back; throws UserError on malformed input. */
-NInstrPtr parse_instr(const std::string &text);
+inline NInstrPtr
+parse_instr(const std::string &text)
+{
+    return isa::parse_instr<Traits>(text);
+}
 
 } // namespace rake::neon
 

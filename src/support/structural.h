@@ -2,7 +2,8 @@
  * @file
  * Structural identity of immutable DAG nodes, for every node type
  * with a cached `size_t hash() const` and a deep
- * `bool equals(const Node &) const` (hvx::Instr, neon::NInstr).
+ * `bool equals(const Node &) const` (isa::Node, the instruction node
+ * of every ISA).
  *
  * Keyed this way, separately built but structurally equal nodes are
  * one key. Both cost models count a DAG so: one program has one cost

@@ -81,6 +81,11 @@ class Lifter
   public:
     explicit Lifter(Verifier &verifier) : verifier_(verifier) {}
 
+    /**
+     * The lifted form of `e`, or null when no rule lifts it or one of
+     * its operands: selection then ends with no result, and the
+     * pipeline keeps the baseline's program.
+     */
     UExprPtr
     lift(const ExprPtr &e)
     {
@@ -88,9 +93,7 @@ class Lifter
         if (it != memo_.end())
             return it->second;
         UExprPtr u = lift_impl(e);
-        RAKE_CHECK(u != nullptr, "lifting failed for a "
-                                     << hir::to_string(e->op()) << " node");
-        RAKE_CHECK(u->type() == e->type(),
+        RAKE_CHECK(!u || u->type() == e->type(),
                    "lifted type " << to_string(u->type()) << " != "
                                   << to_string(e->type()));
         memo_.emplace(e.get(), u);
@@ -154,8 +157,11 @@ class Lifter
 
         std::vector<UExprPtr> S;
         S.reserve(e->num_args());
-        for (const auto &a : e->args())
+        for (const auto &a : e->args()) {
             S.push_back(lift(a));
+            if (!S.back())
+                return nullptr;
+        }
 
         if (UExprPtr u = first_verified(e, gen_update(e, S),
                                         stats_.update))

@@ -7,17 +7,17 @@
  * nodes whose meanings are lane arrangements (symbolic vectors).
  * SketchBuilder allocates holes while a lowering template constructs
  * the tree; substitute_holes grafts the synthesized swizzle programs
- * back in once every hole is concretized; InterpEvaluator hands a
- * backend's interpreter to CEGIS. All three are templates over the
- * backend's instruction node type, which must provide make_hole(id,
- * type), make(op, args, imms, elem), op() (with an Op::Hole
- * enumerator), hole_id(), args(), imms() and type().
+ * back in once every hole is concretized; InterpEvaluator hands the
+ * shared interpreter to CEGIS. All three are templates over the
+ * backend's instruction node, an isa::Node (isa/node.h) whose Traits
+ * name the ISA's hole opcode, so the node contract is that one class:
+ * make_hole(id, type), make(op, args, imms, elem), op(), hole_id(),
+ * args(), imms() and type().
  */
 #ifndef RAKE_SYNTH_SKETCH_H
 #define RAKE_SYNTH_SKETCH_H
 
 #include <memory>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -81,13 +81,12 @@ substitute(const std::shared_ptr<const Node> &n,
                &memo)
 {
     using NodePtr = std::shared_ptr<const Node>;
-    using Op = std::decay_t<decltype(n->op())>;
     auto it = memo.find(n.get());
     if (it != memo.end())
         return it->second;
 
     NodePtr result;
-    if (n->op() == Op::Hole) {
+    if (n->op() == Node::Traits::kHole) {
         const int id = n->hole_id();
         RAKE_CHECK(id >= 0 && id < static_cast<int>(solutions.size()) &&
                        solutions[id] != nullptr,
@@ -138,13 +137,13 @@ substitute_holes(const backend::InstrHandle &root,
                               solutions, memo);
 }
 
-/** A backend's interpreter behind the CEGIS Evaluator protocol. */
-template <typename Interpreter, typename Node>
+/** The interpreter of `Node`'s ISA behind the CEGIS Evaluator protocol. */
+template <typename Node>
 class InterpEvaluator final : public backend::Evaluator
 {
   public:
     void
-    set_oracle(backend::HoleOracle oracle) override
+    set_oracle(isa::HoleOracle oracle) override
     {
         interp_.set_oracle(std::move(oracle));
     }
@@ -162,7 +161,7 @@ class InterpEvaluator final : public backend::Evaluator
     }
 
   private:
-    Interpreter interp_;
+    isa::Interpreter<typename Node::Traits> interp_;
 };
 
 } // namespace rake::synth

@@ -1,7 +1,6 @@
 #include "synth/symbolic_vector.h"
 
 #include "base/arith.h"
-#include "hvx/interp.h"
 #include "support/error.h"
 
 namespace rake::synth {
@@ -152,23 +151,6 @@ is_source_identity(const Arrangement &a, int *source)
     }
     *source = a[0].source;
     return true;
-}
-
-Value
-arrangement_value(const Hole &hole, const Env &env,
-                  const hvx::HoleOracle &oracle)
-{
-    // Evaluate the sources once for this environment. Pure ??load /
-    // zero holes (the common case) skip the interpreter entirely.
-    std::vector<Value> src_values;
-    if (!hole.sources.empty()) {
-        src_values.reserve(hole.sources.size());
-        hvx::Interpreter interp(env, oracle);
-        for (const auto &s : hole.sources)
-            src_values.push_back(interp.eval(
-                std::static_pointer_cast<const hvx::Instr>(s)));
-    }
-    return arrangement_value_from(hole, env, src_values);
 }
 
 Value

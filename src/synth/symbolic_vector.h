@@ -9,8 +9,8 @@
  * already-lowered sub-expression (??swizzle), or zero. During sketch
  * verification the hole evaluates via an oracle that reads the
  * arrangement directly (the existence semantics); during swizzle
- * synthesis the arrangement becomes the goal of a search over real
- * HVX data-movement instructions.
+ * synthesis the arrangement becomes the goal of a search over the
+ * target's real data-movement instructions.
  */
 #ifndef RAKE_SYNTH_SYMBOLIC_VECTOR_H
 #define RAKE_SYNTH_SYMBOLIC_VECTOR_H
@@ -20,8 +20,7 @@
 
 #include "backend/instr_handle.h"
 #include "base/value.h"
-#include "hvx/instr.h"
-#include "hvx/interp.h"
+#include "isa/interp.h"
 
 namespace rake::synth {
 
@@ -135,24 +134,37 @@ struct Hole {
 };
 
 /**
- * Oracle value of a hole: evaluate the arrangement directly under an
- * environment (this is the "symbolic vector concretization" used for
- * sketch validity, §4.1). Sources may themselves contain nested holes
- * (a ??swizzle over a sketch subtree), so source evaluation threads
- * the same oracle through. HVX-flavoured: sources must be
- * hvx::InstrPtr handles.
- */
-Value arrangement_value(const Hole &hole, const Env &env,
-                        const hvx::HoleOracle &oracle = nullptr);
-
-/**
- * Backend-independent lane assembly: concretize the arrangement given
- * the already-evaluated source values (src_values[i] is the value of
- * hole.sources[i]). Backends call this from their hole_value() after
- * running their own interpreter over the sources.
+ * Lane assembly: concretize the arrangement given the already
+ * evaluated source values (src_values[i] is the value of
+ * hole.sources[i]).
  */
 Value arrangement_value_from(const Hole &hole, const Env &env,
                              const std::vector<Value> &src_values);
+
+/**
+ * Oracle value of a hole: evaluate the arrangement directly under an
+ * environment (this is the "symbolic vector concretization" used for
+ * sketch validity, §4.1). Sources are `Node`s (hvx::Instr,
+ * neon::NInstr) and may themselves contain nested holes (a ??swizzle
+ * over a sketch subtree), so source evaluation threads the same
+ * oracle through. Pure ??load and zero holes, the common case, skip
+ * the interpreter.
+ */
+template <typename Node>
+Value
+arrangement_value(const Hole &hole, const Env &env,
+                  const isa::HoleOracle &oracle = nullptr)
+{
+    std::vector<Value> src_values;
+    if (!hole.sources.empty()) {
+        src_values.reserve(hole.sources.size());
+        isa::Interpreter<typename Node::Traits> interp(env, oracle);
+        for (const auto &s : hole.sources)
+            src_values.push_back(
+                interp.eval(std::static_pointer_cast<const Node>(s)));
+    }
+    return arrangement_value_from(hole, env, src_values);
+}
 
 } // namespace rake::synth
 

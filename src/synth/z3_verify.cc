@@ -111,25 +111,16 @@ class LaneEncoder
         return std::nullopt;
     }
 
+    /** The load and broadcast leaves of every ISA's instruction DAG. */
+    template <typename Traits>
     std::optional<z3::expr>
-    leaf(const hvx::Instr &e, int i)
+    leaf(const isa::Node<Traits> &e, int i)
     {
         const ScalarType s = e.type().elem;
-        if (e.op() == hvx::Opcode::VRead)
+        if (e.op() == Traits::kRead)
             return load(e.load_ref(), i, s);
-        if (e.op() == hvx::Opcode::VSplat)
+        if (e.op() == Traits::kSplat)
             return alg_.wrap(s, lane(e.splat_value(), 0));
-        return std::nullopt;
-    }
-
-    std::optional<z3::expr>
-    leaf(const neon::NInstr &e, int i)
-    {
-        const ScalarType s = e.type().elem;
-        if (e.op() == neon::NOp::Ld1)
-            return load(e.load_ref(), i, s);
-        if (e.op() == neon::NOp::Dup)
-            return alg_.wrap(s, lane(e.dup_value(), 0));
         return std::nullopt;
     }
 

@@ -105,7 +105,7 @@ TEST(CrossBackend, BackendsKeepTheirOwnTarget)
     neon::Target ntarget;
     auto neon_isa = backend::make_neon_backend(ntarget);
     const neon::NInstrPtr nwide = neon::NInstr::make(
-        neon::NOp::Movl, {neon::NInstr::make_load(at, VecType(u8, 16))});
+        neon::NOp::Movl, {neon::NInstr::make_read(at, VecType(u8, 16))});
     const neon::NInstrPtr nadd =
         neon::NInstr::make(neon::NOp::Add, {nwide, nwide});
     const int neon_issues = neon_isa->cost_of(nadd).total_instructions;

@@ -228,7 +228,7 @@ TEST(FastPath, LoadWindowMatchesPerLaneAt)
         const hir::LoadRef ref{0, 1, -1};
         const ExprPtr h = hir::Expr::make_load(ref, type);
         const hvx::InstrPtr v = hvx::Instr::make_read(ref, type);
-        const neon::NInstrPtr n = neon::NInstr::make_load(ref, type);
+        const neon::NInstrPtr n = neon::NInstr::make_read(ref, type);
         for (const Window &w : windows) {
             env.x = w.x - ref.dx;
             env.y = w.y - ref.dy;

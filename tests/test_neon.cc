@@ -13,6 +13,7 @@
 #include "hvx/interp.h"
 #include "neon/cost.h"
 #include "neon/select.h"
+#include "neon/sexpr.h"
 #include "synth/rake.h"
 #include "test_util.h"
 
@@ -112,7 +113,7 @@ TEST(Neon, WordMultiplyAccumulateWrapsPastInt64)
     // u32 x u32 products pass INT64_MAX: vmla must wrap in the lane
     // type, not overflow the int64 carrier first.
     constexpr ScalarType u32 = ScalarType::UInt32;
-    const NInstrPtr big = neon::NInstr::make_dup(
+    const NInstrPtr big = neon::NInstr::make_splat(
         hir::Expr::make_const(0xffffffff, VecType(u32, 1)), 4);
     const Value m =
         neon::evaluate(neon::NInstr::make(NOp::Mla, {big, big, big}), Env{});
@@ -126,11 +127,11 @@ TEST(NeonCost, StructurallyEqualNodesCountOnce)
     // separately built but structurally equal one are one vld1.
     const neon::Target t;
     auto load = [] {
-        return neon::NInstr::make_load(hir::LoadRef{0, 0, 0},
+        return neon::NInstr::make_read(hir::LoadRef{0, 0, 0},
                                        VecType(u8, 16));
     };
     auto dup = [](int64_t v) {
-        return neon::NInstr::make_dup(
+        return neon::NInstr::make_splat(
             hir::Expr::make_const(v, VecType(u8, 1)), 16);
     };
     const NInstrPtr a = load();
@@ -153,6 +154,14 @@ TEST(NeonCost, StructurallyEqualNodesCountOnce)
     EXPECT_EQ(r.total_instructions, c.total_instructions);
     EXPECT_EQ(r.total_latency, c.total_latency);
     EXPECT_EQ(rebuilt->instruction_count(), 4);
+
+    // The listing numbers nodes by structure too: two parsed loads of
+    // one window are one vld1 line, as they are one instruction.
+    const NInstrPtr twice = neon::parse_instr(
+        "(vadd u8x8 (vld1 u8x8 0 0 0) (vld1 u8x8 0 0 0))");
+    EXPECT_EQ(twice->instruction_count(), 2);
+    EXPECT_EQ(neon::to_listing(twice), "  q0:u8x8 = vld1(b0(x, y))\n"
+                                       "  q1:u8x8 = vadd(q0, q0)\n");
 }
 
 TEST(Neon, LiftOnceLowerTwice)
@@ -315,8 +324,8 @@ TEST_P(NeonBoundary, QaddSaturatesAtTypeRange)
     const VecType vt(t, static_cast<int>(pairs.size()));
     NInstrPtr n = neon::NInstr::make(
         NOp::Qadd,
-        {neon::NInstr::make_load(hir::LoadRef{0, 0, 0}, vt),
-         neon::NInstr::make_load(hir::LoadRef{1, 0, 0}, vt)});
+        {neon::NInstr::make_read(hir::LoadRef{0, 0, 0}, vt),
+         neon::NInstr::make_read(hir::LoadRef{1, 0, 0}, vt)});
     const Value got = neon::evaluate(n, env);
     for (size_t i = 0; i < pairs.size(); ++i) {
         EXPECT_EQ(got[static_cast<int>(i)],
@@ -334,12 +343,12 @@ TEST_P(NeonBoundary, HaddHalvesWithoutIntermediateOverflow)
     const VecType vt(t, static_cast<int>(pairs.size()));
     NInstrPtr h = neon::NInstr::make(
         NOp::Hadd,
-        {neon::NInstr::make_load(hir::LoadRef{0, 0, 0}, vt),
-         neon::NInstr::make_load(hir::LoadRef{1, 0, 0}, vt)});
+        {neon::NInstr::make_read(hir::LoadRef{0, 0, 0}, vt),
+         neon::NInstr::make_read(hir::LoadRef{1, 0, 0}, vt)});
     NInstrPtr rh = neon::NInstr::make(
         NOp::Rhadd,
-        {neon::NInstr::make_load(hir::LoadRef{0, 0, 0}, vt),
-         neon::NInstr::make_load(hir::LoadRef{1, 0, 0}, vt)});
+        {neon::NInstr::make_read(hir::LoadRef{0, 0, 0}, vt),
+         neon::NInstr::make_read(hir::LoadRef{1, 0, 0}, vt)});
     const Value hv = neon::evaluate(h, env);
     const Value rhv = neon::evaluate(rh, env);
     for (size_t i = 0; i < pairs.size(); ++i) {
@@ -382,7 +391,7 @@ TEST_P(NeonNarrowBoundary, MovlXtnQxtnAtBoundaries)
         pairs.emplace_back(v, 0);
     const Env env = lane_env(c.wide, pairs);
     const VecType vt(c.wide, static_cast<int>(pairs.size()));
-    NInstrPtr src = neon::NInstr::make_load(hir::LoadRef{0, 0, 0}, vt);
+    NInstrPtr src = neon::NInstr::make_read(hir::LoadRef{0, 0, 0}, vt);
 
     // vmovn: truncate and reinterpret in the narrow type.
     const Value xtn = neon::evaluate(
@@ -423,7 +432,7 @@ TEST_P(NeonNarrowBoundary, ShrnQrshrnAtBoundaries)
         pairs.emplace_back(v, 0);
     const Env env = lane_env(c.wide, pairs);
     const VecType vt(c.wide, static_cast<int>(pairs.size()));
-    NInstrPtr src = neon::NInstr::make_load(hir::LoadRef{0, 0, 0}, vt);
+    NInstrPtr src = neon::NInstr::make_read(hir::LoadRef{0, 0, 0}, vt);
 
     for (int n : {1, 3, bits(c.wide) / 2}) {
         const Value shrn = neon::evaluate(

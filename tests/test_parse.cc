@@ -26,14 +26,18 @@
 
 #include "backend/hvx_backend.h"
 #include "backend/neon_backend.h"
+#include "base/arith.h"
 #include "hir/printer.h"
 #include "hir/sexpr.h"
+#include "hvx/interp.h"
 #include "hvx/sexpr.h"
+#include "neon/interp.h"
 #include "neon/sexpr.h"
 #include "serve/protocol.h"
 #include "support/parse.h"
 #include "support/rng.h"
 #include "support/socket.h"
+#include "support/structural.h"
 #include "synth/persist.h"
 #include "synth/rules.h"
 
@@ -216,9 +220,24 @@ TEST(Parse, LaneCountsPastTheCeilingAreUserErrors)
                                   {hvx::Instr::make_read({0, 0, 0}, full)},
                                   {}, ScalarType::UInt8),
                  UserError);
-    const neon::NInstrPtr n = neon::NInstr::make_load(
+    const neon::NInstrPtr n = neon::NInstr::make_read(
         {0, 0, 0}, VecType(ScalarType::UInt8, kMaxLanes));
     EXPECT_THROW(neon::NInstr::make(neon::NOp::Combine, {n, n}), UserError);
+    // A lane-wise Neon op reads lane i of every operand for its lane i,
+    // so an operand with fewer lanes than the result is refused rather
+    // than read past its end.
+    for (const char *short_operand :
+         {"(vcgt i8x8 (vld1 i16x8 0 0 0) (vld1 i16x2 0 0 0))",
+          "(vceq i8x8 (vld1 i16x2 0 0 0) (vld1 i16x8 0 0 0))",
+          "(vmull u16x8 (vld1 u8x8 0 0 0) (vld1 u8x2 0 0 0))",
+          "(vmla u8x8 (vld1 u8x8 0 0 0) (vld1 u8x8 0 0 0) (vld1 u8x2 0 0 0))",
+          "(vmlal u16x8 (vld1 u16x8 0 0 0) (vld1 u8x8 0 0 0) "
+          "(vld1 u8x2 0 0 0))",
+          "(vbsl u8x8 (vld1 i8x2 0 0 0) (vld1 u8x8 0 0 0) (vld1 u8x8 0 0 0))"})
+        EXPECT_THROW(neon::parse_instr(short_operand), UserError)
+            << short_operand;
+    EXPECT_NO_THROW(
+        neon::parse_instr("(vcgt i8x8 (vld1 i16x8 0 0 0) (vld1 i16x8 0 0 0))"));
     // The ceiling itself still reads.
     const std::string at = std::to_string(kMaxLanes);
     EXPECT_EQ(hvx::to_sexpr(hvx::parse_instr("(vmem u8x" + at + " 0 0 0)")),
@@ -234,7 +253,7 @@ TEST(Parse, OneLaneProgramsRoundTrip)
     EXPECT_EQ(hvx_text, "(vmem u8 0 0 0)");
     EXPECT_EQ(hvx::to_sexpr(hvx::parse_instr(hvx_text)), hvx_text);
     const std::string neon_text =
-        neon::to_sexpr(neon::NInstr::make_load({0, 0, 0}, u8x1));
+        neon::to_sexpr(neon::NInstr::make_read({0, 0, 0}, u8x1));
     EXPECT_EQ(neon::to_sexpr(neon::parse_instr(neon_text)), neon_text);
 }
 
@@ -398,7 +417,10 @@ TEST(Parse, RuleTableWithAnOutOfRangeSideFailsToLoad)
 // throw UserError (an invalid entry or table for the two formats whose
 // readers absorb it); anything else fails the test, and the sanitizer
 // builds turn a memory error or UB into a failure too. A mutant that
-// parses must print to text that parses back to the same text.
+// parses must print to text that parses back to the same text, and an
+// instruction mutant that parses is evaluated once by the shared
+// interpreter, so a typing rule that admits an operand the lane
+// functions would read out of bounds fails here too.
 
 constexpr uint64_t kMutationSeed = 20261019;
 
@@ -470,16 +492,20 @@ class Mutator
 
 using Read = std::function<std::optional<std::string>(const std::string &)>;
 
+/** Runs a parsed text once; false when it skips the text. */
+using Run = std::function<bool(const std::string &)>;
+
 /**
  * Run `count` mutants of `seeds` through `read`, which returns the
  * printed form of what it parsed, or nullopt for a rejection it
  * absorbed; a UserError is a rejection too. Every printed form must
- * read back to itself.
+ * read back to itself, and every mutant that parses goes once
+ * through `run`, when given, which must not throw.
  */
 void
 mutate_format(const std::string &format,
               const std::vector<std::string> &seeds, int count,
-              const Read &read)
+              const Read &read, const Run &run = nullptr)
 {
     for (const std::string &seed : seeds) {
         std::optional<std::string> printed;
@@ -488,6 +514,7 @@ mutate_format(const std::string &format,
     }
     Mutator mutator(seeds, kMutationSeed);
     int parsed = 0;
+    int ran = 0;
     for (int i = 0; i < count; ++i) {
         const std::string mutant = mutator.next();
         std::optional<std::string> printed;
@@ -498,6 +525,15 @@ mutate_format(const std::string &format,
         if (!printed)
             continue;
         ++parsed;
+        if (run) {
+            try {
+                ran += run(mutant);
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << format << " mutant " << i
+                              << " parsed but does not run: " << e.what()
+                              << "\nmutant: " << mutant;
+            }
+        }
         std::optional<std::string> again;
         try {
             again = read(*printed);
@@ -512,7 +548,10 @@ mutate_format(const std::string &format,
             << format << " mutant " << i << ": " << mutant;
     }
     std::cout << format << ": " << count << " mutants, " << parsed
-              << " parsed\n";
+              << " parsed";
+    if (run)
+        std::cout << ", " << ran << " evaluated";
+    std::cout << "\n";
     // Both outcomes occur, or the mutations are too tame to test.
     EXPECT_GT(parsed, 0) << format;
     EXPECT_LT(parsed, count) << format;
@@ -562,22 +601,93 @@ TEST(ParseMutation, HirSexpressions)
     });
 }
 
+/**
+ * Adds a buffer `id` of element type `elem` to `env`, or checks that
+ * the one there has that type. The cells differ from lane to lane and
+ * take the type's extremes; every read clamps into the buffer.
+ */
+bool
+add_buffer(Env &env, int id, ScalarType elem)
+{
+    auto it = env.buffers.find(id);
+    if (it != env.buffers.end())
+        return it->second.elem == elem;
+    Buffer b(elem, 40, 3, -20, -1);
+    for (size_t i = 0; i < b.data.size(); ++i) {
+        const int64_t pick[] = {min_value(elem), max_value(elem), 0, 1,
+                                static_cast<int64_t>(i) * 37 - 500};
+        b.data[i] = wrap(elem, pick[i % 5]);
+    }
+    env.buffers.emplace(id, std::move(b));
+    return true;
+}
+
+/** Adds what HIR expression `e` reads to `env`; see add_buffer. */
+bool
+add_reads(Env &env, const hir::ExprPtr &e)
+{
+    if (e->op() == hir::Op::Load)
+        return add_buffer(env, e->load_ref().buffer, e->type().elem);
+    if (e->op() == hir::Op::Var)
+        env.scalars[e->var_name()] = -3;
+    for (const auto &a : e->args())
+        if (!add_reads(env, a))
+            return false;
+    return true;
+}
+
+/**
+ * Parses `text` and evaluates it once through the shared interpreter,
+ * on an env holding every buffer and scalar the program reads; false,
+ * without evaluating, for a program that reads one buffer at two
+ * element types.
+ */
+template <typename Traits>
+bool
+evaluate_once(const std::string &text)
+{
+    const auto root = isa::parse_instr<Traits>(text);
+    Env env;
+    bool typed = true;
+    for_each_distinct_node(*root, [&](const isa::Node<Traits> &n) {
+        if (n.op() == Traits::kRead)
+            typed = typed && add_buffer(env, n.load_ref().buffer,
+                                        n.type().elem);
+        if (n.op() == Traits::kSplat)
+            typed = typed && add_reads(env, n.splat_value());
+    });
+    if (!typed)
+        return false;
+    isa::evaluate(root, env);
+    return true;
+}
+
 TEST(ParseMutation, HvxSexpressions)
 {
-    mutate_format("hvx sexpr", lines_of(golden("table1_selections.txt")),
-                  3000, [](const std::string &t) {
-                      return std::optional(hvx::to_sexpr(hvx::parse_instr(t)));
-                  });
+    const std::vector<std::string> seeds =
+        lines_of(golden("table1_selections.txt"));
+    for (const std::string &line : seeds)
+        EXPECT_EQ(hvx::to_sexpr(hvx::parse_instr(line)), line);
+    mutate_format(
+        "hvx sexpr", seeds, 3000,
+        [](const std::string &t) {
+            return std::optional(hvx::to_sexpr(hvx::parse_instr(t)));
+        },
+        evaluate_once<hvx::Traits>);
 }
 
 TEST(ParseMutation, NeonSexpressions)
 {
-    mutate_format("neon sexpr",
-                  lines_of(golden("table1_neon_selections.txt")), 3000,
-                  [](const std::string &t) {
-                      return std::optional(
-                          neon::to_sexpr(neon::parse_instr(t)));
-                  });
+    const std::vector<std::string> seeds =
+        lines_of(golden("table1_neon_selections.txt"));
+    for (const std::string &line : seeds)
+        EXPECT_EQ(neon::to_sexpr(neon::parse_instr(line)), line);
+    mutate_format(
+        "neon sexpr", seeds, 3000,
+        [](const std::string &t) {
+            return std::optional(neon::to_sexpr(neon::parse_instr(t)));
+        },
+        evaluate_once<neon::Traits>);
 }
 
 TEST(ParseMutation, CacheEntries)

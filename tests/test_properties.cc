@@ -208,7 +208,7 @@ TEST_P(SwizzleFuzz, SolverRecoversRandomMoveCompositions)
         InstrPtr sol = std::static_pointer_cast<const Instr>(*solved);
         Env env = fuzz_env(trial + 100, ScalarType::UInt8);
         EXPECT_EQ(hvx::evaluate(sol, env),
-                  synth::arrangement_value(hole, env));
+                  synth::arrangement_value<Instr>(hole, env));
         // And the solution respects the budget.
         EXPECT_LE(sol->instruction_count(), moves + 2);
     }

@@ -63,15 +63,13 @@ solve_checked(const Hole &hole, int budget, SwizzleStats &stats)
     hvx::InstrPtr sol = solve_as<hvx::Instr>(*isa, hole, budget, stats);
     if (sol) {
         Env env = ramp_env();
-        EXPECT_EQ(hvx::evaluate(sol, env), arrangement_value(hole, env));
+        EXPECT_EQ(hvx::evaluate(sol, env),
+                  arrangement_value<hvx::Instr>(hole, env));
     }
     return sol;
 }
 
-/**
- * Neon twin of solve_checked: the sources run through the Neon
- * interpreter and the arrangement is read off their values.
- */
+/** Neon twin of solve_checked. */
 neon::NInstrPtr
 neon_solve_checked(const Hole &hole, int budget, SwizzleStats &stats)
 {
@@ -80,12 +78,8 @@ neon_solve_checked(const Hole &hole, int budget, SwizzleStats &stats)
         solve_as<neon::NInstr>(*isa, hole, budget, stats);
     if (sol) {
         Env env = ramp_env();
-        std::vector<Value> src_values;
-        for (const auto &s : hole.sources)
-            src_values.push_back(neon::evaluate(
-                std::static_pointer_cast<const neon::NInstr>(s), env));
         EXPECT_EQ(neon::evaluate(sol, env),
-                  arrangement_value_from(hole, env, src_values));
+                  arrangement_value<neon::NInstr>(hole, env));
     }
     return sol;
 }
@@ -93,7 +87,7 @@ neon_solve_checked(const Hole &hole, int budget, SwizzleStats &stats)
 neon::NInstrPtr
 neon_load(int dx, int lanes)
 {
-    return neon::NInstr::make_load(hir::LoadRef{0, dx, 0},
+    return neon::NInstr::make_read(hir::LoadRef{0, dx, 0},
                                    VecType(u8, lanes));
 }
 

@@ -238,7 +238,7 @@ TEST(SymbolicVector, OracleReadsBufferAndSources)
 
     // Buffer cells.
     Hole h1{VecType(u8, 4), window_cells(0, 0, 2, 4), {}};
-    Value v1 = arrangement_value(h1, env);
+    Value v1 = arrangement_value<hvx::Instr>(h1, env);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(v1[i], (2 + i) * 3);
 
@@ -246,14 +246,14 @@ TEST(SymbolicVector, OracleReadsBufferAndSources)
     hvx::InstrPtr src = hvx::Instr::make_read(hir::LoadRef{0, 0, 0},
                                               VecType(u8, 4));
     Hole h2{VecType(u8, 4), rotate(source_cells(0, 4), 1), {src}};
-    Value v2 = arrangement_value(h2, env);
+    Value v2 = arrangement_value<hvx::Instr>(h2, env);
     Value sv = hvx::evaluate(src, env);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(v2[i], sv[(i + 1) % 4]);
 
     // Zero cells.
     Hole h3{VecType(u8, 2), {Cell::zero(), Cell::zero()}, {}};
-    Value v3 = arrangement_value(h3, env);
+    Value v3 = arrangement_value<hvx::Instr>(h3, env);
     EXPECT_EQ(v3[0], 0);
     EXPECT_EQ(v3[1], 0);
 }
