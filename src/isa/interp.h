@@ -10,8 +10,9 @@
  * neon/semantics.h), which the z3 prover instantiates too.
  *
  * Each ISA instantiates the template once, in its interp.cc, where
- * its semantics.h is visible; its interp.h declares that
- * instantiation `extern`, so users see only this header.
+ * its semantics.h is visible, and its interp.h declares that
+ * instantiation `extern`: code that evaluates an ISA's DAGs includes
+ * that interp.h.
  */
 #ifndef RAKE_ISA_INTERP_H
 #define RAKE_ISA_INTERP_H
