@@ -9,6 +9,8 @@
  * stream of generated expressions (backends may decline unmappable
  * shapes, but whatever they return must be correct).
  */
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "backend/hvx_backend.h"
@@ -17,6 +19,7 @@
 #include "hir/printer.h"
 #include "hvx/interp.h"
 #include "neon/select.h"
+#include "neon/sexpr.h"
 #include "pipeline/benchmarks.h"
 #include "synth/rake.h"
 #include "test_util.h"
@@ -132,6 +135,33 @@ TEST(CrossBackend, GreedyAblationAgreesWhereItApplies)
             }
         }
     }
+}
+
+/**
+ * What Neon's greedy mapper (`--greedy`, and a timed-out Neon query's
+ * degradation) selects for each suite expression, in table1's order:
+ * one s-expression a line, "declined" where it maps nothing.
+ */
+TEST(CrossBackend, GreedySelectionsMatchGolden)
+{
+    std::ifstream golden(std::string(RAKE_TESTS_DIR) +
+                         "/golden/neon_greedy_selections.txt");
+    ASSERT_TRUE(golden.good());
+    const auto isa = backend::make_neon_backend(neon::Target{});
+    for (const Benchmark &b : pipeline::benchmark_suite()) {
+        for (const KernelExpr &k : b.exprs) {
+            const auto g = isa->greedy_select(k.expr);
+            const std::string got =
+                g ? neon::to_sexpr(
+                        std::static_pointer_cast<const neon::NInstr>(*g))
+                  : "declined";
+            std::string want;
+            std::getline(golden, want);
+            EXPECT_EQ(got, want) << b.name << ":" << k.name;
+        }
+    }
+    std::string extra;
+    EXPECT_FALSE(std::getline(golden, extra)) << "golden has more lines";
 }
 
 class CrossBackendRandom : public ::testing::TestWithParam<int>
