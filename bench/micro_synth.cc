@@ -13,8 +13,9 @@
  * archives.
  *
  * `--target neon` measures the Neon backend through the same shared
- * engine (`--greedy` additionally swaps in the old one-template
- * mapper as an ablation, which reports no search statistics).
+ * engine (`--greedy` additionally swaps in its greedy mapper, one
+ * template per uber-op, as an ablation, which reports no search
+ * statistics).
  *
  * `--timeout-ms` / `--run-timeout-ms` (or RAKE_TIMEOUT_MS /
  * RAKE_RUN_TIMEOUT_MS) bound each query / the whole run; expired
@@ -49,7 +50,6 @@
 #include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hvx/sexpr.h"
-#include "neon/select.h"
 #include "pipeline/report.h"
 #include "support/deadline.h"
 #include "synth/cache.h"
@@ -172,11 +172,9 @@ main(int argc, char **argv)
                         selection = hvx::to_sexpr(rk->instr);
                 }
             } else if (args.greedy) {
-                neon::SelectOptions nopts;
-                nopts.greedy = true;
-                nopts.use_cache = false;
-                nopts.verifier.dedup = opts.verifier.dedup;
-                ok = neon::select_instructions(e, nopts).has_value();
+                ok = backend::make_neon_backend(neon::Target{})
+                         ->greedy_select(e)
+                         .has_value();
             } else {
                 // Fresh backend per run: it carries per-run search
                 // state (the swizzle memo).

@@ -1,16 +1,17 @@
 /**
  * @file
  * Retargeting demo (paper §6): lift a kernel once with the shared
- * Uber-Instruction IR, then lower it to BOTH backends — HVX through
- * the full sketch/swizzle search, and ARM Neon through the
- * preliminary direct mapping — and cross-check all three levels.
+ * Uber-Instruction IR, then lower it to BOTH backends through the same
+ * sketch/swizzle search — HVX and ARM Neon differ only in their
+ * instruction repertoires — and cross-check all three levels.
  */
 #include <iostream>
 
+#include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hir/printer.h"
 #include "hvx/printer.h"
-#include "neon/select.h"
+#include "neon/interp.h"
 #include "pipeline/executor.h"
 #include "synth/rake.h"
 #include "uir/printer.h"
@@ -38,19 +39,21 @@ main()
     std::cout << "Kernel:\n  " << to_string(e.ptr()) << "\n\n";
 
     auto hvx_r = synth::select_instructions(e.ptr());
-    auto neon_r = neon::select_instructions(e.ptr());
+    const auto neon_isa = backend::make_neon_backend(neon::Target{});
+    auto neon_r = synth::select_instructions_for(e.ptr(), *neon_isa);
     if (!hvx_r || !neon_r) {
         std::cerr << "selection failed\n";
         return 1;
     }
+    const auto neon_code =
+        std::static_pointer_cast<const neon::NInstr>(neon_r->instr);
 
     std::cout << "Shared Uber-Instruction IR (lifted once):\n  "
               << uir::to_string(hvx_r->lifted) << "\n\n";
     std::cout << "HVX lowering (full sketch + swizzle search):\n"
               << hvx::to_listing(hvx_r->instr) << "\n";
-    std::cout << "Neon lowering (preliminary direct mapping, "
-                 "note the fused vqrshrn):\n"
-              << neon::to_listing(*neon_r) << "\n";
+    std::cout << "Neon lowering (same search, Neon's repertoire):\n"
+              << neon::to_listing(neon_code) << "\n";
 
     // Execute both over the same image.
     using pipeline::Image;
@@ -70,7 +73,7 @@ main()
             for (int x = 0; x < 256; x += lanes) {
                 env.x = x;
                 env.y = y;
-                Value v = neon::evaluate(*neon_r, env);
+                Value v = neon::evaluate(neon_code, env);
                 for (int i = 0; i < lanes; ++i)
                     via_neon.at(x + i, y) = v[i];
             }

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 
+#include "backend/isa_backend.h"
 #include "backend/leaf_util.h"
 #include "baseline/halide_optimizer.h"
 #include "hvx/interp.h"
-#include "hvx/sexpr.h"
 #include "support/error.h"
 #include "synth/persist.h"
-#include "synth/sketch.h"
-#include "synth/swizzle.h"
-#include "synth/symbolic_vector.h"
 
 namespace rake::backend {
 
@@ -1536,112 +1533,33 @@ struct HvxMoves {
     }
 };
 
-class HvxBackend final : public TargetISA
-{
-  public:
-    explicit HvxBackend(const hvx::Target &target) : target_(target) {}
+/** HVX's repertoire for the shared backend (backend/isa_backend.h). */
+struct HvxRepertoire {
+    using Traits = hvx::Traits;
+    using Target = hvx::Target;
+    using Grammar = HvxGrammar;
+    using Moves = HvxMoves;
 
-    std::string name() const override { return "hvx"; }
+    static constexpr const char *kName = "hvx";
+    static constexpr int kGrammarVersion = synth::kHvxGrammarVersion;
+    static constexpr int kCostModelVersion = synth::kHvxCostModelVersion;
 
-    void
-    candidates(const UExprPtr &u, Layout layout, LowerDriver &driver,
-               std::vector<Sketch> &out) override
+    static Cost
+    cost(const InstrPtr &instr, const hvx::Target &target)
     {
-        HvxGrammar grammar(driver);
-        grammar.candidates(u, layout, out);
-    }
-
-    int
-    instruction_count(const InstrHandle &instr) const override
-    {
-        return hvx_cast(instr)->instruction_count();
-    }
-
-    InstrHandle
-    substitute_holes(
-        const InstrHandle &root,
-        const std::vector<InstrHandle> &solutions) const override
-    {
-        return synth::substitute_holes<Instr>(root, solutions);
-    }
-
-    std::optional<InstrHandle>
-    solve_hole(const synth::Hole &hole, int budget,
-               synth::SwizzleStats &stats) override
-    {
-        return synth::solve_hole_in_run(solver_, HvxMoves{target_}, hole,
-                                        budget, stats, deadline_);
-    }
-
-    Cost
-    cost_of(const InstrHandle &instr) const override
-    {
-        const hvx::Cost c = hvx::cost_of(hvx_cast(instr), target_);
+        const hvx::Cost c = hvx::cost_of(instr, target);
         return Cost{c.scalar(), c.total_instructions, c.total_latency};
     }
 
-    std::unique_ptr<Evaluator>
-    make_evaluator() const override
-    {
-        return std::make_unique<synth::InterpEvaluator<Instr>>();
-    }
-
-    Value
-    hole_value(const synth::Hole &hole, const Env &env,
-               const isa::HoleOracle &oracle) const override
-    {
-        return synth::arrangement_value<Instr>(hole, env, oracle);
-    }
-
-    void
-    set_deadline(const Deadline &deadline) override
-    {
-        deadline_ = deadline;
-    }
-
-    std::optional<InstrHandle>
-    greedy_select(const hir::ExprPtr &expr) const override
-    {
-        // The pattern-matching baseline always succeeds and never
-        // searches, so it runs deadline-free by design.
-        return InstrHandle(
-            baseline::select_instructions(expr, target_));
-    }
-
-    std::string
-    instr_to_sexpr(const InstrHandle &instr) const override
-    {
-        return hvx::to_sexpr(hvx_cast(instr));
-    }
-
-    InstrHandle
-    instr_from_sexpr(const std::string &text) const override
-    {
-        return hvx::parse_instr(text);
-    }
-
-    int
-    grammar_version() const override
-    {
-        return synth::kHvxGrammarVersion;
-    }
-
-    int
-    cost_model_version() const override
-    {
-        return synth::kHvxCostModelVersion;
-    }
-
-  private:
+    /**
+     * The pattern-matching baseline: it always succeeds and never
+     * searches, so it runs deadline-free by design.
+     */
     static InstrPtr
-    hvx_cast(const InstrHandle &h)
+    greedy(const hir::ExprPtr &expr, const hvx::Target &target)
     {
-        return std::static_pointer_cast<const Instr>(h);
+        return baseline::select_instructions(expr, target);
     }
-
-    hvx::Target target_;
-    std::optional<synth::SwizzleSolver<HvxMoves>> solver_;
-    Deadline deadline_;
 };
 
 } // namespace
@@ -1649,7 +1567,7 @@ class HvxBackend final : public TargetISA
 std::unique_ptr<TargetISA>
 make_hvx_backend(const hvx::Target &target)
 {
-    return std::make_unique<HvxBackend>(target);
+    return std::make_unique<IsaBackend<HvxRepertoire>>(target);
 }
 
 } // namespace rake::backend

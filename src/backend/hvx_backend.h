@@ -1,14 +1,13 @@
 /**
  * @file
- * The HVX port of the TargetISA interface.
+ * The HVX backend: HVX's repertoire for the shared TargetISA
+ * implementation (backend/isa_backend.h).
  *
  * The sketch grammar, interpreter, and cost model are the originals
  * this repo grew with, and the HVX moves policy (vmem, vlo/vhi,
  * vshuffvdd/vdealvdd, vcombine, vror) drives the shared
- * synth::SwizzleSolver. The backend only adapts them to the
- * type-erased interface, so lowering through it is bit-identical to
- * the pre-refactor HVX-only stack (same sketches in the same order,
- * same query counts, same selections).
+ * synth::SwizzleSolver. Its greedy selector is the pattern-matching
+ * baseline (baseline/halide_optimizer.h), which never declines.
  */
 #ifndef RAKE_BACKEND_HVX_BACKEND_H
 #define RAKE_BACKEND_HVX_BACKEND_H

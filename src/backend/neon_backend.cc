@@ -1,14 +1,17 @@
 #include "backend/neon_backend.h"
 
 #include <algorithm>
+#include <unordered_map>
 
+#include "backend/isa_backend.h"
 #include "backend/leaf_util.h"
+#include "hir/interp.h"
+#include "hir/simplify.h"
 #include "neon/interp.h"
-#include "neon/select.h"
-#include "neon/sexpr.h"
 #include "support/error.h"
-#include "synth/sketch.h"
-#include "synth/swizzle.h"
+#include "synth/lift.h"
+#include "synth/spec.h"
+#include "synth/verify.h"
 
 namespace rake::backend {
 
@@ -189,9 +192,9 @@ using SketchBuilder = synth::SketchBuilder<NInstr>;
 
 /**
  * The Neon sketch grammar. Alternative templates per uber-op compete
- * on cost under CEGIS, replacing the old single greedy mapping; the
- * greedy chain shape survives as one template among several, so
- * everything the preliminary port could select is still reachable.
+ * on cost under CEGIS. The public value builders also build the
+ * greedy mapper's programs (NeonGreedy below), which takes the first
+ * template that applies, so everything it selects is reachable here.
  */
 class NeonGrammar
 {
@@ -233,8 +236,11 @@ class NeonGrammar
         }
     }
 
-  private:
-    /** Recursive lowering through the core (the memoized search). */
+    // ---------------------------------------------------------------
+    // Value builders (shared with NeonGreedy)
+    // ---------------------------------------------------------------
+
+    /** Recursive lowering through the driver. */
     NInstrPtr
     child(const UExprPtr &c)
     {
@@ -242,12 +248,6 @@ class NeonGrammar
         if (!h)
             return nullptr;
         return ncast(*h);
-    }
-
-    UExprPtr
-    pin(UExprPtr u)
-    {
-        return driver_.pin(std::move(u));
     }
 
     static NInstrPtr
@@ -275,6 +275,215 @@ class NeonGrammar
         while (v && bits(v->type().elem) < bits(want))
             v = NInstr::make(NOp::Movl, {v});
         return coerce(v, want);
+    }
+
+    /**
+     * `v` shifted right by p.shift, rounding if p.round, else
+     * arithmetic or logical by the signedness of `elem`; `v` itself
+     * when p.shift is 0.
+     */
+    static NInstrPtr
+    shift_right(NInstrPtr v, const UParams &p, ScalarType elem)
+    {
+        if (p.shift <= 0)
+            return v;
+        return NInstr::make(p.round            ? NOp::Rshr
+                            : is_signed(elem) ? NOp::Sshr
+                                              : NOp::Ushr,
+                            {std::move(v)}, {p.shift});
+    }
+
+    /**
+     * Neon's fused shift-and-narrow of `x` to half its width for p:
+     * vqrshrn (rounding, saturating) or vshrn (neither); null when
+     * neither applies.
+     */
+    static NInstrPtr
+    fused_narrow(const NInstrPtr &x, const UParams &p, ScalarType out)
+    {
+        if (p.shift > 0 && p.round && p.saturate)
+            return NInstr::make(NOp::Qrshrn, {x}, {p.shift}, out);
+        if (p.shift > 0 && !p.round && !p.saturate)
+            return NInstr::make(NOp::Shrn, {x}, {p.shift});
+        return nullptr;
+    }
+
+    /**
+     * The decomposed narrow of `x` (element type `elem`) to half its
+     * width: shift_right, then vqmovn to `out` or vmovn.
+     */
+    static NInstrPtr
+    decomposed_narrow(const NInstrPtr &x, const UParams &p,
+                      ScalarType elem, ScalarType out)
+    {
+        NInstrPtr v = shift_right(x, p, elem);
+        return p.saturate ? NInstr::make(NOp::Qxtn, {v}, {}, out)
+                          : NInstr::make(NOp::Xtn, {v});
+    }
+
+    /**
+     * A 4:1 narrow as two 2:1 hops through a synthetic middle-width
+     * UIR node: shift, round and saturation in the first hop, the
+     * final clamp in the second. The verifier rejects unsound
+     * compositions.
+     */
+    UExprPtr
+    two_hop_narrow(const UExprPtr &u)
+    {
+        const UParams &p = u->params();
+        UParams p1;
+        p1.out_elem = narrow(u->arg(0)->type().elem);
+        p1.shift = p.shift;
+        p1.round = p.round;
+        p1.saturate = p.saturate;
+        UParams p2;
+        p2.out_elem = u->type().elem;
+        p2.saturate = p.saturate;
+        return pin(UExpr::make(
+            UOp::Narrow, {pin(UExpr::make(UOp::Narrow, {u->arg(0)}, p1))},
+            p2));
+    }
+
+    /**
+     * The widening multiply-accumulate chain: vmull + vmlal for
+     * half-width terms, flat vmla for full-width ones. The greedy
+     * mapper's one shape for a VsMpyAdd.
+     */
+    NInstrPtr
+    mull_chain_value(const UExprPtr &u)
+    {
+        const VecType t = u->type();
+        const UParams &p = u->params();
+        NInstrPtr acc;
+        for (int i = 0; i < u->num_args(); ++i) {
+            NInstrPtr x = child(u->arg(i));
+            if (!x)
+                return nullptr;
+            const int64_t w = p.kernel[i];
+            const bool narrow_term =
+                bits(x->type().elem) * 2 == bits(t.elem);
+            if (narrow_term) {
+                NInstrPtr ws =
+                    dup_const(w, x->type().elem, x->type().lanes);
+                NInstrPtr v =
+                    acc ? NInstr::make(
+                              NOp::Mlal,
+                              {coerce(acc, widen(x->type().elem)), x,
+                               ws})
+                        : NInstr::make(NOp::Mull, {x, ws});
+                acc = coerce(v, t.elem);
+            } else {
+                NInstrPtr xw = widen_to(x, t.elem);
+                if (!xw)
+                    return nullptr;
+                if (w == 1 && acc) {
+                    acc = NInstr::make(NOp::Add, {acc, xw});
+                } else if (w == 1) {
+                    acc = xw;
+                } else {
+                    NInstrPtr ws = dup_const(w, t.elem, t.lanes);
+                    acc = acc ? NInstr::make(NOp::Mla, {acc, xw, ws})
+                              : NInstr::make(NOp::Mul, {xw, ws});
+                }
+            }
+            if (!acc)
+                return nullptr;
+        }
+        return acc;
+    }
+
+    /**
+     * A VvMpyAdd with both operands of each pair widened to the
+     * output width and multiplied flat (vmul, then vmla).
+     */
+    NInstrPtr
+    vv_flat_value(const UExprPtr &u)
+    {
+        const ScalarType want = u->type().elem;
+        NInstrPtr acc;
+        for (int i = 0; i + 1 < u->num_args(); i += 2) {
+            NInstrPtr a = child(u->arg(i));
+            NInstrPtr c = child(u->arg(i + 1));
+            if (!a || !c)
+                return nullptr;
+            NInstrPtr aw = widen_to(a, want);
+            NInstrPtr cw = widen_to(c, want);
+            if (!aw || !cw)
+                return nullptr;
+            acc = acc ? NInstr::make(NOp::Mla, {acc, aw, cw})
+                      : NInstr::make(NOp::Mul, {aw, cw});
+        }
+        return acc;
+    }
+
+    /**
+     * The lane-wise uber-ops' one instruction each (Le is vcgt | vceq),
+     * over the lowered operands; null for any other op, a shift by
+     * other than a constant, or an operand that does not lower.
+     */
+    NInstrPtr
+    lanewise_value(const UExprPtr &u)
+    {
+        std::vector<NInstrPtr> cs;
+        for (int i = 0; i < u->num_args(); ++i) {
+            NInstrPtr c = child(u->arg(i));
+            if (!c)
+                return nullptr;
+            cs.push_back(std::move(c));
+        }
+        switch (u->op()) {
+          case UOp::AbsDiff:
+            return NInstr::make(NOp::Abd, {cs[0], cs[1]});
+          case UOp::Min:
+            return NInstr::make(NOp::Min, {cs[0], cs[1]});
+          case UOp::Max:
+            return NInstr::make(NOp::Max, {cs[0], cs[1]});
+          case UOp::Average:
+            return NInstr::make(u->params().round ? NOp::Rhadd
+                                                  : NOp::Hadd,
+                                {cs[0], cs[1]});
+          case UOp::And:
+            return NInstr::make(NOp::And, {cs[0], cs[1]});
+          case UOp::Or:
+            return NInstr::make(NOp::Orr, {cs[0], cs[1]});
+          case UOp::Xor:
+            return NInstr::make(NOp::Eor, {cs[0], cs[1]});
+          case UOp::Not:
+            return NInstr::make(NOp::Not, {cs[0]});
+          case UOp::Lt:
+            return NInstr::make(NOp::Cmgt, {cs[1], cs[0]});
+          case UOp::Le:
+            return NInstr::make(
+                NOp::Orr, {NInstr::make(NOp::Cmgt, {cs[1], cs[0]}),
+                           NInstr::make(NOp::Cmeq, {cs[0], cs[1]})});
+          case UOp::Eq:
+            return NInstr::make(NOp::Cmeq, {cs[0], cs[1]});
+          case UOp::Select:
+            return NInstr::make(NOp::Bsl, {cs[0], cs[1], cs[2]});
+          case UOp::ShiftLeft:
+          case UOp::ShiftRight: {
+            int64_t sh = 0;
+            if (u->arg(1)->op() != UOp::HirLeaf ||
+                !hir::as_const(u->arg(1)->leaf(), &sh))
+                return nullptr;
+            if (u->op() == UOp::ShiftLeft)
+                return NInstr::make(NOp::Shl, {cs[0]}, {sh});
+            if (u->params().round)
+                return NInstr::make(NOp::Rshr, {cs[0]}, {sh});
+            return NInstr::make(is_signed(u->type().elem) ? NOp::Sshr
+                                                          : NOp::Ushr,
+                                {cs[0]}, {sh});
+          }
+          default:
+            return nullptr;
+        }
+    }
+
+  private:
+    UExprPtr
+    pin(UExprPtr u)
+    {
+        return driver_.pin(std::move(u));
     }
 
     void
@@ -339,9 +548,8 @@ class NeonGrammar
     narrow_templates(const UExprPtr &u, std::vector<Sketch> &out)
     {
         const VecType want = u->type();
-        const UExprPtr &x = u->arg(0);
         const UParams &p = u->params();
-        const ScalarType in_elem = x->type().elem;
+        const ScalarType in_elem = u->arg(0)->type().elem;
         const int ratio = bits(in_elem) / bits(want.elem);
 
         if (ratio == 1) {
@@ -349,55 +557,26 @@ class NeonGrammar
             return;
         }
         if (ratio == 4) {
-            // Narrow in two hops via a synthetic middle-width UIR
-            // node (shift+round+sat in the first hop, final clamp in
-            // the second); the verifier rejects unsound compositions.
-            UParams p1;
-            p1.out_elem = narrow(in_elem);
-            p1.shift = p.shift;
-            p1.round = p.round;
-            p1.saturate = p.saturate;
-            UParams p2;
-            p2.out_elem = want.elem;
-            p2.saturate = p.saturate;
-            const UExprPtr two = pin(UExpr::make(
-                UOp::Narrow,
-                {pin(UExpr::make(UOp::Narrow, {x}, p1))}, p2));
-            emit_lowered(out, two, "narrow.twohop");
+            emit_lowered(out, two_hop_narrow(u), "narrow.twohop");
             return;
         }
         if (ratio != 2)
             return;
 
-        NInstrPtr cx = child(x);
+        NInstrPtr cx = child(u->arg(0));
         if (!cx)
             return;
 
-        // Fused families first (the shapes the greedy port picked).
-        if (p.shift > 0 && p.round && p.saturate) {
+        // Fused families first (the shapes the greedy mapper picks).
+        if (NInstrPtr fused = fused_narrow(cx, p, want.elem)) {
             SketchBuilder b;
-            emit(out, b,
-                 NInstr::make(NOp::Qrshrn, {cx}, {p.shift}, want.elem),
-                 want, "narrow.vqrshrn");
+            emit(out, b, fused, want,
+                 p.saturate ? "narrow.vqrshrn" : "narrow.vshrn");
         }
-        if (p.shift > 0 && !p.round && !p.saturate) {
-            SketchBuilder b;
-            emit(out, b, NInstr::make(NOp::Shrn, {cx}, {p.shift}), want,
-                 "narrow.vshrn");
-        }
-        // Decomposed: optional shift, then a (saturating) narrow.
         {
             SketchBuilder b;
-            NInstrPtr v = cx;
-            if (p.shift > 0)
-                v = NInstr::make(p.round            ? NOp::Rshr
-                                 : is_signed(in_elem) ? NOp::Sshr
-                                                      : NOp::Ushr,
-                                 {v}, {p.shift});
-            v = p.saturate
-                    ? NInstr::make(NOp::Qxtn, {v}, {}, want.elem)
-                    : NInstr::make(NOp::Xtn, {v});
-            emit(out, b, v, want, "narrow.decomposed");
+            emit(out, b, decomposed_narrow(cx, p, in_elem, want.elem),
+                 want, "narrow.decomposed");
         }
     }
 
@@ -412,16 +591,11 @@ class NeonGrammar
         if (!cx)
             return;
         SketchBuilder b;
-        NInstrPtr v = cx;
-        if (p.shift > 0)
-            v = NInstr::make(p.round            ? NOp::Rshr
-                             : is_signed(in_elem) ? NOp::Sshr
-                                                  : NOp::Ushr,
-                             {v}, {p.shift});
+        NInstrPtr v = shift_right(cx, p, in_elem);
         if (p.saturate) {
             // Same-width saturation only changes signedness; clamp to
-            // the overlapping range with vmax/vmin (previously
-            // unmapped in the greedy port).
+            // the overlapping range with vmax/vmin (the greedy mapper
+            // declines it).
             if (is_signed(in_elem) && !is_signed(want.elem)) {
                 v = NInstr::make(NOp::Max,
                                  {v, dup_const(0, in_elem, want.lanes)});
@@ -432,55 +606,6 @@ class NeonGrammar
             }
         }
         emit(out, b, v, want, "narrow.samewidth");
-    }
-
-    /**
-     * The widening multiply-accumulate chain (vmull + vmlal for
-     * half-width terms, flat vmla for full-width ones) — exactly the
-     * shape the greedy port built, kept as the leading template so
-     * its selections are reproduced whenever it is sound.
-     */
-    NInstrPtr
-    mull_chain_value(const UExprPtr &u)
-    {
-        const VecType t = u->type();
-        const UParams &p = u->params();
-        NInstrPtr acc;
-        for (int i = 0; i < u->num_args(); ++i) {
-            NInstrPtr x = child(u->arg(i));
-            if (!x)
-                return nullptr;
-            const int64_t w = p.kernel[i];
-            const bool narrow_term =
-                bits(x->type().elem) * 2 == bits(t.elem);
-            if (narrow_term) {
-                NInstrPtr ws =
-                    dup_const(w, x->type().elem, x->type().lanes);
-                NInstrPtr v =
-                    acc ? NInstr::make(
-                              NOp::Mlal,
-                              {coerce(acc, widen(x->type().elem)), x,
-                               ws})
-                        : NInstr::make(NOp::Mull, {x, ws});
-                acc = coerce(v, t.elem);
-            } else {
-                NInstrPtr xw = widen_to(x, t.elem);
-                if (!xw)
-                    return nullptr;
-                if (w == 1 && acc) {
-                    acc = NInstr::make(NOp::Add, {acc, xw});
-                } else if (w == 1) {
-                    acc = xw;
-                } else {
-                    NInstrPtr ws = dup_const(w, t.elem, t.lanes);
-                    acc = acc ? NInstr::make(NOp::Mla, {acc, xw, ws})
-                              : NInstr::make(NOp::Mul, {xw, ws});
-                }
-            }
-            if (!acc)
-                return nullptr;
-        }
-        return acc;
     }
 
     /** Everything widened to the output width, multiplied flat. */
@@ -509,6 +634,29 @@ class NeonGrammar
             }
         }
         return acc;
+    }
+
+    /**
+     * A saturating multiply-add computed exactly at double width, then
+     * saturating-narrowed back; null when the output is already
+     * 64-bit. CEGIS kills whichever shape mismatches the
+     * uber-instruction's saturation semantics.
+     */
+    UExprPtr
+    wide_then_narrow(const UExprPtr &u)
+    {
+        const ScalarType want = u->type().elem;
+        const ScalarType wide = widen(want);
+        if (wide == want)
+            return nullptr;
+        UParams wp = u->params();
+        wp.saturate = false;
+        wp.out_elem = wide;
+        UParams np;
+        np.out_elem = want;
+        np.saturate = true;
+        return pin(UExpr::make(
+            UOp::Narrow, {pin(UExpr::make(u->op(), u->args(), wp))}, np));
     }
 
     void
@@ -558,23 +706,9 @@ class NeonGrammar
                 if (acc)
                     emit(out, b, acc, want, "vsmpy.qadd");
             }
-            // (b) Compute exactly at double width, then saturating-
-            // narrow back; CEGIS kills whichever shape mismatches the
-            // uber-instruction's saturation semantics.
-            const ScalarType wide_elem = widen(want.elem);
-            if (wide_elem != want.elem) {
-                UParams wp = p;
-                wp.saturate = false;
-                wp.out_elem = wide_elem;
-                UParams np;
-                np.out_elem = want.elem;
-                np.saturate = true;
-                const UExprPtr two = pin(UExpr::make(
-                    UOp::Narrow,
-                    {pin(UExpr::make(UOp::VsMpyAdd, u->args(), wp))},
-                    np));
+            // (b) Exactly at double width, then narrowed.
+            if (UExprPtr two = wide_then_narrow(u))
                 emit_lowered(out, two, "vsmpy.sat.widen");
-            }
             return;
         }
 
@@ -596,48 +730,19 @@ class NeonGrammar
     vv_mpy_add_templates(const UExprPtr &u, std::vector<Sketch> &out)
     {
         const VecType want = u->type();
-        const UParams &p = u->params();
         const int k = u->num_args();
 
-        if (p.saturate) {
-            const ScalarType wide_elem = widen(want.elem);
-            if (wide_elem == want.elem)
-                return;
-            UParams wp = p;
-            wp.saturate = false;
-            wp.out_elem = wide_elem;
-            UParams np;
-            np.out_elem = want.elem;
-            np.saturate = true;
-            const UExprPtr two = pin(UExpr::make(
-                UOp::Narrow,
-                {pin(UExpr::make(UOp::VvMpyAdd, u->args(), wp))}, np));
-            emit_lowered(out, two, "vvmpy.sat.widen");
+        if (u->params().saturate) {
+            if (UExprPtr two = wide_then_narrow(u))
+                emit_lowered(out, two, "vvmpy.sat.widen");
             return;
         }
 
         // (i) Flat: widen both operands, multiply at output width.
         {
             SketchBuilder b;
-            NInstrPtr acc;
-            bool ok = true;
-            for (int i = 0; i + 1 < k && ok; i += 2) {
-                NInstrPtr a = child(u->arg(i));
-                NInstrPtr c = child(u->arg(i + 1));
-                if (!a || !c) {
-                    ok = false;
-                    break;
-                }
-                NInstrPtr aw = widen_to(a, want.elem);
-                NInstrPtr cw = widen_to(c, want.elem);
-                if (!aw || !cw) {
-                    ok = false;
-                    break;
-                }
-                acc = acc ? NInstr::make(NOp::Mla, {acc, aw, cw})
-                          : NInstr::make(NOp::Mul, {aw, cw});
-            }
-            if (ok && acc)
+            NInstrPtr acc = vv_flat_value(u);
+            if (acc)
                 emit(out, b, acc, want, "vvmpy.flat");
         }
         // (ii) Widening multiplies when both pair operands sit at
@@ -673,193 +778,156 @@ class NeonGrammar
     void
     lanewise_templates(const UExprPtr &u, std::vector<Sketch> &out)
     {
-        const VecType want = u->type();
-        const UParams &p = u->params();
-        std::vector<NInstrPtr> cs;
-        for (int i = 0; i < u->num_args(); ++i) {
-            NInstrPtr c = child(u->arg(i));
-            if (!c)
-                return;
-            cs.push_back(std::move(c));
-        }
         SketchBuilder b;
-        NInstrPtr root;
-        switch (u->op()) {
-          case UOp::AbsDiff:
-            root = NInstr::make(NOp::Abd, {cs[0], cs[1]});
-            break;
-          case UOp::Min:
-            root = NInstr::make(NOp::Min, {cs[0], cs[1]});
-            break;
-          case UOp::Max:
-            root = NInstr::make(NOp::Max, {cs[0], cs[1]});
-            break;
-          case UOp::Average:
-            root = NInstr::make(p.round ? NOp::Rhadd : NOp::Hadd,
-                                {cs[0], cs[1]});
-            break;
-          case UOp::And:
-            root = NInstr::make(NOp::And, {cs[0], cs[1]});
-            break;
-          case UOp::Or:
-            root = NInstr::make(NOp::Orr, {cs[0], cs[1]});
-            break;
-          case UOp::Xor:
-            root = NInstr::make(NOp::Eor, {cs[0], cs[1]});
-            break;
-          case UOp::Not:
-            root = NInstr::make(NOp::Not, {cs[0]});
-            break;
-          case UOp::Lt:
-            root = NInstr::make(NOp::Cmgt, {cs[1], cs[0]});
-            break;
-          case UOp::Le:
-            root = NInstr::make(
-                NOp::Orr, {NInstr::make(NOp::Cmgt, {cs[1], cs[0]}),
-                           NInstr::make(NOp::Cmeq, {cs[0], cs[1]})});
-            break;
-          case UOp::Eq:
-            root = NInstr::make(NOp::Cmeq, {cs[0], cs[1]});
-            break;
-          case UOp::Select:
-            root = NInstr::make(NOp::Bsl, {cs[0], cs[1], cs[2]});
-            break;
-          case UOp::ShiftLeft:
-          case UOp::ShiftRight: {
-            int64_t sh = 0;
-            if (u->arg(1)->op() != UOp::HirLeaf ||
-                !hir::as_const(u->arg(1)->leaf(), &sh))
-                return;
-            if (u->op() == UOp::ShiftLeft)
-                root = NInstr::make(NOp::Shl, {cs[0]}, {sh});
-            else if (p.round)
-                root = NInstr::make(NOp::Rshr, {cs[0]}, {sh});
-            else
-                root = NInstr::make(is_signed(want.elem) ? NOp::Sshr
-                                                         : NOp::Ushr,
-                                    {cs[0]}, {sh});
-            break;
-          }
-          default:
-            return;
-        }
-        emit(out, b, root, want, "lanewise");
+        emit(out, b, lanewise_value(u), u->type(), "lanewise");
     }
 
     LowerDriver &driver_;
 };
 
-class NeonBackend final : public TargetISA
+/**
+ * Neon's greedy mapper: what `--greedy` runs and what a timed-out
+ * Neon query degrades to. It lowers each uber-op by the first grammar
+ * template that applies, built by NeonGrammar's value builders over
+ * this mapper's own memoized lowering of the operands (it is their
+ * LowerDriver), and declines the shapes only the search handles:
+ * saturating multiply-adds and same-width saturation. A load is a
+ * plain vld1; there is no search and no deadline.
+ */
+class NeonGreedy final : public LowerDriver
 {
   public:
-    explicit NeonBackend(const neon::Target &target) : target_(target)
-    {
-    }
-
-    std::string name() const override { return "neon"; }
-
-    void
-    candidates(const UExprPtr &u, Layout layout, LowerDriver &driver,
-               std::vector<Sketch> &out) override
-    {
-        NeonGrammar grammar(driver);
-        grammar.candidates(u, layout, out);
-    }
-
-    int
-    instruction_count(const InstrHandle &instr) const override
-    {
-        return ncast(instr)->instruction_count();
-    }
-
-    InstrHandle
-    substitute_holes(
-        const InstrHandle &root,
-        const std::vector<InstrHandle> &solutions) const override
-    {
-        return synth::substitute_holes<NInstr>(root, solutions);
-    }
-
     std::optional<InstrHandle>
-    solve_hole(const synth::Hole &hole, int budget,
-               synth::SwizzleStats &stats) override
+    lowered(const UExprPtr &u, Layout) override
     {
-        return synth::solve_hole_in_run(solver_, NeonMoves{target_}, hole,
-                                        budget, stats, deadline_);
+        auto it = memo_.find(u.get());
+        if (it == memo_.end())
+            it = memo_.emplace(u.get(), map(u)).first;
+        if (!it->second)
+            return std::nullopt;
+        return it->second;
     }
 
-    Cost
-    cost_of(const InstrHandle &instr) const override
+    /** Keeps two-hop narrows alive: the memo keys on node addresses. */
+    UExprPtr
+    pin(UExprPtr u) override
     {
-        const neon::Cost c = neon::cost_of(ncast(instr), target_);
+        pinned_.push_back(u);
+        return u;
+    }
+
+    bool layouts_enabled() const override { return false; }
+
+  private:
+    NInstrPtr
+    map(const UExprPtr &u)
+    {
+        const VecType t = u->type();
+        const UParams &p = u->params();
+        switch (u->op()) {
+          case UOp::HirLeaf: {
+            hir::LoadRef ref;
+            if (is_load_leaf(u, &ref))
+                return NInstr::make_read(ref, t);
+            return NInstr::make_splat(splat_scalar(u), t.lanes);
+          }
+          case UOp::Widen:
+            return NeonGrammar::widen_to(grammar_.child(u->arg(0)), t.elem);
+          case UOp::Narrow:
+            return narrow_value(u);
+          case UOp::VsMpyAdd:
+            return p.saturate ? nullptr : grammar_.mull_chain_value(u);
+          case UOp::VvMpyAdd:
+            return p.saturate ? nullptr : grammar_.vv_flat_value(u);
+          default:
+            return grammar_.lanewise_value(u);
+        }
+    }
+
+    NInstrPtr
+    narrow_value(const UExprPtr &u)
+    {
+        const ScalarType out = u->type().elem;
+        const UParams &p = u->params();
+        NInstrPtr x = grammar_.child(u->arg(0));
+        if (!x)
+            return nullptr;
+        const ScalarType elem = x->type().elem;
+        switch (bits(u->arg(0)->type().elem) / bits(out)) {
+          case 1:
+            if (p.saturate)
+                return nullptr;
+            return NeonGrammar::coerce(NeonGrammar::shift_right(x, p, elem),
+                                       out);
+          case 4:
+            return grammar_.child(grammar_.two_hop_narrow(u));
+          default: {
+            NInstrPtr v = NeonGrammar::fused_narrow(x, p, out);
+            if (!v)
+                v = NeonGrammar::decomposed_narrow(x, p, elem, out);
+            return NeonGrammar::coerce(v, out);
+          }
+        }
+    }
+
+    NeonGrammar grammar_{*this};
+    std::unordered_map<const UExpr *, NInstrPtr> memo_;
+    std::vector<UExprPtr> pinned_;
+};
+
+/** Neon's repertoire for the shared backend (backend/isa_backend.h). */
+struct NeonRepertoire {
+    using Traits = neon::Traits;
+    using Target = neon::Target;
+    using Grammar = NeonGrammar;
+    using Moves = NeonMoves;
+
+    static constexpr const char *kName = "neon";
+    /** 2: scalar examples take their variable type's extremes (see
+     *  synth::kHvxGrammarVersion). */
+    static constexpr int kGrammarVersion = 2;
+    /** 2: structurally equal nodes count once; vmovl's latency is 3. */
+    static constexpr int kCostModelVersion = 2;
+
+    static Cost
+    cost(const NInstrPtr &instr, const neon::Target &target)
+    {
+        const neon::Cost c = neon::cost_of(instr, target);
         return Cost{c.scalar(), c.total_instructions, c.total_latency};
     }
 
-    std::unique_ptr<Evaluator>
-    make_evaluator() const override
+    /**
+     * NeonGreedy over the shared lift, checked against the reference
+     * on the example pool's first 12 examples; null when the lift or
+     * the mapper declines or the check fails.
+     */
+    static NInstrPtr
+    greedy(const hir::ExprPtr &expr, const neon::Target &)
     {
-        return std::make_unique<synth::InterpEvaluator<NInstr>>();
+        const hir::ExprPtr normalized = hir::simplify(expr);
+        const synth::Spec spec = synth::Spec::from_expr(normalized);
+        synth::ExamplePool pool(spec, 1);
+        synth::Verifier verifier(spec, pool);
+        const synth::LiftResult lifted = synth::lift_to_uir(verifier);
+        if (!lifted.expr)
+            return nullptr;
+        NInstrPtr n;
+        try {
+            NeonGreedy mapper;
+            auto h = mapper.lowered(lifted.expr, Layout::Linear);
+            if (!h)
+                return nullptr;
+            n = ncast(*h);
+        } catch (const UserError &) {
+            return nullptr;
+        }
+        for (int i = 0; i < 12; ++i) {
+            const Env &env = pool.at(i);
+            if (!(hir::evaluate(normalized, env) == neon::evaluate(n, env)))
+                return nullptr;
+        }
+        return n;
     }
-
-    Value
-    hole_value(const synth::Hole &hole, const Env &env,
-               const isa::HoleOracle &oracle) const override
-    {
-        return synth::arrangement_value<NInstr>(hole, env, oracle);
-    }
-
-    void
-    set_deadline(const Deadline &deadline) override
-    {
-        deadline_ = deadline;
-    }
-
-    std::optional<InstrHandle>
-    greedy_select(const hir::ExprPtr &expr) const override
-    {
-        // The PR 3 greedy one-template mapping, run deadline-free (it
-        // is bounded: one template per uber-op, no search). It can
-        // still return nullopt for uber-ops outside the greedy
-        // repertoire, in which case degradation yields no program.
-        neon::SelectOptions opts;
-        opts.greedy = true;
-        auto r = neon::select_instructions(expr, opts);
-        if (!r)
-            return std::nullopt;
-        return InstrHandle(std::move(*r));
-    }
-
-    std::string
-    instr_to_sexpr(const InstrHandle &instr) const override
-    {
-        return neon::to_sexpr(ncast(instr));
-    }
-
-    InstrHandle
-    instr_from_sexpr(const std::string &text) const override
-    {
-        return neon::parse_instr(text);
-    }
-
-    int
-    grammar_version() const override
-    {
-        // 2: scalar examples take their variable type's extremes
-        // (see kHvxGrammarVersion).
-        return 2;
-    }
-
-    int
-    cost_model_version() const override
-    {
-        // 2: structurally equal nodes count once; vmovl's latency is 3.
-        return 2;
-    }
-
-  private:
-    neon::Target target_;
-    std::optional<synth::SwizzleSolver<NeonMoves>> solver_;
-    Deadline deadline_;
 };
 
 } // namespace
@@ -867,7 +935,7 @@ class NeonBackend final : public TargetISA
 std::unique_ptr<TargetISA>
 make_neon_backend(const neon::Target &target)
 {
-    return std::make_unique<NeonBackend>(target);
+    return std::make_unique<IsaBackend<NeonRepertoire>>(target);
 }
 
 } // namespace rake::backend

@@ -1,14 +1,15 @@
 /**
  * @file
- * The ARM Neon port of the TargetISA interface.
- *
- * Where the original Neon port was a greedy one-template mapping,
- * this backend gives Neon the full synthesis treatment: a sketch
- * grammar with alternative templates per uber-instruction, a swizzle
- * moves policy for the shared synth::SwizzleSolver (vld1, vzip/vuzp,
- * vcombine and the free vget_low/high renames, plus the Neon-only
- * vext, vrev and vtbl rules), and a cycle-cost model — all driven by
- * the same memoized, backtracking, CEGIS-verified search as HVX.
+ * The ARM Neon backend: Neon's repertoire for the shared TargetISA
+ * implementation (backend/isa_backend.h). A sketch grammar with
+ * alternative templates per uber-instruction, a swizzle moves policy
+ * for the shared synth::SwizzleSolver (vld1, vzip/vuzp, vcombine and
+ * the free vget_low/high renames, plus the Neon-only vext, vrev and
+ * vtbl rules) and a cycle-cost model, driven by the same memoized,
+ * backtracking, CEGIS-verified search as HVX. Its greedy selector
+ * (`--greedy`, and a timed-out query's degradation) maps each
+ * uber-instruction by the first of the grammar's templates that
+ * applies, without search, and may decline.
  *
  * Neon compute instructions never reorder lanes, so the layout
  * parameterization of §5.1 degenerates: only Layout::Linear exists

@@ -25,7 +25,8 @@
  *
  * A TargetISA instance is created per lowering run and may carry
  * mutable per-run state (e.g. the swizzle search's window-read memo);
- * the core calls it from one thread.
+ * the core calls it from one thread. backend/isa_backend.h implements
+ * it once, over each ISA's repertoire.
  */
 #ifndef RAKE_BACKEND_TARGET_ISA_H
 #define RAKE_BACKEND_TARGET_ISA_H

@@ -216,6 +216,15 @@ ScalarType scalar_type_from_string(const std::string &s);
 constexpr int kMaxLanes = 1 << 16;
 
 /**
+ * The largest magnitude of a load's x or y offset. The suite's
+ * stencils reach a few pixels; at this ceiling a tile coordinate plus
+ * an offset plus a lane index stays far inside an int. The load
+ * factories (hir::Expr::make_load, isa::Node::make_read) refuse an
+ * offset past it, so every parser does.
+ */
+constexpr int kMaxOffset = 1 << 20;
+
+/**
  * A vector type: an element type plus a lane count.
  *
  * Lane count 1 denotes a scalar. HVX native vectors are 128 bytes wide

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <vector>
 
+#include "backend/neon_backend.h"
 #include "baseline/halide_optimizer.h"
 #include "hir/analysis.h"
 #include "hir/interp.h"
@@ -11,7 +12,7 @@
 #include "hir/simplify.h"
 #include "hvx/interp.h"
 #include "jit/jit.h"
-#include "neon/select.h"
+#include "neon/interp.h"
 #include "pipeline/dag.h"
 #include "pipeline/executor.h"
 #include "support/deadline.h"
@@ -235,18 +236,20 @@ check_expr(const hir::ExprPtr &e, const OracleOptions &opts)
         stage = "neon";
         std::vector<Value> neon_out;
         if (opts.neon) {
-            neon::SelectOptions nopts;
+            synth::RakeOptions nopts;
             nopts.deadline = guard;
-            synth::SynthStatus nstatus = synth::SynthStatus::Ok;
-            if (auto n = neon::select_instructions(e, nopts, &nstatus)) {
-                if (nstatus == synth::SynthStatus::TimedOut)
+            const auto isa = backend::make_neon_backend(neon::Target{});
+            if (auto n = synth::select_instructions_for(e, *isa, nopts)) {
+                if (n->status == synth::SynthStatus::TimedOut)
                     return fail("neon",
                                 "synthesis deadline expired (greedy "
                                 "degradation shipped)",
                                 /*crash=*/false, /*hang=*/true);
                 res.neon_selected = true;
+                const auto code =
+                    std::static_pointer_cast<const neon::NInstr>(n->instr);
                 for (size_t i = 0; i < envs.size(); ++i) {
-                    Value got = neon::evaluate(*n, envs[i]);
+                    Value got = neon::evaluate(code, envs[i]);
                     if (got != ref[i])
                         return fail("neon",
                                     mismatch_detail("neon(e)",

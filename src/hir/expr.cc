@@ -122,8 +122,12 @@ Expr::compute_hash(Op op, const VecType &type,
     h = hash_mix(h, static_cast<size_t>(type.elem));
     h = hash_mix(h, static_cast<size_t>(type.lanes));
     h = hash_mix(h, std::hash<int64_t>{}(imm));
-    h = hash_mix(h, std::hash<int>{}(load.buffer * 8191 + load.dx * 31 +
-                                     load.dy));
+    // Unsigned, so no buffer id can overflow; the int is the same
+    // wherever the signed sum fitted.
+    const unsigned at = static_cast<unsigned>(load.buffer) * 8191u +
+                        static_cast<unsigned>(load.dx) * 31u +
+                        static_cast<unsigned>(load.dy);
+    h = hash_mix(h, std::hash<int>{}(static_cast<int>(at)));
     h = hash_mix(h, std::hash<std::string>{}(var));
     for (const auto &a : args)
         h = hash_mix(h, a->hash());
@@ -134,6 +138,9 @@ ExprPtr
 Expr::make_load(LoadRef ref, VecType type)
 {
     RAKE_USER_CHECK(type.lanes >= 1, "load must have >= 1 lane");
+    RAKE_USER_CHECK(ref.offsets_in_range(), "load offsets past "
+                                                << kMaxOffset << ": "
+                                                << to_string(ref));
     return ExprPtr(
         new Expr(Op::Load, type, {}, 0, ref, std::string()));
 }

@@ -76,6 +76,14 @@ struct LoadRef {
             return dy < o.dy;
         return dx < o.dx;
     }
+
+    /** Are both offsets within kMaxOffset of zero? */
+    bool
+    offsets_in_range() const
+    {
+        return dx >= -kMaxOffset && dx <= kMaxOffset && dy >= -kMaxOffset &&
+               dy <= kMaxOffset;
+    }
 };
 
 std::string to_string(const LoadRef &l);

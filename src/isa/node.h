@@ -78,6 +78,10 @@ class Node
         RAKE_USER_CHECK(type.lanes >= 1 && type.lanes <= kMaxLanes,
                         to_string(Traits::kRead) << " must load 1 to "
                                                  << kMaxLanes << " lanes");
+        RAKE_USER_CHECK(ref.offsets_in_range(),
+                        to_string(Traits::kRead) << " offsets past "
+                                                 << kMaxOffset << ": "
+                                                 << hir::to_string(ref));
         return Ptr(new Node(Traits::kRead, type, {}, {}, ref, nullptr));
     }
 
@@ -224,8 +228,8 @@ class Node
         h = hash_mix(h, static_cast<size_t>(type_.lanes));
         for (int64_t i : imms_)
             h = hash_mix(h, std::hash<int64_t>{}(i));
-        // Unsigned, so offsets anywhere in the int range a parse
-        // accepts cannot overflow; the int is the same for small ones.
+        // Unsigned, so no buffer id can overflow; the int is the same
+        // wherever the signed sum fitted.
         const unsigned at = static_cast<unsigned>(load_.buffer) * 8191u +
                             static_cast<unsigned>(load_.dx) * 31u +
                             static_cast<unsigned>(load_.dy);

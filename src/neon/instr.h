@@ -13,8 +13,9 @@
  * Neon differs from HVX in the dimension the paper highlights: its
  * compute instructions perform no implicit data movement (no
  * deinterleaved register pairs), so the layout parameterization of
- * §5.1 is unnecessary and the lowering is a direct greedy mapping —
- * the "preliminary" port the paper describes, not a full search.
+ * §5.1 is unnecessary. Lowering is otherwise the full search HVX
+ * runs, over Neon's grammar, swizzle moves and cost model
+ * (backend/neon_backend.h).
  */
 #ifndef RAKE_NEON_INSTR_H
 #define RAKE_NEON_INSTR_H

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "hir/analysis.h"
 #include "hir/interp.h"
@@ -149,17 +148,12 @@ compile_benchmark(const Benchmark &bench, const CompileOptions &opts)
         ExprCompilation ec;
         ec.kernel = &kernel;
 
-        if (std::getenv("RAKE_TRACE"))
-            fprintf(stderr, "[compile] %s: baseline\n",
-                    kernel.name.c_str());
         // Baseline (Halide's pattern-matching selector).
         ec.baseline = baseline::select_instructions(
             expr, opts.rake.target, opts.baseline);
 
         // Rake (three-stage synthesis). Falls back to the baseline's
         // code when synthesis cannot produce a verified result.
-        if (std::getenv("RAKE_TRACE"))
-            fprintf(stderr, "[compile] %s: rake\n", kernel.name.c_str());
         synth::RakeOptions ropts = opts.rake;
         if (opts.timeout_ms > 0)
             ropts.deadline = ropts.deadline.sooner(
@@ -172,9 +166,6 @@ compile_benchmark(const Benchmark &bench, const CompileOptions &opts)
         }
 
         if (opts.validate) {
-            if (std::getenv("RAKE_TRACE"))
-                fprintf(stderr, "[compile] %s: validate\n",
-                        kernel.name.c_str());
             validate_against_reference(expr, ec.baseline,
                                        opts.validate_trials, 17);
             if (ec.rake)

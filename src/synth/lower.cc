@@ -2,11 +2,8 @@
 
 #include <map>
 
-#include <cstdlib>
-
 #include "support/error.h"
 #include "uir/interp.h"
-#include "uir/printer.h"
 
 namespace rake::synth {
 
@@ -100,20 +97,13 @@ class CoreLowerer final : public backend::LowerDriver
         std::vector<backend::Sketch> sketches;
         isa_.candidates(u, layout, *this, sketches);
 
-        const bool trace = std::getenv("RAKE_TRACE") != nullptr;
         std::optional<Impl> best;
         for (backend::Sketch &sk : sketches) {
             opts_.deadline.check("sketch enumeration");
             if (!sk.defined())
                 continue;
-            if (!verify_sketch(u, layout, sk)) {
-                if (trace) {
-                    fprintf(stderr, "[lower]   sketch %s: rejected\n",
-                            sk.note.c_str());
-                    debug_dump_mismatch(u, layout, sk);
-                }
+            if (!verify_sketch(u, layout, sk))
                 continue;
-            }
 
             // Swizzle concretization under the tightened bound beta.
             const int compute_cost = isa_.instruction_count(sk.root);
@@ -145,24 +135,14 @@ class CoreLowerer final : public backend::LowerDriver
                     break;
                 }
             }
-            if (!ok) {
-                if (trace)
-                    fprintf(stderr,
-                            "[lower]   sketch %s: swizzle unsat\n",
-                            sk.note.c_str());
+            if (!ok)
                 continue;
-            }
 
             backend::InstrHandle impl =
                 isa_.substitute_holes(sk.root, solutions);
             // Final end-to-end check of the concretized implementation.
-            if (!check_impl(u, layout, impl)) {
-                if (trace)
-                    fprintf(stderr,
-                            "[lower]   sketch %s: final check failed\n",
-                            sk.note.c_str());
+            if (!check_impl(u, layout, impl))
                 continue;
-            }
 
             const backend::Cost cost = isa_.cost_of(impl);
             if (!best || cost.better_than(best->cost)) {
@@ -175,51 +155,7 @@ class CoreLowerer final : public backend::LowerDriver
         }
 
         memo_[key] = best;
-        if (!best && std::getenv("RAKE_TRACE")) {
-            fprintf(stderr, "[lower] no impl (%s, %zu sketches): %s\n",
-                    to_string(layout).c_str(), sketches.size(),
-                    uir::to_string(u).c_str());
-        }
         return best;
-    }
-
-    /** Print the first mismatching example when tracing. */
-    void
-    debug_dump_mismatch(const UExprPtr &u, Layout layout,
-                        const backend::Sketch &sk)
-    {
-        std::function<Value(int, const Env &)> oracle =
-            [this, &sk, &oracle](int id, const Env &env) {
-                return isa_.hole_value(sk.holes[id], env, oracle);
-            };
-        auto interp = isa_.make_evaluator();
-        interp->set_oracle(oracle);
-        for (int i = 0; i < 4; ++i) {
-            const Env &env = verifier_.pool().at(i);
-            const Value ref =
-                apply_layout(uir::evaluate(u, env), layout);
-            interp->reset(env);
-            const Value cand = interp->eval(sk.root);
-            if (!(ref == cand)) {
-                for (int l = 0; l < ref.type.lanes; ++l) {
-                    if (cand.type.lanes <= l ||
-                        ref[l] != cand[l]) {
-                        fprintf(stderr,
-                                "[lower]     example %d lane %d: ref=%lld"
-                                " cand=%lld (ref %s cand %s)\n",
-                                i, l, (long long)ref[l],
-                                cand.type.lanes > l
-                                    ? (long long)cand[l]
-                                    : -999999,
-                                to_string(ref.type).c_str(),
-                                to_string(cand.type).c_str());
-                        return;
-                    }
-                }
-            }
-        }
-        fprintf(stderr, "[lower]     (no mismatch on first examples; "
-                        "killed by randomized trials)\n");
     }
 
     /**

@@ -290,27 +290,6 @@ class SwizzleSolver
 };
 
 /**
- * The body of a backend's TargetISA::solve_hole. A solver binds the
- * run's stats sink at construction, so `solver` is built lazily on a
- * lowering run's first query and rebuilt when a later run counts into
- * other stats: its window-read memo lives as long as one run.
- */
-template <typename Moves>
-std::optional<backend::InstrHandle>
-solve_hole_in_run(std::optional<SwizzleSolver<Moves>> &solver,
-                  const Moves &moves, const Hole &hole, int budget,
-                  SwizzleStats &stats, const Deadline &deadline)
-{
-    if (!solver || !solver->counts_into(stats))
-        solver.emplace(moves, stats);
-    solver->set_deadline(deadline);
-    auto r = solver->solve(hole, budget);
-    if (!r)
-        return std::nullopt;
-    return backend::InstrHandle(std::move(r));
-}
-
-/**
  * Cross-stage layout negotiation (DESIGN.md "Whole-pipeline
  * selection"): the layout in which a producer stage stores its
  * intermediate buffer. Natural stores the semantic value;

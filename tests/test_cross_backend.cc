@@ -18,7 +18,7 @@
 #include "hir/interp.h"
 #include "hir/printer.h"
 #include "hvx/interp.h"
-#include "neon/select.h"
+#include "neon/interp.h"
 #include "neon/sexpr.h"
 #include "pipeline/benchmarks.h"
 #include "synth/rake.h"
@@ -60,22 +60,22 @@ TEST(CrossBackend, BenchmarkSuiteAgreesOnBothBackends)
         for (const KernelExpr &k : b.exprs) {
             SCOPED_TRACE(b.name + ":" + k.name);
             auto hv = synth::select_instructions(k.expr);
-            auto ne = neon::select_instructions(k.expr);
+            const neon::NInstrPtr ne = test::select_neon(k.expr);
             EXPECT_TRUE(hv.has_value());
-            EXPECT_TRUE(ne.has_value());
+            EXPECT_NE(ne, nullptr);
             if (!hv || !ne)
                 continue;
             for (const Env &env :
                  test::environments_for(k.expr, 6, 91)) {
                 const Value ref = hir::evaluate(k.expr, env);
                 EXPECT_EQ(hvx::evaluate(hv->instr, env), ref);
-                EXPECT_EQ(neon::evaluate(*ne, env), ref);
+                EXPECT_EQ(neon::evaluate(ne, env), ref);
             }
             // One program has one cost, shared nodes or not.
             EXPECT_EQ(round_trip_cost_text(*hvx_isa, hv->instr),
                       cost_text(*hvx_isa, hv->instr));
-            EXPECT_EQ(round_trip_cost_text(*neon_isa, *ne),
-                      cost_text(*neon_isa, *ne));
+            EXPECT_EQ(round_trip_cost_text(*neon_isa, ne),
+                      cost_text(*neon_isa, ne));
         }
     }
 }
@@ -120,17 +120,17 @@ TEST(CrossBackend, GreedyAblationAgreesWhereItApplies)
 {
     // The --greedy ablation path must stay correct on the shapes it
     // still maps (it may decline ones the full search now handles).
-    neon::SelectOptions greedy;
-    greedy.greedy = true;
+    const auto isa = backend::make_neon_backend(neon::Target{});
     for (const Benchmark &b : pipeline::benchmark_suite()) {
         for (const KernelExpr &k : b.exprs) {
             SCOPED_TRACE(b.name + ":" + k.name);
-            auto ne = neon::select_instructions(k.expr, greedy);
-            if (!ne)
+            const auto g = isa->greedy_select(k.expr);
+            if (!g)
                 continue;
+            const auto ne = std::static_pointer_cast<const neon::NInstr>(*g);
             for (const Env &env :
                  test::environments_for(k.expr, 4, 57)) {
-                EXPECT_EQ(neon::evaluate(*ne, env),
+                EXPECT_EQ(neon::evaluate(ne, env),
                           hir::evaluate(k.expr, env));
             }
         }
@@ -175,14 +175,14 @@ TEST_P(CrossBackendRandom, GeneratedExpressionsAgree)
         hir::ExprPtr e = gen.gen(3);
         SCOPED_TRACE(hir::to_string(e));
         auto hv = synth::select_instructions(e);
-        auto ne = neon::select_instructions(e);
+        const neon::NInstrPtr ne = test::select_neon(e);
         for (const Env &env : test::environments_for(e, 5, 67)) {
             const Value ref = hir::evaluate(e, env);
             if (hv) {
                 EXPECT_EQ(hvx::evaluate(hv->instr, env), ref);
             }
             if (ne) {
-                EXPECT_EQ(neon::evaluate(*ne, env), ref);
+                EXPECT_EQ(neon::evaluate(ne, env), ref);
             }
         }
     }

@@ -14,12 +14,12 @@
 #include "hir/interp.h"
 #include "hvx/instr.h"
 #include "neon/interp.h"
-#include "neon/select.h"
 #include "pipeline/benchmarks.h"
 #include "pipeline/dag.h"
 #include "pipeline/executor.h"
 #include "synth/rake.h"
 #include "synth/swizzle.h"
+#include "test_util.h"
 
 namespace rake {
 namespace {
@@ -322,8 +322,8 @@ TEST(DagExecutor, FusedSuiteMatchesComposedReferenceOnNeon)
         std::vector<StageCode> codes;
         bool all_selected = true;
         for (const DagStage &s : dag.stages) {
-            auto ne = neon::select_instructions(s.expr);
-            EXPECT_TRUE(ne.has_value()) << s.name;
+            const neon::NInstrPtr ne = test::select_neon(s.expr);
+            EXPECT_NE(ne, nullptr) << s.name;
             if (!ne) {
                 all_selected = false;
                 break;
@@ -334,7 +334,7 @@ TEST(DagExecutor, FusedSuiteMatchesComposedReferenceOnNeon)
                 code.load_elems[in.slot] =
                     load_elem_of(s.expr, in.slot);
             // One Neon interpreter and view Env per worker.
-            code.make_eval = [prog = *ne](const Env &env) -> TileEval {
+            code.make_eval = [prog = ne](const Env &env) -> TileEval {
                 auto interp = std::make_shared<neon::Interpreter>();
                 return [prog, interp, env = Env(env)](
                            int x, int y, int64_t *dst) mutable {

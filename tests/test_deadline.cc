@@ -15,10 +15,11 @@
 #include <map>
 #include <thread>
 
+#include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hir/interp.h"
 #include "hvx/interp.h"
-#include "neon/select.h"
+#include "neon/interp.h"
 #include "pipeline/executor.h"
 #include "support/deadline.h"
 #include "synth/cache.h"
@@ -225,17 +226,17 @@ TEST(Degradation, NeonDegradesToGreedyMapping)
 {
     synth::backend_synthesis_cache("neon").clear();
     HExpr e = average_expr();
-    neon::SelectOptions opts;
+    synth::RakeOptions opts;
     opts.deadline = Deadline::after_ms(0);
-    synth::SynthStatus status = synth::SynthStatus::Ok;
-    auto n = neon::select_instructions(e.ptr(), opts, &status);
-    EXPECT_EQ(status, synth::SynthStatus::TimedOut);
+    const auto isa = backend::make_neon_backend(neon::Target{});
+    auto n = synth::select_instructions_for(e.ptr(), *isa, opts);
     ASSERT_TRUE(n.has_value());
+    EXPECT_EQ(n->status, synth::SynthStatus::TimedOut);
 
     // The greedy mapping is still a verified-correct implementation.
+    const auto code = std::static_pointer_cast<const neon::NInstr>(n->instr);
     for (const Env &env : test::environments_for(e.ptr(), 6, 13)) {
-        EXPECT_EQ(hir::evaluate(e.ptr(), env),
-                  neon::evaluate(*n, env));
+        EXPECT_EQ(hir::evaluate(e.ptr(), env), neon::evaluate(code, env));
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the preliminary ARM Neon backend (paper §6): the shared
+ * Tests for the ARM Neon backend (paper §6): the shared
  * Uber-Instruction IR lowers onto a second ISA, the fused Neon
  * narrowing families are selected, and lift-once/lower-twice agrees
  * with both the HIR reference and the HVX backend.
@@ -12,7 +12,7 @@
 #include "hir/printer.h"
 #include "hvx/interp.h"
 #include "neon/cost.h"
-#include "neon/select.h"
+#include "neon/interp.h"
 #include "neon/sexpr.h"
 #include "synth/rake.h"
 #include "test_util.h"
@@ -40,16 +40,15 @@ count_op(const NInstrPtr &n, NOp op)
 NInstrPtr
 select_checked(const HExpr &e)
 {
-    auto n = neon::select_instructions(e.ptr());
-    EXPECT_TRUE(n.has_value()) << hir::to_string(e.ptr());
+    NInstrPtr n = test::select_neon(e.ptr());
+    EXPECT_NE(n, nullptr) << hir::to_string(e.ptr());
     if (!n)
         return nullptr;
     for (const Env &env : test::environments_for(e.ptr(), 8, 31)) {
-        EXPECT_EQ(hir::evaluate(e.ptr(), env),
-                  neon::evaluate(*n, env))
-            << hir::to_string(e.ptr()) << "\n" << neon::to_listing(*n);
+        EXPECT_EQ(hir::evaluate(e.ptr(), env), neon::evaluate(n, env))
+            << hir::to_string(e.ptr()) << "\n" << neon::to_listing(n);
     }
-    return *n;
+    return n;
 }
 
 HExpr
@@ -174,13 +173,13 @@ TEST(Neon, LiftOnceLowerTwice)
                              2,
                          0, 255));
     auto hvx_r = synth::select_instructions(e.ptr());
-    auto neon_r = neon::select_instructions(e.ptr());
+    NInstrPtr neon_r = test::select_neon(e.ptr());
     ASSERT_TRUE(hvx_r.has_value());
-    ASSERT_TRUE(neon_r.has_value());
+    ASSERT_NE(neon_r, nullptr);
     for (const Env &env : test::environments_for(e.ptr(), 6, 17)) {
         const Value ref = hir::evaluate(e.ptr(), env);
         EXPECT_EQ(hvx::evaluate(hvx_r->instr, env), ref);
-        EXPECT_EQ(neon::evaluate(*neon_r, env), ref);
+        EXPECT_EQ(neon::evaluate(neon_r, env), ref);
     }
 }
 
@@ -210,11 +209,11 @@ TEST_P(NeonDifferential, RandomExpressionsSelectCorrectly)
     test::ExprGen gen(GetParam() * 192161 + 29, /*lanes=*/16);
     for (int i = 0; i < 3; ++i) {
         hir::ExprPtr e = gen.gen(3);
-        auto n = neon::select_instructions(e);
+        NInstrPtr n = test::select_neon(e);
         if (!n)
-            continue; // preliminary port: unmapped shapes may bail
+            continue; // unmapped shapes may bail
         for (const Env &env : test::environments_for(e, 5, 41)) {
-            EXPECT_EQ(hir::evaluate(e, env), neon::evaluate(*n, env))
+            EXPECT_EQ(hir::evaluate(e, env), neon::evaluate(n, env))
                 << hir::to_string(e);
         }
     }

@@ -164,6 +164,19 @@ TEST(Parse, ValuesPastTheirDestinationAreUserErrors)
                  UserError);
     EXPECT_THROW(hir::parse_expr("(const u8x8 99999999999999999999)"),
                  UserError);
+    // Offsets that fit an int but not kMaxOffset: the HIR hash used to
+    // multiply them, and the interpreters add them to coordinates, in
+    // int.
+    EXPECT_THROW(hir::parse_expr("(load u8x8 0 2147483647 0)"), UserError);
+    EXPECT_THROW(hvx::parse_instr("(vmem u8x8 0 2147483647 0)"), UserError);
+    EXPECT_THROW(neon::parse_instr("(vld1 u8x8 0 0 -2147483648)"),
+                 UserError);
+    const std::string past = std::to_string(kMaxOffset + 1);
+    const std::string edge = std::to_string(kMaxOffset);
+    EXPECT_THROW(hir::parse_expr("(load u8x8 0 0 -" + past + ")"),
+                 UserError);
+    EXPECT_NO_THROW(hir::parse_expr("(load u8x8 0 -" + edge + " 0)"));
+    EXPECT_NO_THROW(hvx::parse_instr("(vmem u8x8 0 0 " + edge + ")"));
     // The in-range spellings still read.
     EXPECT_EQ(hir::to_sexpr(hir::parse_expr("(load u8x8 0 0 0)")),
               "(load u8x8 0 0 0)");

@@ -34,7 +34,7 @@
 #include "hir/sexpr.h"
 #include "hir/simplify.h"
 #include "hvx/sexpr.h"
-#include "neon/select.h"
+#include "pipeline/compiler.h"
 #include "support/deadline.h"
 #include "synth/cache.h"
 #include "synth/persist.h"
@@ -808,11 +808,10 @@ TEST(Persist, NeonBackendRoundTripsThroughTargetIsaHooks)
 }
 
 /**
- * The Neon compile path (neon::select_instructions, which table1 and
- * micro_synth reach through the same options) and the serving path
- * (select_instructions_for over a Neon backend with the server's
- * default RakeOptions) must key one disk entry. They used to differ
- * in LowerOptions::layouts, a knob only the HVX grammar reads, so the
+ * The Neon compile path (table1's CompileOptions::rake over a Neon
+ * backend) and the serving path (the server's default RakeOptions)
+ * must key one disk entry. They used to differ in
+ * LowerOptions::layouts, a knob only the HVX grammar reads, so the
  * server re-ran CEGIS on every entry the compile path had written.
  */
 TEST(Persist, NeonCompileAndServePathsShareDiskEntries)
@@ -822,14 +821,15 @@ TEST(Persist, NeonCompileAndServePathsShareDiskEntries)
     synth::SynthCache &neon_table = synth::backend_synthesis_cache("neon");
     neon_table.clear();
 
-    neon::SelectOptions compile;
-    compile.cache_dir = dir;
-    ASSERT_TRUE(neon::select_instructions(e, compile).has_value());
+    pipeline::CompileOptions compile;
+    compile.rake.cache_dir = dir;
+    auto isa = backend::make_neon_backend(neon::Target{});
+    ASSERT_TRUE(
+        synth::select_instructions_for(e, *isa, compile.rake).has_value());
     neon_table.clear(); // a fresh process: only the disk tier is warm
 
     synth::RakeOptions serve;
     serve.cache_dir = dir;
-    auto isa = backend::make_neon_backend(neon::Target{});
     auto served = synth::select_instructions_for(e, *isa, serve);
     ASSERT_TRUE(served.has_value());
     EXPECT_TRUE(served->disk_hit);

@@ -6,11 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hir/interp.h"
 #include "hir/sexpr.h"
 #include "hvx/interp.h"
-#include "neon/select.h"
+#include "neon/interp.h"
 #include "synth/rake.h"
 #include "synth/spec.h"
 #include "synth/swizzle.h"
@@ -119,18 +120,18 @@ TEST(Selection, BroadcastScalarCastMatchesReferenceForEveryValue)
     synth::RakeOptions hopts;
     hopts.use_cache = false;
     const auto hv = synth::select_instructions(e, hopts);
-    neon::SelectOptions nopts;
-    nopts.use_cache = false;
-    const auto ne = neon::select_instructions(e, nopts);
+    const auto neon_isa = backend::make_neon_backend(neon::Target{});
+    const auto ne = synth::select_instructions_for(e, *neon_isa, hopts);
     ASSERT_TRUE(hv.has_value());
     ASSERT_TRUE(ne.has_value());
+    const auto ncode = std::static_pointer_cast<const neon::NInstr>(ne->instr);
     int hvx_wrong = 0, neon_wrong = 0;
     Env env;
     for (int64_t v = -32768; v <= 32767; ++v) {
         env.scalars["v"] = v;
         const Value ref = evaluate(e, env);
         hvx_wrong += hvx::evaluate(hv->instr, env) != ref;
-        neon_wrong += neon::evaluate(*ne, env) != ref;
+        neon_wrong += neon::evaluate(ncode, env) != ref;
     }
     EXPECT_EQ(hvx_wrong, 0);
     EXPECT_EQ(neon_wrong, 0);

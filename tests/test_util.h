@@ -2,7 +2,8 @@
  * @file
  * Shared helpers for the test suite: deterministic random expression
  * generation (for differential and property testing), environment
- * construction, and dirty recycled storage for whole-image passes.
+ * construction, dirty recycled storage for whole-image passes, and
+ * Neon selection as a typed node.
  */
 #ifndef RAKE_TESTS_TEST_UTIL_H
 #define RAKE_TESTS_TEST_UTIL_H
@@ -10,11 +11,13 @@
 #include <algorithm>
 #include <vector>
 
+#include "backend/neon_backend.h"
 #include "base/value.h"
 #include "hir/analysis.h"
 #include "hir/builder.h"
 #include "hir/expr.h"
 #include "support/rng.h"
+#include "synth/rake.h"
 #include "synth/spec.h"
 
 namespace rake::test {
@@ -179,6 +182,20 @@ inline bool
 has_dirty_cell(const Cells &cells)
 {
     return std::find(cells.begin(), cells.end(), kDirtyCell) != cells.end();
+}
+
+/**
+ * The Neon backend's selection for `e` through the selection ladder
+ * (synth::select_instructions_for), or null when it declines.
+ */
+inline neon::NInstrPtr
+select_neon(const hir::ExprPtr &e, const synth::RakeOptions &opts = {})
+{
+    const auto isa = backend::make_neon_backend(neon::Target{});
+    const auto r = synth::select_instructions_for(e, *isa, opts);
+    if (!r)
+        return nullptr;
+    return std::static_pointer_cast<const neon::NInstr>(r->instr);
 }
 
 } // namespace rake::test

@@ -12,11 +12,11 @@
  */
 #include <iostream>
 
+#include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hvx/cost.h"
 #include "hvx/printer.h"
 #include "neon/cost.h"
-#include "neon/select.h"
 #include "pipeline/report.h"
 #include "support/deadline.h"
 #include "synth/persist.h"
@@ -119,24 +119,32 @@ main(int argc, char **argv)
                       << to_string(hvx::cost_of(r->instr, opts.target))
                       << "\n";
         } else {
-            neon::SelectOptions opts;
-            opts.greedy = args.greedy;
-            opts.cache_dir = cache_dir;
-            opts.rules_file = rules_file;
-            if (timeout_ms > 0)
-                opts.deadline = Deadline::after_ms(timeout_ms);
-            synth::SynthStatus status = synth::SynthStatus::Ok;
-            auto n = neon::select_instructions(p.expr, opts, &status);
+            const neon::Target target;
+            const auto isa = backend::make_neon_backend(target);
+            std::optional<backend::InstrHandle> n;
+            if (args.greedy) {
+                n = isa->greedy_select(p.expr);
+            } else {
+                synth::RakeOptions opts;
+                opts.cache_dir = cache_dir;
+                opts.rules_file = rules_file;
+                if (timeout_ms > 0)
+                    opts.deadline = Deadline::after_ms(timeout_ms);
+                if (auto r = synth::select_instructions_for(p.expr, *isa,
+                                                            opts)) {
+                    if (r->degraded)
+                        std::cout << "(timed out; greedy degradation)\n";
+                    n = r->instr;
+                }
+            }
             if (!n) {
                 std::cout << "FAILED\n";
                 ++failures;
                 continue;
             }
-            if (status == synth::SynthStatus::TimedOut)
-                std::cout << "(timed out; greedy degradation)\n";
-            std::cout << neon::to_listing(*n)
-                      << to_string(neon::cost_of(*n, neon::Target{}))
-                      << "\n";
+            const auto code = std::static_pointer_cast<const neon::NInstr>(*n);
+            std::cout << neon::to_listing(code)
+                      << to_string(neon::cost_of(code, target)) << "\n";
         }
     }
     return failures == 0 ? 0 : 1;
