@@ -186,13 +186,14 @@ has_dirty_cell(const Cells &cells)
 
 /**
  * The Neon backend's selection for `e` through the selection ladder
- * (synth::select_instructions_for), or null when it declines.
+ * (synth::select_instructions_for, default options), or null when it
+ * declines.
  */
 inline neon::NInstrPtr
-select_neon(const hir::ExprPtr &e, const synth::RakeOptions &opts = {})
+select_neon(const hir::ExprPtr &e)
 {
     const auto isa = backend::make_neon_backend(neon::Target{});
-    const auto r = synth::select_instructions_for(e, *isa, opts);
+    const auto r = synth::select_instructions_for(e, *isa);
     if (!r)
         return nullptr;
     return std::static_pointer_cast<const neon::NInstr>(r->instr);
